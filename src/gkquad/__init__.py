@@ -44,7 +44,7 @@ from .gauss_hermite import (
     gh_rule,
     node_bound_holds,
 )
-from .hermite import DEGREE_MAX, HermiteSequence, hermite_eval, normalized_sequence
+from .hermite import DEGREE_MAX, hermite_eval
 from .mercer import (
     ALPHA_DEFAULT,
     GaussianKernel,

@@ -33,10 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericalFailureError, SizeError
-from .gauss_hermite import N_MAX, QuadratureRule, gh_rule
+from .gauss_hermite import QuadratureRule, check_size, gh_rule
 from .hermite import DEGREE_MAX, normalized_table
 from .mercer import (
     MercerBasis,
@@ -71,10 +70,7 @@ class ApproxRule:
 
 def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
     """Gauss-Hermite nodes divided by sqrt(2) alpha beta."""
-    if not 1 <= n <= N_MAX:
-        raise SizeError(f"rule size must be in [1, {N_MAX}], got {n}")
-    gh = gh_rule(n)
-    return gh.nodes / (math.sqrt(2.0) * basis.alpha * basis.beta)
+    return gh_rule(n).nodes / (math.sqrt(2.0) * basis.alpha * basis.beta)
 
 
 def even_hermite_series(gamma: float, n: int, t) -> np.ndarray:
@@ -99,14 +95,14 @@ def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
 
     Raises
     ------
+    SizeError
+        If n is not an integer in [1, N_MAX].
     NumericalFailureError
         If any weight evaluates non-finite (not expected anywhere in the
         guarded range N <= 200, l in [0.05, 10]).
     """
-    if not 1 <= n <= N_MAX:
-        raise SizeError(f"rule size must be in [1, {N_MAX}], got {n}")
     gh = gh_rule(n)
-    nodes = gh.nodes / (math.sqrt(2.0) * basis.alpha * basis.beta)
+    nodes = scaled_nodes(basis, n)
     series = even_hermite_series(basis.gamma, n, gh.nodes)
     lead = 1.0 / math.sqrt(1.0 + 2.0 * basis.delta_sq)
     weights = lead * gh.weights * np.exp(basis.delta_sq * nodes * nodes) * series
@@ -179,9 +175,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     otherwise dominate the factorization error.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
-    n = nodes.size
-    if not 1 <= n <= N_MAX:
-        raise SizeError(f"node count must be in [1, {N_MAX}], got {n}")
+    n = check_size(nodes.size, "node count")
     if np.unique(nodes).size != n:
         raise DomainError("nodes must be distinct")
     if m_terms < n:
@@ -204,12 +198,8 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
             "eigenfunction matrix is numerically rank deficient at these nodes"
         )
 
-    if m_terms == n:
-        y = scipy.linalg.solve_triangular(r1.T, means, lower=True)
-        return (q @ y) / row_scale
-
     r2 = r[:, n:]
-    correction = scipy.linalg.solve_triangular(r1, r2, lower=False)
+    correction = np.linalg.solve(r1, r2)
     ratio = basis.eigenvalue_ratio
     exponents = n + np.arange(m_terms - n)[None, :] - np.arange(n)[:, None]
     correction = correction * ratio**exponents

@@ -13,10 +13,10 @@ import sys
 
 import numpy as np
 
-from .approx import approx_rule, machine_truncation, qr_weights, scaled_nodes
+from .approx import approx_rule, machine_truncation, qr_weights
 from .errors import NumericalFailureError
 from .exact import exact_weights
-from .gauss_hermite import N_MAX, QuadratureRule, gh_rule
+from .gauss_hermite import QuadratureRule, gh_rule
 from .mercer import ALPHA_DEFAULT, basis_from
 from .tensor import gaussian_poly_integrand, tensor_integrate, tensor_rule
 from .wce import multivariate_constants, theoretical_constants, worst_case_error
@@ -35,49 +35,35 @@ SYMMETRY_TOL = 1e-6
 CONDITION_FLAG = 1e15
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return sorted(set(values))
+def _comma_list(cast, distinct: bool = False):
+    """argparse type for a comma-separated list of ``cast`` values.
+
+    Distinct lists (length scales, rule sizes) come back sorted and
+    deduplicated; per-dimension lists keep their order.
+    """
+    def parse(text: str) -> list:
+        try:
+            values = [cast(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {cast.__name__} list: {text!r}"
+            ) from None
+        if not values:
+            raise argparse.ArgumentTypeError("empty value list")
+        return sorted(set(values)) if distinct else values
+
+    return parse
 
 
 def _parse_ns(text: str) -> list[int]:
-    try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an int list or a:b range: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty size list")
-    return sorted(set(values))
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return values
-
-
-def _parse_float_list(text: str) -> list[float]:
-    """Order-preserving float list, for per-dimension parameters."""
-    try:
-        values = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty value list")
-    return values
+    """Rule sizes as a comma-separated int list or an inclusive a:b range."""
+    if ":" in text:
+        try:
+            lo, hi = (int(part) for part in text.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an a:b range: {text!r}") from None
+        text = ",".join(str(n) for n in range(lo, hi + 1))
+    return _comma_list(int, distinct=True)(text)
 
 
 def _format_cell(value) -> str:
@@ -143,9 +129,9 @@ def _cmd_weights_compare(args):
     for ell in args.ells:
         basis = basis_from(ell, args.alpha)
         for n in args.ns:
-            nodes = scaled_nodes(basis, n)
-            w_approx = approx_rule(basis, n).rule.weights
-            w_ref = qr_weights(basis, nodes, machine_truncation(basis, n))
+            rule = approx_rule(basis, n).rule
+            w_approx = rule.weights
+            w_ref = qr_weights(basis, rule.nodes, machine_truncation(basis, n))
             with np.errstate(divide="ignore", invalid="ignore"):
                 proxy = float(abs(1.0 - np.float64(w_ref[-1]) / np.float64(w_ref[0])))
                 rel_err = float(np.sqrt(np.sum(((w_ref - w_approx) / w_ref) ** 2)))
@@ -170,14 +156,18 @@ def _cmd_positivity_sweep(args):
     return columns, rows
 
 
-def _wce_of_solved(nodes: np.ndarray, ell: float) -> tuple[float, int]:
-    """WCE of the exact kernel rule at the given nodes, with a reliability flag."""
+def _solved(nodes: np.ndarray, ell: float, measure) -> tuple[float, int]:
+    """``measure`` of the exact kernel rule at the given nodes, with a flag.
+
+    A refused solve gives (nan, 1); a solve whose condition estimate
+    exceeds CONDITION_FLAG is flagged 1 but still measured.
+    """
     try:
         weights, cond = exact_weights(nodes, ell)
-        report = worst_case_error(QuadratureRule(nodes, weights), ell)
+        value = measure(QuadratureRule(nodes, weights))
     except NumericalFailureError:
         return float("nan"), 1
-    return report.wce, int(cond > CONDITION_FLAG)
+    return value, int(cond > CONDITION_FLAG)
 
 
 def _cmd_wce_sweep(args):
@@ -189,7 +179,9 @@ def _cmd_wce_sweep(args):
             approx = approx_rule(basis, n)
             wce_main = worst_case_error(approx.rule, ell).wce
             uniform = np.linspace(approx.rule.nodes[0], approx.rule.nodes[-1], n)
-            wce_ukq, flag = _wce_of_solved(uniform, ell)
+            wce_ukq, flag = _solved(
+                uniform, ell, lambda rule: worst_case_error(rule, ell).wce
+            )
             wce_gh = worst_case_error(gh_rule(n), ell).wce
             rows.append([ell, n, wce_main, wce_ukq, wce_gh, flag])
             if wce_main < WCE_CUTOFF:
@@ -212,17 +204,9 @@ def _integration_errors(args, dims: int):
 
         err_sghkq = grid_error(approx.rule)
         err_gh = grid_error(gh)
-
-        def solved_error(nodes: np.ndarray) -> tuple[float, int]:
-            try:
-                weights, cond = exact_weights(nodes, args.ell)
-            except NumericalFailureError:
-                return float("nan"), 1
-            return grid_error(QuadratureRule(nodes, weights)), int(cond > CONDITION_FLAG)
-
-        err_kq, kq_flag = solved_error(approx.rule.nodes)
+        err_kq, kq_flag = _solved(approx.rule.nodes, args.ell, grid_error)
         uniform = np.linspace(approx.rule.nodes[0], approx.rule.nodes[-1], n)
-        err_ukq, ukq_flag = solved_error(uniform)
+        err_ukq, ukq_flag = _solved(uniform, args.ell, grid_error)
         rows.append([n, err_sghkq, err_kq, err_ukq, err_gh, kq_flag, ukq_flag])
     return columns, rows
 
@@ -257,7 +241,7 @@ def _cmd_constants(args):
     return columns, [row]
 
 
-def _add_common(sub, ells=False, ns=False, single_n=False):
+def _add_common(sub, ells=False, ns=False):
     sub.add_argument("--alpha", type=float, default=ALPHA_DEFAULT,
                      help="measure shape parameter (default 1/sqrt(2))")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
@@ -267,13 +251,11 @@ def _add_common(sub, ells=False, ns=False, single_n=False):
     if ells:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--ell", type=float, dest="single_ell")
-        group.add_argument("--ells", type=_parse_floats)
+        group.add_argument("--ells", type=_comma_list(float, distinct=True))
     if ns:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--n", type=int, dest="single_n")
         group.add_argument("--ns", type=_parse_ns)
-    if single_n:
-        sub.add_argument("--n", type=int, required=True, dest="n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("integrate",
                         help="one-dimensional test integrand errors per rule size")
     p.add_argument("--ell", type=float, default=1.2)
-    p.add_argument("--m", type=_parse_ints, default=[6])
-    p.add_argument("--c", type=_parse_float_list, default=[1.5])
+    p.add_argument("--m", type=_comma_list(int), default=[6])
+    p.add_argument("--c", type=_comma_list(float), default=[1.5])
     group = p.add_mutually_exclusive_group()
     group.add_argument("--n", type=int, dest="single_n")
     group.add_argument("--ns", type=_parse_ns, default=list(range(1, 31)))
@@ -319,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tensor-grid test integrand errors per rule size")
     p.add_argument("--ell", type=float, default=1.2)
     p.add_argument("--dims", type=int, default=3)
-    p.add_argument("--m", type=_parse_ints, default=[6, 4, 2])
-    p.add_argument("--c", type=_parse_float_list, default=[1.5, 3.0, 0.5])
+    p.add_argument("--m", type=_comma_list(int), default=[6, 4, 2])
+    p.add_argument("--c", type=_comma_list(float), default=[1.5, 3.0, 0.5])
     group = p.add_mutually_exclusive_group()
     group.add_argument("--n", type=int, dest="single_n")
     group.add_argument("--ns", type=_parse_ns, default=list(range(2, 13)))
@@ -364,3 +346,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DomainError, IllConditionedError, SizeError
-from .gauss_hermite import N_MAX
-from .mercer import GaussianKernel
+from .errors import DomainError, IllConditionedError
+from .gauss_hermite import check_size
+from .mercer import GaussianKernel, check_length_scale
 
 __all__ = [
     "KernelSystem",
@@ -52,8 +51,7 @@ def kernel_mean(ell: float, x):
 
     Accepts scalar or array x; values lie in (0, l / sqrt(1 + l^2)].
     """
-    if not (ell > 0 and math.isfinite(ell)):
-        raise DomainError(f"length scale must be positive, got {ell}")
+    check_length_scale(ell)
     xs = np.asarray(x, dtype=float)
     amp = ell / math.sqrt(1.0 + ell * ell)
     out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell * ell)))
@@ -64,8 +62,7 @@ def kernel_mean(ell: float, x):
 
 def kernel_mean_mean(ell: float) -> float:
     """Initial error mu(k_mu) = l / sqrt(2 + l^2), in (0, 1)."""
-    if not (ell > 0 and math.isfinite(ell)):
-        raise DomainError(f"length scale must be positive, got {ell}")
+    check_length_scale(ell)
     return ell / math.sqrt(2.0 + ell * ell)
 
 
@@ -86,11 +83,13 @@ def kernel_system(nodes, ell: float, ridge: float = 0.0) -> KernelSystem:
     SizeError
         If the node count is outside [1, N_MAX].
     DomainError
-        If nodes are duplicated or parameters are out of range.
+        If nodes are non-finite or duplicated, or parameters are out of
+        range.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
-    if not 1 <= nodes.size <= N_MAX:
-        raise SizeError(f"node count must be in [1, {N_MAX}], got {nodes.size}")
+    check_size(nodes.size, "node count")
+    if not np.all(np.isfinite(nodes)):
+        raise DomainError("nodes must be finite")
     if np.unique(nodes).size != nodes.size:
         raise DomainError("nodes must be distinct")
     if ridge < 0 or not math.isfinite(ridge):
@@ -123,12 +122,13 @@ def exact_weights(nodes, ell: float, ridge: float = 0.0) -> tuple[np.ndarray, fl
     """
     system = kernel_system(nodes, ell, ridge)
     try:
-        factor = scipy.linalg.cho_factor(system.kernel_matrix, lower=True)
+        lower = np.linalg.cholesky(system.kernel_matrix)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"kernel matrix is numerically not positive definite "
             f"(condition estimate {system.condition_estimate:.3e}): {exc}",
             system.condition_estimate,
         ) from exc
-    weights = scipy.linalg.cho_solve(factor, system.embedding_vector)
+    half = np.linalg.solve(lower, system.embedding_vector)
+    weights = np.linalg.solve(lower.T, half)
     return weights, system.condition_estimate

@@ -16,13 +16,13 @@ largest node is below 2 sqrt(N - 1).
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NumericalFailureError, SizeError
+from .errors import DomainError, NumericalFailureError, SizeError
 from .hermite import normalized_table
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "MEASURE_TAG",
     "QuadratureRule",
     "NodeResidualWarning",
+    "check_size",
     "gh_rule",
     "node_bound_holds",
 ]
@@ -64,6 +65,8 @@ class QuadratureRule:
             raise ValueError("nodes and weights must have equal length")
         if nodes.size == 0:
             raise ValueError("a rule needs at least one node")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise DomainError("nodes and weights must be finite")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly ascending")
         object.__setattr__(self, "nodes", nodes)
@@ -73,6 +76,17 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self.nodes.size
+
+
+def check_size(n, what: str = "rule size") -> int:
+    """Return n as an int; raise SizeError unless it is an integer in [1, N_MAX]."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        raise SizeError(f"{what} must be an integer, got {n!r}") from None
+    if not 1 <= size <= N_MAX:
+        raise SizeError(f"{what} must be in [1, {N_MAX}], got {size}")
+    return size
 
 
 def gh_rule(n: int) -> QuadratureRule:
@@ -92,13 +106,11 @@ def gh_rule(n: int) -> QuadratureRule:
     Raises
     ------
     SizeError
-        If n is outside [1, N_MAX].
+        If n is not an integer in [1, N_MAX].
     NumericalFailureError
-        If the tridiagonal eigensolver fails to converge.
+        If the eigensolver fails to converge.
     """
-    if not 1 <= n <= N_MAX:
-        raise SizeError(f"rule size must be in [1, {N_MAX}], got {n}")
-    return _gh_rule_cached(int(n))
+    return _gh_rule_cached(check_size(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,16 +118,13 @@ def _gh_rule_cached(n: int) -> QuadratureRule:
     if n == 1:
         return QuadratureRule(np.array([0.0]), np.array([1.0]))
 
-    diag = np.zeros(n)
-    off = np.sqrt(np.arange(1.0, n))
+    jacobi = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     try:
-        eigvals = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+        nodes = np.linalg.eigvalsh(jacobi + jacobi.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
-            f"tridiagonal eigensolver did not converge for n={n}: {exc}"
+            f"eigensolver did not converge for n={n}: {exc}"
         ) from exc
-
-    nodes = eigvals
 
     # One Newton step per node against hhat_N; hhat_N'(x) = sqrt(N) hhat_{N-1}(x).
     table = normalized_table(nodes, n)

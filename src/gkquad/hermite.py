@@ -15,7 +15,6 @@ keeps every intermediate bounded by roughly 1.087 * exp(x^2 / 4).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,7 @@ from .errors import DegreeOverflowError
 
 __all__ = [
     "DEGREE_MAX",
-    "HermiteSequence",
     "hermite_eval",
-    "normalized_sequence",
     "normalized_table",
 ]
 
@@ -39,20 +36,6 @@ def _check_degree(n: int) -> None:
         raise DegreeOverflowError(f"degree must be nonnegative, got {n}")
     if n > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {n} exceeds the guard {DEGREE_MAX}")
-
-
-@dataclass(frozen=True)
-class HermiteSequence:
-    """Values of hhat_0 .. hhat_degree_max at a single point."""
-
-    degree_max: int
-    point: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.degree_max + 1,):
-            raise ValueError("values must hold exactly degree_max + 1 entries")
-        self.values.setflags(write=False)
 
 
 def hermite_eval(n: int, x: float) -> float:
@@ -70,7 +53,7 @@ def hermite_eval(n: int, x: float) -> float:
     float
         H_n(x) by the three-term recurrence.  Unnormalized values carry
         sqrt(n!) growth and overflow to inf once n is in the high
-        hundreds for moderate x; use :func:`normalized_sequence` for
+        hundreds for moderate x; use :func:`normalized_table` for
         large degrees.
     """
     _check_degree(n)
@@ -81,13 +64,6 @@ def hermite_eval(n: int, x: float) -> float:
     for k in range(1, n):
         h_prev, h = h, x * h - k * h_prev
     return h
-
-
-def normalized_sequence(x: float, degree_max: int) -> HermiteSequence:
-    """All normalized values hhat_n(x) = H_n(x)/sqrt(n!) for n <= degree_max."""
-    _check_degree(degree_max)
-    values = normalized_table(np.asarray([float(x)]), degree_max)[0]
-    return HermiteSequence(degree_max=degree_max, point=float(x), values=values)
 
 
 def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
     "GaussianKernel",
     "MercerBasis",
     "basis_from",
+    "check_length_scale",
     "eigenvalue",
     "eigenfunction",
     "eigenfunction_table",
@@ -50,6 +51,12 @@ __all__ = [
 ALPHA_DEFAULT = math.sqrt(0.5)
 
 
+def check_length_scale(ell) -> None:
+    """Raise DomainError unless ell is a finite positive length scale."""
+    if not (ell > 0 and math.isfinite(ell)):
+        raise DomainError(f"length scale must be positive, got {ell}")
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """Gaussian kernel k(x, y) = exp(-(x - y)^2 / (2 l^2))."""
@@ -57,8 +64,7 @@ class GaussianKernel:
     length_scale: float
 
     def __post_init__(self):
-        if not (self.length_scale > 0 and math.isfinite(self.length_scale)):
-            raise DomainError(f"length scale must be positive, got {self.length_scale}")
+        check_length_scale(self.length_scale)
 
     def value(self, x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -99,8 +105,7 @@ def basis_from(length_scale: float, alpha: float = ALPHA_DEFAULT) -> MercerBasis
         Measure shape parameter a > 0; the default 1/sqrt(2) gives the
         standard Gaussian measure.
     """
-    if not (length_scale > 0 and math.isfinite(length_scale)):
-        raise DomainError(f"length scale must be positive, got {length_scale}")
+    check_length_scale(length_scale)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DomainError(f"alpha must be positive, got {alpha}")
     epsilon = 1.0 / (math.sqrt(2.0) * length_scale)
@@ -116,7 +121,11 @@ def basis_from(length_scale: float, alpha: float = ALPHA_DEFAULT) -> MercerBasis
 
 
 def eigenvalue(basis: MercerBasis, n: int) -> float:
-    """n-th kernel eigenvalue lambda_n, a geometric sequence in n."""
+    """n-th kernel eigenvalue lambda_n, a geometric sequence in n.
+
+    lambda_0 = sqrt(a^2 / (a^2 + delta^2 + eps^2)) doubles as the
+    constant tau of the convergence bound.
+    """
     if n < 0:
         raise DomainError(f"eigenvalue index must be nonnegative, got {n}")
     a2 = basis.alpha**2
@@ -163,16 +172,11 @@ def eigenfunction_mean(basis: MercerBasis, n: int) -> float:
     """Mean of phi_n under the standard Gaussian measure.
 
     Zero for odd n; for n = 2m given by the closed form in the module
-    docstring.  Every factor is O(1) or geometric, so no factorials are
-    formed.
+    docstring, as computed by :func:`eigenfunction_means`.
     """
     if n < 0:
         raise DomainError(f"eigenfunction index must be nonnegative, got {n}")
-    if n % 2 == 1:
-        return 0.0
-    m = n // 2
-    lead = math.sqrt(basis.beta / (1.0 + 2.0 * basis.delta_sq))
-    return lead * even_mean_ratios(m)[m] * basis.gamma**m
+    return float(eigenfunction_means(basis, n + 1)[n])
 
 
 def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:
@@ -198,7 +202,5 @@ def kernel_truncated(basis: MercerBasis, m_terms: int, x: float, y: float) -> fl
         raise DomainError(f"m_terms must be in [1, {DEGREE_MAX}], got {m_terms}")
     pts = np.array([float(x), float(y)])
     table = eigenfunction_table(basis, pts, m_terms)
-    a2 = basis.alpha**2
-    lam0 = math.sqrt(a2 / (a2 + basis.delta_sq + basis.epsilon**2))
-    lams = lam0 * basis.eigenvalue_ratio ** np.arange(m_terms)
+    lams = eigenvalue(basis, 0) * basis.eigenvalue_ratio ** np.arange(m_terms)
     return float(np.sum(lams * table[0] * table[1]))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, SizeError
 from .gauss_hermite import QuadratureRule
+from .mercer import check_length_scale
 
 __all__ = [
     "DIM_MAX",
@@ -45,8 +46,7 @@ class SeparableGaussianKernel:
         if len(self.length_scales) == 0:
             raise DomainError("at least one length scale is required")
         for ell in self.length_scales:
-            if not (ell > 0 and math.isfinite(ell)):
-                raise DomainError(f"length scales must be positive, got {ell}")
+            check_length_scale(ell)
 
     def value(self, x, y) -> float:
         if len(x) != len(self.length_scales) or len(y) != len(self.length_scales):
@@ -165,8 +165,7 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
         raise DomainError("powers must be nonnegative")
     if any(not 0.0 < v < 4.0 for v in c):
         raise DomainError("each c_i must lie in the open interval (0, 4)")
-    if not (ell > 0 and math.isfinite(ell)):
-        raise DomainError(f"length scale must be positive, got {ell}")
+    check_length_scale(ell)
 
     two_ell_sq = 2.0 * ell * ell
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, NumericalFailureError
 from .exact import kernel_mean, kernel_mean_mean
 from .gauss_hermite import QuadratureRule
-from .mercer import ALPHA_DEFAULT, GaussianKernel, MercerBasis, basis_from
+from .mercer import ALPHA_DEFAULT, GaussianKernel, MercerBasis, basis_from, eigenvalue
 
 __all__ = [
     "HERMITE_SUP_CONSTANT",
@@ -90,8 +90,6 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
         If the squared error evaluates below -1e-14, which only happens
         for inconsistent inputs (e.g. weights from a failed solve).
     """
-    if len(rule) == 0:
-        raise DomainError("rule must have at least one node")
     kern = GaussianKernel(ell)
     nodes = rule.nodes
     weights = rule.weights
@@ -126,10 +124,8 @@ def _require_standard_alpha(basis: MercerBasis) -> None:
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
     """Constants (tau, lam, eta, C1, C2) of the error bound for this basis."""
     _require_standard_alpha(basis)
-    a2 = basis.alpha**2
-    denom = a2 + basis.delta_sq + basis.epsilon**2
-    tau = math.sqrt(a2 / denom)
-    lam = basis.epsilon**2 / denom
+    tau = eigenvalue(basis, 0)
+    lam = basis.eigenvalue_ratio
     eta = math.sqrt(lam) * math.exp(1.0 / basis.beta**2)
     c1 = HERMITE_SUP_CONSTANT * math.sqrt(basis.beta)
     c2 = math.sqrt(tau) / (1.0 - math.sqrt(lam))

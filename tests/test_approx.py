@@ -170,6 +170,8 @@ def test_guards():
     with pytest.raises(SizeError):
         approx_rule(b, 201)
     with pytest.raises(SizeError):
+        approx_rule(b, 2.5)
+    with pytest.raises(SizeError):
         scaled_nodes(b, 0)
     with pytest.raises(SizeError):
         even_hermite_series(0.4, 0, 1.0)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gkquad
 import gkquad.cli as cli
 from gkquad import basis_from, approx_rule
 from gkquad.errors import NumericalFailureError
@@ -15,6 +19,32 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(gkquad.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+# Fails the import of any scipy module, then runs each argv through main.
+SCIPY_BLOCKED = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import gkquad
+from gkquad.cli import main
+
+sys.exit(max(main(argv.split()) for argv in sys.argv[1:]))
+"""
 
 
 def parse_csv(text):
@@ -262,3 +292,21 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, ["rule", "--ell", "1", "--n", "3"])
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_module_run_matches_main(capsys):
+    argv = ["rule", "--ell", "1", "--n", "3"]
+    _, out, _ = run(capsys, argv)
+    proc = run_python(["-m", "gkquad.cli", *argv])
+    assert proc.returncode == 0
+    assert proc.stdout == out.encode()
+
+
+def test_runtime_is_scipy_free():
+    proc = run_python([
+        "-c", SCIPY_BLOCKED,
+        "rule --ell 1 --n 9",
+        "integrate --ell 1.2 --m 6 --c 1.5 --ns 1:30",
+        "tensor-integrate",
+    ])
+    assert proc.returncode == 0, proc.stderr.decode()

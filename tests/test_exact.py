@@ -130,6 +130,10 @@ def test_guards():
         kernel_mean_mean(-2.0)
     with pytest.raises(DomainError):
         exact_weights([0.0, 0.0], 1.0)
+    with pytest.raises(DomainError):
+        exact_weights([0.0, float("nan")], 1.0)
+    with pytest.raises(DomainError):
+        kernel_system([0.0, float("inf")], 1.0)
     with pytest.raises(SizeError):
         exact_weights([], 1.0)
     with pytest.raises(SizeError):

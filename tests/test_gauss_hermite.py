@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
-from gkquad import MEASURE_TAG, QuadratureRule, gh_rule, node_bound_holds
-from gkquad.errors import SizeError
+from gkquad import (
+    MEASURE_TAG,
+    NodeResidualWarning,
+    QuadratureRule,
+    gh_rule,
+    node_bound_holds,
+    worst_case_error,
+)
+from gkquad import gauss_hermite
+from gkquad.errors import DomainError, SizeError
 from gkquad.gauss_hermite import N_MAX
 from gkquad.hermite import normalized_table
 
@@ -121,6 +129,9 @@ def test_size_guards():
         gh_rule(-3)
     with pytest.raises(SizeError):
         gh_rule(N_MAX + 1)
+    with pytest.raises(SizeError):
+        gh_rule(2.5)
+    assert gh_rule(np.int64(5)) is gh_rule(5)
 
 
 def test_rule_container_validation():
@@ -132,6 +143,10 @@ def test_rule_container_validation():
         QuadratureRule(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         QuadratureRule(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(DomainError):
+        worst_case_error(QuadratureRule([0.0, np.inf], [1.0, 1.0]), 1.0)
+    with pytest.raises(DomainError):
+        QuadratureRule([0.0, 1.0], [np.nan, 1.0])
 
 
 def test_rule_container_is_read_only():
@@ -140,3 +155,15 @@ def test_rule_container_is_read_only():
         rule.nodes[0] = 5.0
     with pytest.raises(Exception):
         rule.weights[0] = 5.0
+
+
+def test_node_residual_warning_names_the_worst_node(monkeypatch):
+    # Build uncached so the warning rule never enters the shared cache.
+    monkeypatch.setattr(gauss_hermite, "_RESIDUAL_TOL", 0.0)
+    n = 8
+    with pytest.warns(NodeResidualWarning) as record:
+        rule = gauss_hermite._gh_rule_cached.__wrapped__(n)
+    table = normalized_table(rule.nodes, n)
+    worst = int(np.argmax(np.abs(table[:, n]) / np.abs(table).max(axis=1)))
+    assert len(record) == 1
+    assert f"node {worst} of the {n}-point rule" in str(record[0].message)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkquad import DEGREE_MAX, HermiteSequence, hermite_eval, normalized_sequence
+from gkquad import DEGREE_MAX, hermite_eval
 from gkquad.errors import DegreeOverflowError
 from gkquad.hermite import normalized_table
 
@@ -52,7 +52,7 @@ def test_eval_matches_rational_oracle(n, x):
 )
 def test_normalized_recurrence_residual(n, x):
     """hhat_{n} satisfies sqrt(n) hhat_n = x hhat_{n-1} - sqrt(n-1) hhat_{n-2}."""
-    seq = normalized_sequence(x, n).values
+    seq = normalized_table([x], n)[0]
     lhs = math.sqrt(n) * seq[n]
     rhs = x * seq[n - 1] - math.sqrt(n - 1) * seq[n - 2]
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -61,7 +61,7 @@ def test_normalized_recurrence_residual(n, x):
 
 @pytest.mark.parametrize("x", [-3.0, -1.25, 0.0, 0.75, 2.5])
 def test_normalized_is_raw_over_root_factorial(x):
-    seq = normalized_sequence(x, 12).values
+    seq = normalized_table([x], 12)[0]
     for n in range(13):
         want = float(exact_hermite(n, Fraction(x))) / math.sqrt(math.factorial(n))
         assert math.isclose(seq[n], want, rel_tol=1e-11, abs_tol=1e-13)
@@ -78,25 +78,13 @@ def test_table_rows_match_sequences():
     xs = np.array([-2.0, 0.3, 1.7])
     table = normalized_table(xs, 25)
     for i, x in enumerate(xs):
-        np.testing.assert_array_equal(table[i], normalized_sequence(float(x), 25).values)
-
-
-def test_sequence_container_is_frozen_and_read_only():
-    seq = normalized_sequence(1.5, 6)
-    assert isinstance(seq, HermiteSequence)
-    assert seq.degree_max == 6
-    assert seq.point == 1.5
-    assert seq.values.shape == (7,)
-    with pytest.raises(Exception):
-        seq.values[0] = 99.0
-    with pytest.raises(Exception):
-        seq.degree_max = 3
+        np.testing.assert_array_equal(table[i], normalized_table([x], 25)[0])
 
 
 def test_degree_guard():
-    normalized_sequence(0.0, DEGREE_MAX)
+    normalized_table([0.0], DEGREE_MAX)
     with pytest.raises(DegreeOverflowError):
-        normalized_sequence(0.0, DEGREE_MAX + 1)
+        normalized_table([0.0], DEGREE_MAX + 1)
     with pytest.raises(DegreeOverflowError):
         hermite_eval(DEGREE_MAX + 1, 0.0)
 
@@ -108,4 +96,4 @@ def test_degree_guard_is_a_value_error():
 
 def test_non_finite_input_propagates():
     assert math.isnan(hermite_eval(3, float("nan")))
-    assert math.isnan(normalized_sequence(float("nan"), 5).values[3])
+    assert math.isnan(normalized_table([float("nan")], 5)[0, 3])
