@@ -37,7 +37,6 @@ from .exact import (
     kernel_system,
 )
 from .gauss_hermite import (
-    MEASURE_TAG,
     N_MAX,
     NodeResidualWarning,
     QuadratureRule,

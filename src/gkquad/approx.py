@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError, SizeError
+from .errors import DomainError, NumericalFailureError
 from .gauss_hermite import QuadratureRule, check_size, gh_rule
 from .hermite import DEGREE_MAX, normalized_table
 from .mercer import (
+    ALPHA_DEFAULT,
     MercerBasis,
     eigenfunction_means,
     eigenfunction_table,
@@ -69,8 +70,8 @@ class ApproxRule:
 
 
 def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
-    """Gauss-Hermite nodes divided by sqrt(2) alpha beta."""
-    return gh_rule(n).nodes / (math.sqrt(2.0) * basis.alpha * basis.beta)
+    """Gauss-Hermite nodes divided by sqrt(2) a beta, with a = 1/sqrt(2)."""
+    return gh_rule(n).nodes / (math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta)
 
 
 def even_hermite_series(gamma: float, n: int, t) -> np.ndarray:
@@ -81,8 +82,7 @@ def even_hermite_series(gamma: float, n: int, t) -> np.ndarray:
     1.087 exp(t^2/4)), which is what keeps the closed-form weights
     finite where the naive unnormalized form would overflow.
     """
-    if n < 1:
-        raise SizeError(f"rule size must be positive, got {n}")
+    n = check_size(n)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     m_top = (n - 1) // 2
     table = normalized_table(ts, 2 * m_top)
@@ -139,8 +139,7 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     Smallest M with lambda_M / lambda_n < machine epsilon, i.e. n plus
     ceil(ln eps / ln ratio) extra terms; capped at the degree guard.
     """
-    if n < 1:
-        raise SizeError(f"rule size must be positive, got {n}")
+    n = check_size(n)
     ratio = basis.eigenvalue_ratio
     extra = math.ceil(math.log(np.finfo(float).eps) / math.log(ratio))
     return min(n + max(extra, 0), DEGREE_MAX)

@@ -17,7 +17,7 @@ from .approx import approx_rule, machine_truncation, qr_weights
 from .errors import NumericalFailureError
 from .exact import exact_weights
 from .gauss_hermite import QuadratureRule, gh_rule
-from .mercer import ALPHA_DEFAULT, basis_from
+from .mercer import basis_from
 from .tensor import gaussian_poly_integrand, tensor_integrate, tensor_rule
 from .wce import multivariate_constants, theoretical_constants, worst_case_error
 
@@ -81,15 +81,21 @@ def _emit(columns: list[str], rows: list[list], args) -> None:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    if getattr(args, "plot_script", False):
+    if args.plot_script:
         _emit_plot_script(columns, args)
 
 
-def _emit_plot_script(columns: list[str], args) -> None:
+def _check_plot_script(args) -> None:
+    """Refuse --plot-script without a CSV file, before any output is written."""
+    if not args.plot_script:
+        return
     if args.out is None:
         raise ValueError("--plot-script needs --out so the script can name the CSV")
     if args.format != "csv":
         raise ValueError("--plot-script only accompanies CSV output")
+
+
+def _emit_plot_script(columns: list[str], args) -> None:
     stem = args.out[: -len(".csv")] if args.out.endswith(".csv") else args.out
     xcol = "n" if "n" in columns else columns[0]
     ycols = [c for c in columns if c not in (xcol, "ell") and not c.endswith("_flag")
@@ -108,7 +114,7 @@ def _emit_plot_script(columns: list[str], args) -> None:
 
 
 def _cmd_rule(args):
-    basis = basis_from(args.ell, args.alpha)
+    basis = basis_from(args.ell)
     approx = approx_rule(basis, args.n)
     gh = approx.gh_source
     columns = ["n", "node", "approx_weight", "gh_node", "gh_weight"]
@@ -123,7 +129,7 @@ def _cmd_weights_compare(args):
     columns = ["ell", "n", "rel_err", "cutoff"]
     rows = []
     for ell in args.ells:
-        basis = basis_from(ell, args.alpha)
+        basis = basis_from(ell)
         for n in args.ns:
             rule = approx_rule(basis, n).rule
             w_approx = rule.weights
@@ -142,7 +148,7 @@ def _cmd_positivity_sweep(args):
     columns = ["ell", "n", "min_weight", "abs_weight_sum", "weight_sum_error"]
     rows = []
     for ell in args.ells:
-        basis = basis_from(ell, args.alpha)
+        basis = basis_from(ell)
         for n in args.ns:
             w = approx_rule(basis, n).rule.weights
             total = math.fsum(w)
@@ -170,7 +176,7 @@ def _cmd_wce_sweep(args):
     columns = ["ell", "n", "wce_sghkq", "wce_ukq", "wce_gh", "ukq_flag"]
     rows = []
     for ell in args.ells:
-        basis = basis_from(ell, args.alpha)
+        basis = basis_from(ell)
         for n in args.ns:
             approx = approx_rule(basis, n)
             wce_main = worst_case_error(approx.rule, ell).wce
@@ -187,7 +193,7 @@ def _cmd_wce_sweep(args):
 
 def _integration_errors(args, dims: int):
     f, exact = gaussian_poly_integrand(dims, args.m, args.c, args.ell)
-    basis = basis_from(args.ell, args.alpha)
+    basis = basis_from(args.ell)
     columns = ["n", "err_sghkq", "err_kq", "err_ukq", "err_gh", "kq_flag", "ukq_flag"]
     rows = []
     for n in args.ns:
@@ -220,7 +226,7 @@ def _cmd_tensor_integrate(args):
 
 
 def _cmd_constants(args):
-    basis = basis_from(args.ell, args.alpha)
+    basis = basis_from(args.ell)
     consts = theoretical_constants(basis)
     columns = [
         "ell", "epsilon", "beta", "delta_sq", "gamma",
@@ -238,8 +244,6 @@ def _cmd_constants(args):
 
 
 def _add_common(sub, ells=False, ns=False):
-    sub.add_argument("--alpha", type=float, default=ALPHA_DEFAULT,
-                     help="measure shape parameter (default 1/sqrt(2))")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--plot-script", action="store_true",
@@ -330,6 +334,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     _normalize(args)
     try:
+        _check_plot_script(args)
         columns, rows = args.handler(args)
         _emit(columns, rows, args)
     except NumericalFailureError as exc:

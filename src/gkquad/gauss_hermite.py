@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .hermite import normalized_table
 
 __all__ = [
     "N_MAX",
-    "MEASURE_TAG",
     "QuadratureRule",
     "NodeResidualWarning",
     "check_size",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 N_MAX = 200
-MEASURE_TAG = "standard_gaussian"
 
 # Polished nodes are expected to satisfy |hhat_N(x_n)| below this times
 # the largest |hhat_k(x_n)| over k <= N; worse residuals are flagged
@@ -50,11 +48,10 @@ class NodeResidualWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a quadrature rule for a fixed measure."""
+    """Nodes and weights of a rule for the standard Gaussian measure."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    measure_tag: str = field(default=MEASURE_TAG)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

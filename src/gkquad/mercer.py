@@ -1,8 +1,9 @@
-"""Gaussian kernel eigendecomposition under a centred Gaussian measure.
+"""Gaussian kernel eigendecomposition under the standard Gaussian measure.
 
 For the kernel k(x, y) = exp(-(x - y)^2 / (2 l^2)) and the measure with
 density (a / sqrt(pi)) exp(-a^2 x^2), the eigenpairs are known in closed
-form.  With
+form.  The measure is fixed at the standard Gaussian, a = 1/sqrt(2)
+(``ALPHA_DEFAULT``).  With
 
     eps = 1 / (sqrt(2) l),
     beta = (1 + (2 eps / a)^2)^(1/4),
@@ -14,9 +15,8 @@ the eigenvalues and L2-normalized eigenfunctions are
                * (eps^2 / (a^2 + delta^2 + eps^2))^n,
     phi_n(x) = sqrt(beta / n!) * exp(-delta^2 x^2) * H_n(sqrt(2) a beta x).
 
-The default a = 1/sqrt(2) makes the measure the standard Gaussian.  The
-means of the eigenfunctions under the standard Gaussian vanish for odd n
-and for n = 2m equal
+The means of the eigenfunctions under the standard Gaussian vanish for
+odd n and for n = 2m equal
 
     mu(phi_2m) = sqrt(beta / (1 + 2 delta^2)) * r_m * g^m,
 
@@ -48,6 +48,9 @@ __all__ = [
     "kernel_truncated",
 ]
 
+# The measure parameter a.  Formulas use it as written: in floating point
+# a**2 is 0.5000000000000001 and sqrt(2) * a is 1.0000000000000002, so
+# folding it into 0.5 or 1 would change the printed tables.
 ALPHA_DEFAULT = math.sqrt(0.5)
 
 
@@ -73,10 +76,9 @@ class GaussianKernel:
 
 @dataclass(frozen=True)
 class MercerBasis:
-    """Derived constants of the eigendecomposition for one (l, a) pair."""
+    """Derived constants of the eigendecomposition for one length scale l."""
 
     length_scale: float
-    alpha: float
     epsilon: float
     beta: float
     delta_sq: float
@@ -84,36 +86,27 @@ class MercerBasis:
     @property
     def gamma(self) -> float:
         """Geometric ratio of the even eigenfunction means."""
-        a2 = self.alpha**2
+        a2 = ALPHA_DEFAULT**2
         return 2.0 * a2 * self.beta**2 / (1.0 + 2.0 * self.delta_sq) - 1.0
 
     @property
     def eigenvalue_ratio(self) -> float:
         """lambda_{n+1} / lambda_n, constant in n."""
         e2 = self.epsilon**2
-        return e2 / (self.alpha**2 + self.delta_sq + e2)
+        return e2 / (ALPHA_DEFAULT**2 + self.delta_sq + e2)
 
 
-def basis_from(length_scale: float, alpha: float = ALPHA_DEFAULT) -> MercerBasis:
-    """Build the eigendecomposition constants for a kernel/measure pair.
+def basis_from(length_scale: float) -> MercerBasis:
+    """Build the eigendecomposition constants for kernel length-scale l > 0.
 
-    Parameters
-    ----------
-    length_scale : float
-        Kernel length-scale l > 0.
-    alpha : float, optional
-        Measure shape parameter a > 0; the default 1/sqrt(2) gives the
-        standard Gaussian measure.
+    The measure is the standard Gaussian, a = 1/sqrt(2), for every basis.
     """
     check_length_scale(length_scale)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive, got {alpha}")
     epsilon = 1.0 / (math.sqrt(2.0) * length_scale)
-    beta = (1.0 + (2.0 * epsilon / alpha) ** 2) ** 0.25
-    delta_sq = 0.5 * alpha**2 * (beta**2 - 1.0)
+    beta = (1.0 + (2.0 * epsilon / ALPHA_DEFAULT) ** 2) ** 0.25
+    delta_sq = 0.5 * ALPHA_DEFAULT**2 * (beta**2 - 1.0)
     return MercerBasis(
         length_scale=float(length_scale),
-        alpha=float(alpha),
         epsilon=epsilon,
         beta=beta,
         delta_sq=delta_sq,
@@ -128,7 +121,7 @@ def eigenvalue(basis: MercerBasis, n: int) -> float:
     """
     if n < 0:
         raise DomainError(f"eigenvalue index must be nonnegative, got {n}")
-    a2 = basis.alpha**2
+    a2 = ALPHA_DEFAULT**2
     denom = a2 + basis.delta_sq + basis.epsilon**2
     return math.sqrt(a2 / denom) * basis.eigenvalue_ratio**n
 
@@ -152,7 +145,7 @@ def eigenfunction(basis: MercerBasis, n: int, x):
 def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.ndarray:
     """Values phi_n(x_i) for n < count; shape (len(x), count)."""
     x = np.asarray(x, dtype=float)
-    scaled = math.sqrt(2.0) * basis.alpha * basis.beta * x
+    scaled = math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x
     envelope = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)
     return envelope[:, None] * normalized_table(scaled, count - 1)
 

@@ -15,11 +15,11 @@ The geometric convergence constants for the scaled-node rules are
     eta = sqrt(lam) exp(1 / b^2),          C1 = 1.087 sqrt(b),
     C2 = sqrt(tau) / (1 - sqrt(lam)),
 
-with a = 1/sqrt(2), and the rule's error obeys
-e(Q_N) <= (1 + C1 W_N) C2 eta^N where W_N bounds the absolute weight
-sum.  eta < 1 for every length scale; the generalized check with
-exponent rho/(2 b^2) stays below one for all length scales exactly when
-rho <= 2.
+with a = 1/sqrt(2) fixed by the standard Gaussian measure.  The rule's
+error obeys e(Q_N) <= (1 + C1 W_N) C2 eta^N, where W_N bounds the
+absolute weight sum.  eta < 1 for every length scale; the generalized
+check with exponent rho/(2 b^2) stays below one for all length scales
+exactly when rho <= 2.
 """
 
 import math
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, NumericalFailureError
 from .exact import kernel_mean, kernel_mean_mean
 from .gauss_hermite import QuadratureRule
-from .mercer import ALPHA_DEFAULT, GaussianKernel, MercerBasis, basis_from, eigenvalue
+from .mercer import GaussianKernel, MercerBasis, basis_from, eigenvalue
 
 __all__ = [
     "HERMITE_SUP_CONSTANT",
@@ -113,17 +113,8 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     )
 
 
-def _require_standard_alpha(basis: MercerBasis) -> None:
-    if abs(basis.alpha - ALPHA_DEFAULT) > 1e-12:
-        raise DomainError(
-            "convergence constants require the standard Gaussian measure "
-            f"(alpha = 1/sqrt(2)), got alpha = {basis.alpha}"
-        )
-
-
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
     """Constants (tau, lam, eta, C1, C2) of the error bound for this basis."""
-    _require_standard_alpha(basis)
     tau = eigenvalue(basis, 0)
     lam = basis.eigenvalue_ratio
     eta = math.sqrt(lam) * math.exp(1.0 / basis.beta**2)
@@ -145,20 +136,15 @@ def eta_lemma_check(ell: float, rho: float) -> bool:
     return math.sqrt(lam) * math.exp(rho / (2.0 * basis.beta**2)) < 1.0
 
 
-def multivariate_constants(
-    basis: MercerBasis, d: int, weight_sum_bound: float = 1.0
-) -> tuple[float, float]:
+def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
     """Constants (C, eta) of the tensor-product bound C W^d eta^M.
 
-    ``weight_sum_bound`` is the W >= 1 bounding every factor's absolute
-    weight sum; it is validated here and enters the bound as W^d on the
-    caller's side.
+    W >= 1 bounds every factor's absolute weight sum and enters the bound
+    as W^d on the caller's side.  The measure is the standard Gaussian,
+    a = 1/sqrt(2), in every dimension.
     """
-    _require_standard_alpha(basis)
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
-    if not weight_sum_bound >= 1.0:
-        raise DomainError(f"weight sum bound must be >= 1, got {weight_sum_bound}")
     consts = theoretical_constants(basis)
     eta = consts.eta
     if eta >= 1.0:

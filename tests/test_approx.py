@@ -17,7 +17,7 @@ from gkquad.approx import (
 from gkquad.errors import DomainError, SizeError
 from gkquad.exact import exact_weights
 from gkquad.hermite import DEGREE_MAX
-from gkquad.mercer import eigenfunction_means, eigenfunction_table
+from gkquad.mercer import ALPHA_DEFAULT, eigenfunction_means, eigenfunction_table
 
 
 def exact_hermite(n: int, x: Fraction) -> Fraction:
@@ -43,7 +43,7 @@ def test_nodes_are_compressed_gauss_hermite_nodes():
     n = 14
     a = approx_rule(b, n)
     gh = gh_rule(n)
-    factor = math.sqrt(2.0) * b.alpha * b.beta
+    factor = math.sqrt(2.0) * ALPHA_DEFAULT * b.beta
     assert np.array_equal(a.rule.nodes, gh.nodes / factor)
     assert np.array_equal(scaled_nodes(b, n), a.rule.nodes)
     assert np.array_equal(a.gh_source.nodes, gh.nodes)
@@ -139,7 +139,8 @@ def test_machine_truncation_values_and_cap():
     assert machine_truncation(basis_from(0.2), 20) == 201
     assert machine_truncation(basis_from(1.0), 20) == 58
     assert machine_truncation(basis_from(0.05), 1) == DEGREE_MAX
-    assert machine_truncation(basis_from(1.0), 399) == DEGREE_MAX
+    with pytest.raises(SizeError):
+        machine_truncation(basis_from(1.0), 399)
     for ell in (0.1, 1.0, 7.0):
         b = basis_from(ell)
         for n in (1, 20, 100):
@@ -173,10 +174,11 @@ def test_guards():
         approx_rule(b, 2.5)
     with pytest.raises(SizeError):
         scaled_nodes(b, 0)
-    with pytest.raises(SizeError):
-        even_hermite_series(0.4, 0, 1.0)
-    with pytest.raises(SizeError):
-        machine_truncation(b, 0)
+    for bad in (0, 2.5, 201):
+        with pytest.raises(SizeError):
+            even_hermite_series(0.4, bad, 1.0)
+        with pytest.raises(SizeError):
+            machine_truncation(b, bad)
     with pytest.raises(DomainError):
         qr_weights(b, [0.0, 1.0], 1)
     with pytest.raises(DomainError):

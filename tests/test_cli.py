@@ -272,16 +272,21 @@ def test_plot_script_emission(capsys, tmp_path):
 
 
 def test_plot_script_requires_csv_file_output(capsys, tmp_path):
-    code, _, err = run(capsys, ["rule", "--ell", "1", "--n", "3", "--plot-script"])
+    # Both refusals come before the table is written anywhere.
+    code, out, err = run(capsys, ["rule", "--ell", "1", "--n", "3", "--plot-script"])
     assert code == 2
     assert "--out" in err
+    assert out == ""
     path = tmp_path / "rule.json"
-    code2, _, err2 = run(capsys, [
+    code2, out2, err2 = run(capsys, [
         "rule", "--ell", "1", "--n", "3",
         "--out", str(path), "--format", "json", "--plot-script",
     ])
     assert code2 == 2
     assert "CSV" in err2
+    assert out2 == ""
+    assert not path.exists()
+    assert not (tmp_path / "rule.gp").exists()
 
 
 def test_validation_failures_exit_two(capsys, tmp_path):
@@ -290,6 +295,7 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert run(capsys, ["rule", "--ell", "1"])[0] == 2
     assert run(capsys, ["weights-compare", "--ns", "1:5"])[0] == 2
     assert run(capsys, ["no-such-command"])[0] == 2
+    assert run(capsys, ["rule", "--ell", "1", "--n", "3", "--alpha", "1"])[0] == 2
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run(capsys, ["rule", "--ell", "1", "--n", "3", "--out", str(missing_dir)])
     assert code == 2

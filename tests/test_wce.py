@@ -135,14 +135,6 @@ def test_eta_lemma_threshold():
         eta_lemma_check(1.0, float("nan"))
 
 
-def test_constants_require_standard_measure():
-    skewed = basis_from(1.0, alpha=1.0)
-    with pytest.raises(DomainError):
-        theoretical_constants(skewed)
-    with pytest.raises(DomainError):
-        multivariate_constants(skewed, 2)
-
-
 def test_multivariate_constants_properties():
     b = basis_from(1.0)
     ref_eta = theoretical_constants(b).eta
@@ -152,9 +144,5 @@ def test_multivariate_constants_properties():
         assert eta == ref_eta
         assert big_c > prev
         prev = big_c
-    loose, _ = multivariate_constants(b, 3, weight_sum_bound=1.0)
-    assert loose == multivariate_constants(b, 3)[0]
     with pytest.raises(DomainError):
         multivariate_constants(b, 0)
-    with pytest.raises(DomainError):
-        multivariate_constants(b, 2, weight_sum_bound=0.5)
