@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .approx import approx_rule, machine_truncation, qr_weights
-from .errors import NumericalFailureError
+from .errors import EvaluationError, NumericalFailureError
 from .exact import exact_weights
 from .gauss_hermite import QuadratureRule, gh_rule
 from .mercer import basis_from
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         _check_plot_script(args)
         columns, rows = args.handler(args)
         _emit(columns, rows, args)
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

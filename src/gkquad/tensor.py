@@ -6,9 +6,15 @@ that is exact for each factor's eigenfunctions is exact for products of
 them, which is what transfers the one-dimensional exactness to the
 separable Gaussian kernel.
 
-Grids are enumerated lazily in odometer order (last index fastest), so
-no d-dimensional array is ever materialized; a size guard caps the
-total point count.
+Grids are summed in odometer order (last index fastest) along one of two
+paths, and a size guard caps the total point count.  An arbitrary
+callable is called once per grid point while the grid is enumerated
+lazily.  A ``ProductIntegrand`` with one factor per axis is evaluated
+once per one-dimensional node instead, and its grid values and weights
+are formed one slab of the last two axes at a time, so at most N_MAX²
+points are held at once whatever the dimension.  Neither path builds
+the d-dimensional grid, and both produce the same terms in the same
+order, so they return the same bits.
 """
 
 import itertools
@@ -25,6 +31,7 @@ from .mercer import check_length_scale
 __all__ = [
     "DIM_MAX",
     "GRID_MAX",
+    "ProductIntegrand",
     "SeparableGaussianKernel",
     "TensorRule",
     "tensor_rule",
@@ -105,12 +112,34 @@ def tensor_rule(factors) -> TensorRule:
     return TensorRule(factors=factors)
 
 
+@dataclass(frozen=True)
+class ProductIntegrand:
+    """f(x) = g_0(x_0) g_1(x_1) ... g_{d-1}(x_{d-1}), one factor per axis.
+
+    Calling it multiplies the factor values from left to right, starting
+    from 1.0; :func:`tensor_integrate` uses the factors to evaluate each
+    one only at its own axis's nodes.
+    """
+
+    factors: tuple[Callable[[float], float], ...]
+
+    def __call__(self, x) -> float:
+        value = 1.0
+        for g, xi in zip(self.factors, x):
+            value *= g(xi)
+        return value
+
+
 def tensor_integrate(rule: TensorRule, f: Callable[..., float]) -> float:
-    """Apply the cubature rule to f, called with one node tuple per point.
+    """Apply the cubature rule to f, a function of one node tuple.
 
     Accumulation uses exact compensated summation over the full grid in
     odometer order, so the result is independent of any partitioning of
-    the enumeration.
+    the enumeration.  A :class:`ProductIntegrand` with one factor per
+    axis is not called per point: its factors are tabulated at each
+    axis's nodes and multiplied out slab by slab, in the same rounding
+    order as a call, so the result is the same bits at a fraction of the
+    cost.
 
     Raises
     ------
@@ -118,16 +147,51 @@ def tensor_integrate(rule: TensorRule, f: Callable[..., float]) -> float:
         If f returns a non-finite value; the error carries the offending
         multi-index.
     """
+    if isinstance(f, ProductIntegrand) and len(f.factors) == rule.dimension:
+        return math.fsum(itertools.chain.from_iterable(_product_slabs(rule, f)))
+
     def terms():
         for idx, node, weight in rule.points():
             value = f(node)
             if not math.isfinite(value):
-                raise EvaluationError(
-                    f"integrand returned {value} at grid point {idx}", idx
-                )
+                raise _non_finite(value, idx)
             yield weight * value
 
     return math.fsum(terms())
+
+
+def _non_finite(value, idx: tuple[int, ...]) -> EvaluationError:
+    return EvaluationError(f"integrand returned {value} at grid point {idx}", idx)
+
+
+def _product_slabs(rule: TensorRule, f: ProductIntegrand) -> Iterator[list[float]]:
+    """Yield the terms weight * f(node), one list per slab, in odometer order.
+
+    A slab fixes every index but the last two.  Values and weights are
+    products taken from left to right, as ``f(node)`` and
+    ``TensorRule.points`` take them.  Before a non-finite value the
+    slab's earlier terms are yielded, then the error is raised, exactly
+    where the per-point loop would raise it.
+    """
+    tables = [np.array([g(x) for x in r.nodes], dtype=float)
+              for g, r in zip(f.factors, rule.factors)]
+    weights = [r.weights for r in rule.factors]
+    head_axes = max(rule.dimension - 2, 0)
+    for head in itertools.product(*(range(len(t)) for t in tables[:head_axes])):
+        value, weight = 1.0, 1.0
+        for i, t, w in zip(head, tables, weights):
+            value *= t[i]
+            weight *= w[i]
+        for t, w in zip(tables[head_axes:], weights[head_axes:]):
+            value = np.multiply.outer(value, t)
+            weight = np.multiply.outer(weight, w)
+        shape, value, weight = value.shape, value.ravel(), weight.ravel()
+        bad = np.flatnonzero(~np.isfinite(value))
+        end = int(bad[0]) if bad.size else value.size
+        yield (weight[:end] * value[:end]).tolist()
+        if bad.size:
+            tail = np.unravel_index(end, shape)
+            raise _non_finite(value[end], head + tuple(int(j) for j in tail))
 
 
 def gaussian_poly_integrand(d: int, m, c, ell: float):
@@ -152,8 +216,14 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
 
     Returns
     -------
-    (f, exact) : callable and float
+    (f, exact) : ProductIntegrand and float
         f takes a d-tuple; exact is the closed-form integral value.
+
+    Raises
+    ------
+    DomainError
+        If an argument is out of range, or if the closed-form integral
+        does not fit in a float.
     """
     m = tuple(int(v) for v in m)
     c = tuple(float(v) for v in c)
@@ -169,19 +239,23 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
 
     two_ell_sq = 2.0 * ell * ell
 
-    def f(x) -> float:
-        value = 1.0
-        for xi, mi, ci in zip(x, m, c):
-            value *= math.exp(-ci * xi * xi / two_ell_sq) * xi**mi
-        return value
+    def factor(mi: int, ci: float) -> Callable[[float], float]:
+        return lambda xi: math.exp(-ci * xi * xi / two_ell_sq) * xi**mi
+
+    f = ProductIntegrand(tuple(factor(mi, ci) for mi, ci in zip(m, c)))
 
     if any(mi % 2 == 1 for mi in m):
         return f, 0.0
 
     exact = 1.0
-    for mi, ci in zip(m, c):
-        double_fact = 1
-        for k in range(mi - 1, 0, -2):
-            double_fact *= k
-        exact *= double_fact * (1.0 + ci / (ell * ell)) ** (-(mi + 1) / 2.0)
+    try:
+        for mi, ci in zip(m, c):
+            double_fact = 1
+            for k in range(mi - 1, 0, -2):
+                double_fact *= k
+            exact *= double_fact * (1.0 + ci / (ell * ell)) ** (-(mi + 1) / 2.0)
+    except OverflowError:
+        exact = math.inf  # (m_i - 1)!! exceeds the float range from m_i = 302
+    if not math.isfinite(exact):
+        raise DomainError(f"the closed-form integral for powers {m} overflows a float")
     return f, exact

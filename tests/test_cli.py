@@ -296,6 +296,10 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert run(capsys, ["weights-compare", "--ns", "1:5"])[0] == 2
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, ["rule", "--ell", "1", "--n", "3", "--alpha", "1"])[0] == 2
+    # (301)!! does not fit in a float, so m = 302 has no closed form.
+    code, out, err = run(capsys, ["integrate", "--m", "302"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the closed-form integral")
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run(capsys, ["rule", "--ell", "1", "--n", "3", "--out", str(missing_dir)])
     assert code == 2
@@ -315,6 +319,15 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
     code, _, err = run(capsys, ["rule", "--ell", "1", "--n", "3"])
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar power:RuntimeWarning")
+def test_non_finite_integrand_exits_three(capsys):
+    # x**401 overflows at the outermost nodes; the integrand's failure is
+    # reported as such, not turned into a solve flag.
+    code, out, err = run(capsys, ["integrate", "--m", "401", "--ns", "30"])
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: integrand returned -inf at grid point (0,)\n"
 
 
 def test_module_run_matches_main(capsys):

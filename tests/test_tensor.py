@@ -7,10 +7,12 @@ import pytest
 
 from gkquad import approx_rule, basis_from, gh_rule, tensor_integrate, tensor_rule
 from gkquad.errors import DomainError, EvaluationError, SizeError
+from gkquad.exact import exact_weights
 from gkquad.gauss_hermite import QuadratureRule
 from gkquad.tensor import (
     DIM_MAX,
     GRID_MAX,
+    ProductIntegrand,
     SeparableGaussianKernel,
     TensorRule,
     gaussian_poly_integrand,
@@ -92,6 +94,75 @@ def test_integrand_guards():
         gaussian_poly_integrand(1, [2], [4.0], 1.0)
     with pytest.raises(DomainError):
         gaussian_poly_integrand(1, [2], [1.0], 0.0)
+    # (m - 1)!! fits in a float up to m = 300, not at m = 302; a product
+    # of factors that each fit can still overflow.
+    assert math.isfinite(gaussian_poly_integrand(1, [300], [1.0], 1.0)[1])
+    with pytest.raises(DomainError):
+        gaussian_poly_integrand(1, [302], [1.0], 1.0)
+    with pytest.raises(DomainError):
+        gaussian_poly_integrand(2, [300, 300], [0.01, 0.01], 10.0)
+
+
+def _per_point(f):
+    """The same integrand as a plain callable, which takes the per-point path."""
+    return lambda x: f(x)
+
+
+def test_product_path_is_bit_identical_to_the_per_point_path():
+    basis = basis_from(1.2)
+    approx = [approx_rule(basis, n).rule for n in (3, 8, 13)]
+    solved = [QuadratureRule(r.nodes, exact_weights(r.nodes, 1.2)[0]) for r in approx[:2]]
+    uniform = []
+    for n in (4, 9):
+        x = np.linspace(-2.5, 2.5, n)
+        uniform.append(QuadratureRule(x, exact_weights(x, 1.2)[0]))
+    grids = [
+        [gh_rule(7), gh_rule(5)],  # test_odd_power_integral_is_literal_zero's grid
+        [gh_rule(9)],
+        [approx[2]],
+        [solved[0]],
+        [uniform[1]],
+        [gh_rule(6), approx[1]],
+        [solved[1], uniform[0]],
+        [approx[1], gh_rule(4), uniform[1]],
+        [solved[0], approx[2], gh_rule(5)],
+    ]
+    powers = {1: [[6], [3]], 2: [[3, 2], [4, 0], [1, 5]], 3: [[6, 4, 2], [2, 3, 0], [1, 1, 1]]}
+    # Criterion 10's integrand on its own rules, and on uniform nodes at
+    # l = 0.6: grids where grouping the weight products differently
+    # changes the sum.
+    x = approx_rule(basis_from(0.6), 7).rule.nodes
+    x = np.linspace(x[0], x[-1], 7)
+    cases = [(g, m, 1.2) for g in grids for m in powers[len(g)]] + [
+        ([approx_rule(basis, n).rule] * 3, [6, 4, 2], 1.2) for n in (12, 14, 22)
+    ] + [([QuadratureRule(x, exact_weights(x, 0.6)[0])] * 3, [6, 4, 2], 0.6)]
+    for factors, m, ell in cases:
+        d = len(factors)
+        rule = tensor_rule(factors)
+        f, _ = gaussian_poly_integrand(d, m, [1.5, 3.0, 0.5][:d], ell)
+        fast, slow = tensor_integrate(rule, f), tensor_integrate(rule, _per_point(f))
+        assert fast.hex() == slow.hex(), ([len(r) for r in factors], m, ell, fast, slow)
+
+
+def test_product_integrand_calls_each_factor_once_per_node():
+    calls = []
+
+    def counted(k):
+        return lambda x: calls.append(k) or 1.0 + k * x * x
+
+    rule = tensor_rule([gh_rule(4), gh_rule(6), gh_rule(5)])
+    f = ProductIntegrand(tuple(counted(k) for k in range(3)))
+    value = tensor_integrate(rule, f)
+    assert sorted(calls) == [0] * 4 + [1] * 6 + [2] * 5
+    calls.clear()
+    assert value == tensor_integrate(rule, _per_point(f))
+    assert len(calls) == 3 * rule.size
+
+
+def _evaluation_error(rule, f):
+    with pytest.raises(EvaluationError) as info:
+        tensor_integrate(rule, f)
+    return str(info.value), info.value.multi_index
 
 
 def test_non_finite_integrand_value_is_located():
@@ -100,9 +171,31 @@ def test_non_finite_integrand_value_is_located():
     def bad(x):
         return float("nan") if x[0] > 0 and x[1] > 0 else 1.0
 
-    with pytest.raises(EvaluationError) as info:
-        tensor_integrate(rule, bad)
-    assert info.value.multi_index == (2, 2)
+    assert _evaluation_error(rule, bad) == (
+        "integrand returned nan at grid point (2, 2)", (2, 2))
+
+    # The product path reports the same point and value as the per-point
+    # path: for one non-finite factor, for finite factors whose product
+    # overflows (the head axis times a slab axis, and two slab axes),
+    # and for the test integrand once x**m overflows.
+    def huge_if_positive(x):
+        return 1e200 if x > 0 else 1.0
+
+    cases = [
+        (ProductIntegrand((lambda x: 1.0, lambda x: math.inf if x > 0 else x, lambda x: 2.0)),
+         tensor_rule([gh_rule(3)] * 3), "inf", (0, 2, 0)),
+        (ProductIntegrand((huge_if_positive, lambda x: 1.0, huge_if_positive)),
+         tensor_rule([gh_rule(3), gh_rule(2), gh_rule(3)]), "inf", (2, 0, 2)),
+        (ProductIntegrand((huge_if_positive, huge_if_positive)),
+         tensor_rule([gh_rule(4), gh_rule(5)]), "inf", (2, 3)),
+        (gaussian_poly_integrand(2, [151, 151], [0.01, 0.01], 4.0)[0],
+         tensor_rule([gh_rule(200)] * 2), "inf", (0, 0)),
+    ]
+    with np.errstate(over="ignore"):
+        for f, grid, value, idx in cases:
+            want = (f"integrand returned {value} at grid point {idx}", idx)
+            assert _evaluation_error(grid, f) == want
+            assert _evaluation_error(grid, _per_point(f)) == want
 
 
 def test_dimension_and_grid_guards():
