@@ -6,15 +6,16 @@ that is exact for each factor's eigenfunctions is exact for products of
 them, which is what transfers the one-dimensional exactness to the
 separable Gaussian kernel.
 
-Grids are summed in odometer order (last index fastest) along one of two
-paths, and a size guard caps the total point count.  An arbitrary
+Grids are enumerated in odometer order (last index fastest) along one
+of two paths, and a size guard caps the total point count.  An arbitrary
 callable is called once per grid point while the grid is enumerated
-lazily.  A ``ProductIntegrand`` with one factor per axis is evaluated
-once per one-dimensional node instead, and its grid values and weights
-are formed one slab of the last two axes at a time, so at most N_MAX²
-points are held at once whatever the dimension.  Neither path builds
-the d-dimensional grid, and both produce the same terms in the same
-order, so they return the same bits.
+lazily.  A ``ProductIntegrand`` is evaluated once per one-dimensional
+node instead, and its grid values and weights are formed one slab of
+the last two axes at a time, so at most N_MAX² points are held at once
+whatever the dimension.  Neither path builds the d-dimensional grid.
+Both produce the same terms and take one exactly rounded sum of them
+(``math.fsum``); the product path feeds each slab largest-first, which
+is cheaper and, the sum being exact, returns the same bits.
 """
 
 import itertools
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError, SizeError
 from .gauss_hermite import QuadratureRule
 from .mercer import check_length_scale
+from .wce import _fsum_largest_first
 
 __all__ = [
     "DIM_MAX",
@@ -116,39 +118,48 @@ def tensor_rule(factors) -> TensorRule:
 class ProductIntegrand:
     """f(x) = g_0(x_0) g_1(x_1) ... g_{d-1}(x_{d-1}), one factor per axis.
 
-    Calling it multiplies the factor values from left to right, starting
-    from 1.0; :func:`tensor_integrate` uses the factors to evaluate each
-    one only at its own axis's nodes.
+    Calling it on a point of d coordinates multiplies the factor values
+    from left to right, starting from 1.0; :func:`tensor_integrate` uses
+    the factors to evaluate each one only at its own axis's nodes.
     """
 
     factors: tuple[Callable[[float], float], ...]
 
     def __call__(self, x) -> float:
+        _check_dimension(self, len(x))
         value = 1.0
         for g, xi in zip(self.factors, x):
             value *= g(xi)
         return value
 
 
+def _check_dimension(f: ProductIntegrand, d: int) -> None:
+    if d != len(f.factors):
+        raise DomainError(f"integrand of dimension {len(f.factors)} given {d} coordinates")
+
+
 def tensor_integrate(rule: TensorRule, f: Callable[..., float]) -> float:
     """Apply the cubature rule to f, a function of one node tuple.
 
-    Accumulation uses exact compensated summation over the full grid in
-    odometer order, so the result is independent of any partitioning of
-    the enumeration.  A :class:`ProductIntegrand` with one factor per
-    axis is not called per point: its factors are tabulated at each
-    axis's nodes and multiplied out slab by slab, in the same rounding
-    order as a call, so the result is the same bits at a fraction of the
-    cost.
+    The terms w * f(node) over the full grid are summed exactly rounded
+    (``math.fsum``), so the result is independent of the order and of any
+    partitioning of the enumeration.  A :class:`ProductIntegrand` is not
+    called per point: its factors are tabulated at each axis's nodes and
+    multiplied out slab by slab, in the same rounding order as a call,
+    and each slab is fed to the sum largest-first, so the result is the
+    same bits at a fraction of the cost.
 
     Raises
     ------
+    DomainError
+        If f is a ProductIntegrand whose dimension differs from the rule's.
     EvaluationError
         If f returns a non-finite value; the error carries the offending
         multi-index.
     """
-    if isinstance(f, ProductIntegrand) and len(f.factors) == rule.dimension:
-        return math.fsum(itertools.chain.from_iterable(_product_slabs(rule, f)))
+    if isinstance(f, ProductIntegrand):
+        _check_dimension(f, rule.dimension)
+        return _fsum_largest_first(_product_slabs(rule, f))
 
     def terms():
         for idx, node, weight in rule.points():
@@ -164,31 +175,35 @@ def _non_finite(value, idx: tuple[int, ...]) -> EvaluationError:
     return EvaluationError(f"integrand returned {value} at grid point {idx}", idx)
 
 
-def _product_slabs(rule: TensorRule, f: ProductIntegrand) -> Iterator[list[float]]:
-    """Yield the terms weight * f(node), one list per slab, in odometer order.
+def _product_slabs(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarray]:
+    """Yield the terms weight * f(node), one array per slab, in odometer order.
 
     A slab fixes every index but the last two.  Values and weights are
     products taken from left to right, as ``f(node)`` and
     ``TensorRule.points`` take them.  Before a non-finite value the
     slab's earlier terms are yielded, then the error is raised, exactly
-    where the per-point loop would raise it.
+    where the per-point loop would raise it.  Overflow and invalid
+    operations are not warned about: the non-finite check reports them.
     """
-    tables = [np.array([g(x) for x in r.nodes], dtype=float)
-              for g, r in zip(f.factors, rule.factors)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = [np.array([g(x) for x in r.nodes], dtype=float)
+                  for g, r in zip(f.factors, rule.factors)]
     weights = [r.weights for r in rule.factors]
     head_axes = max(rule.dimension - 2, 0)
     for head in itertools.product(*(range(len(t)) for t in tables[:head_axes])):
-        value, weight = 1.0, 1.0
-        for i, t, w in zip(head, tables, weights):
-            value *= t[i]
-            weight *= w[i]
-        for t, w in zip(tables[head_axes:], weights[head_axes:]):
-            value = np.multiply.outer(value, t)
-            weight = np.multiply.outer(weight, w)
-        shape, value, weight = value.shape, value.ravel(), weight.ravel()
-        bad = np.flatnonzero(~np.isfinite(value))
-        end = int(bad[0]) if bad.size else value.size
-        yield (weight[:end] * value[:end]).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, weight = 1.0, 1.0
+            for i, t, w in zip(head, tables, weights):
+                value *= t[i]
+                weight *= w[i]
+            for t, w in zip(tables[head_axes:], weights[head_axes:]):
+                value = np.multiply.outer(value, t)
+                weight = np.multiply.outer(weight, w)
+            shape, value, weight = value.shape, value.ravel(), weight.ravel()
+            bad = np.flatnonzero(~np.isfinite(value))
+            end = int(bad[0]) if bad.size else value.size
+            terms = weight[:end] * value[:end]
+        yield terms
         if bad.size:
             tail = np.unravel_index(end, shape)
             raise _non_finite(value[end], head + tuple(int(j) for j in tail))

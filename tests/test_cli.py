@@ -321,13 +321,22 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in scalar power:RuntimeWarning")
 def test_non_finite_integrand_exits_three(capsys):
-    # x**401 overflows at the outermost nodes; the integrand's failure is
-    # reported as such, not turned into a solve flag.
-    code, out, err = run(capsys, ["integrate", "--m", "401", "--ns", "30"])
-    assert (code, out) == (3, "")
-    assert err == "numerical failure: integrand returned -inf at grid point (0,)\n"
+    # x**401 overflows at the outermost nodes, and with m = 300 at a small
+    # length scale the Gaussian factor underflows to 0 against an
+    # infinite power.  The integrand's failure is reported as such, not
+    # turned into a solve flag, and it is the only line on stderr: no
+    # numpy warning precedes it, in-process or in a fresh interpreter.
+    cases = [
+        (["--m", "401", "--ns", "30"], "-inf"),
+        (["--m", "300", "--c", "3", "--ell", "0.1", "--ns", "200"], "nan"),
+    ]
+    for argv, value in cases:
+        line = f"numerical failure: integrand returned {value} at grid point (0,)\n"
+        code, out, err = run(capsys, ["integrate", *argv])
+        assert (code, out, err) == (3, "", line)
+        proc = run_python(["-m", "gkquad.cli", "integrate", *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", line.encode())
 
 
 def test_module_run_matches_main(capsys):

@@ -159,6 +159,20 @@ def test_product_integrand_calls_each_factor_once_per_node():
     assert len(calls) == 3 * rule.size
 
 
+def test_product_integrand_of_another_dimension_is_refused():
+    f, _ = gaussian_poly_integrand(2, [2, 2], [1.0, 1.0], 1.0)
+    assert f((0.5, 0.25)) == f.factors[0](0.5) * f.factors[1](0.25)
+    for x in [(0.5,), (0.5, 0.5, 0.5)]:
+        with pytest.raises(DomainError):
+            f(x)
+    for factors in [[gh_rule(5)], [gh_rule(5)] * 3]:
+        rule = tensor_rule(factors)
+        with pytest.raises(DomainError):
+            tensor_integrate(rule, f)
+        with pytest.raises(DomainError):
+            tensor_integrate(rule, _per_point(f))
+
+
 def _evaluation_error(rule, f):
     with pytest.raises(EvaluationError) as info:
         tensor_integrate(rule, f)

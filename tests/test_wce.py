@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gkquad import approx_rule, basis_from, gh_rule, worst_case_error
-from gkquad.errors import DomainError
-from gkquad.exact import exact_weights, kernel_mean_mean
+from gkquad.errors import DomainError, IllConditionedError
+from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
+from gkquad.mercer import GaussianKernel
 from gkquad.wce import (
     HERMITE_SUP_CONSTANT,
     RATE_CAP,
     ConvergenceConstants,
     WceReport,
+    _fsum_largest_first,
     eta_lemma_check,
     multivariate_constants,
     theoretical_constants,
@@ -146,3 +150,76 @@ def test_multivariate_constants_properties():
         prev = big_c
     with pytest.raises(DomainError):
         multivariate_constants(b, 0)
+
+
+# Finite terms with exponents from the subnormal range up to 2^996, so
+# that a sum of up to 300 of them cannot overflow in any order.
+_wide_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-1074, max_value=996)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+def _fsum_outcome(fsum, *args):
+    try:
+        value = fsum(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def _chunked(terms, cuts):
+    t = np.array(terms, dtype=float)
+    return np.split(t, sorted(c % (t.size + 1) for c in cuts))
+
+
+@given(st.lists(_wide_floats, max_size=300), st.lists(st.integers(0, 300), max_size=4))
+def test_largest_first_fsum_is_bit_identical_to_fsum(terms, cuts):
+    want = math.fsum(terms)
+    got = _fsum_largest_first(_chunked(terms, cuts))
+    assert got.hex() == want.hex()
+
+
+@given(st.lists(_wide_floats, max_size=60),
+       st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=4),
+       st.randoms(use_true_random=False), st.lists(st.integers(0, 70), max_size=3))
+def test_largest_first_fsum_keeps_nan_and_inf_outcomes(terms, special, rnd, cuts):
+    terms = terms + special
+    rnd.shuffle(terms)
+    assert (_fsum_outcome(_fsum_largest_first, _chunked(terms, cuts))
+            == _fsum_outcome(math.fsum, terms))
+
+
+def _odometer_report(rule, ell):
+    """The direct form: every term w_i w_j k(x_i, x_j), in odometer order."""
+    x, w = rule.nodes, rule.weights
+    kmat = GaussianKernel(ell).value(x[:, None], x[None, :])
+    quadratic = math.fsum((w[:, None] * w[None, :] * kmat).ravel())
+    cross = math.fsum(w * np.atleast_1d(kernel_mean(ell, x)))
+    mean_mean = kernel_mean_mean(ell)
+    squared = mean_mean + quadratic - 2.0 * cross
+    return WceReport(math.sqrt(max(squared, 0.0)), mean_mean, quadratic, cross)
+
+
+def test_report_is_bit_identical_to_the_odometer_order_sum():
+    rules = []
+    for ell in (0.2, 1.0, 4.0):
+        basis = basis_from(ell)
+        for n in (1, 2, 37, 200):
+            approx = approx_rule(basis, n).rule
+            rules += [(approx, ell), (gh_rule(n), ell)]
+            try:
+                solved, _ = exact_weights(approx.nodes, ell)
+            except IllConditionedError:
+                continue
+            rules.append((QuadratureRule(approx.nodes, solved), ell))
+    # A large accepted solve with weights of both signs.
+    nodes = approx_rule(basis_from(0.2), 170).rule.nodes
+    rules.append((QuadratureRule(nodes, exact_weights(nodes, 0.2)[0]), 0.2))
+    assert sum(bool((r.weights < 0).any()) for r, _ in rules) >= 2
+    for rule, ell in rules:
+        got, want = worst_case_error(rule, ell), _odometer_report(rule, ell)
+        for field in ("wce", "term_mean_mean", "term_quadratic", "term_cross"):
+            assert getattr(got, field).hex() == getattr(want, field).hex(), (ell, len(rule), field)
