@@ -41,7 +41,6 @@ from .gauss_hermite import (
     NodeResidualWarning,
     QuadratureRule,
     gh_rule,
-    node_bound_holds,
 )
 from .hermite import DEGREE_MAX, hermite_eval
 from .mercer import (

@@ -30,6 +30,7 @@ ever appear.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     n = check_size(nodes.size, "node count")
     if np.unique(nodes).size != n:
         raise DomainError("nodes must be distinct")
+    m_terms = _index(m_terms, "truncation length")
     if m_terms < n:
         raise DomainError(f"truncation length {m_terms} is below the node count {n}")
     if m_terms > DEGREE_MAX:
@@ -217,9 +219,18 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     rejected because the ratio form degenerates there, and callers
     needing the diagonal can sum hhat_m(x)^2 directly.
     """
+    m_max = _index(m_max, "m_max")
     if not 0 <= m_max <= DEGREE_MAX - 1:
         raise DomainError(f"m_max must be in [0, {DEGREE_MAX - 1}], got {m_max}")
     if x == y:
         raise DomainError("the diagonal x = y is rejected; use the plain sum form")
     table = normalized_table(np.array([float(x), float(y)]), m_max)
     return float(np.dot(table[0], table[1]))
+
+
+def _index(value, what: str) -> int:
+    """Return value as an int, as check_size reads sizes; DomainError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

@@ -70,7 +70,12 @@ def _format_cell(value) -> str:
 
 def _emit(columns: list[str], rows: list[list], args) -> None:
     if args.format == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
+        # RFC 8259 has no NaN or Infinity: a refused cell is null.
+        payload = [
+            {c: None if isinstance(v, float) and not math.isfinite(v) else v
+             for c, v in zip(columns, row)}
+            for row in rows
+        ]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(columns)]

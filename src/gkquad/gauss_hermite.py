@@ -1,9 +1,18 @@
 """Gauss-Hermite quadrature for the standard Gaussian measure.
 
-Nodes are the roots of the probabilists' Hermite polynomial H_N,
-computed Golub-Welsch style as eigenvalues of the symmetric tridiagonal
-Jacobi matrix (zero diagonal, off-diagonals sqrt(1..N-1)) and polished
-with one Newton step.  Weights use the Christoffel-function identity
+The rules do not depend on any kernel length scale, and there is one
+per supported size, so the package ships all of them: ``gh_rules.npy``
+beside this module holds a float64 array of shape (2, N_MAX (N_MAX + 1)
+/ 2), nodes in row 0 and weights in row 1, with the N-point rule at
+columns N (N - 1) / 2 up to N (N + 1) / 2 - 1.  ``gh_rule`` reads the
+file on its first call, not at import.
+
+The table was made by ``_golub_welsch``, which stays here as the
+reference the tests compare the shipped rules against.  Nodes are the
+roots of the probabilists' Hermite polynomial H_N, computed as
+eigenvalues of the symmetric tridiagonal Jacobi matrix (zero diagonal,
+off-diagonals sqrt(1..N-1)) and polished with one Newton step.  Weights
+use the Christoffel-function identity
 
     w_n = 1 / sum_{k<N} hhat_k(x_n)^2,
 
@@ -11,7 +20,12 @@ which equals the squared first eigenvector component of the Jacobi
 matrix but stays componentwise accurate down to the extreme nodes,
 whose weights sit far below the eigensolver's absolute eigenvector
 accuracy.  Weights are positive by construction and sum to one; the
-largest node is below 2 sqrt(N - 1).
+largest node is below 2 sqrt(N - 1).  Regenerate the file with
+
+    PYTHONPATH=src python tools/make_gh_rules.py
+
+which rewrites it in place; with numpy 2.4.6 and OpenBLAS 0.3.31 it
+reproduces the shipped bytes.
 """
 
 import functools
@@ -19,6 +33,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,10 +46,13 @@ __all__ = [
     "NodeResidualWarning",
     "check_size",
     "gh_rule",
-    "node_bound_holds",
 ]
 
 N_MAX = 200
+
+_TABLE_PATH = Path(__file__).with_name("gh_rules.npy")
+_TABLE_SHAPE = (2, N_MAX * (N_MAX + 1) // 2)
+_TABLE_DTYPE = np.dtype("<f8")
 
 # Polished nodes are expected to satisfy |hhat_N(x_n)| below this times
 # the largest |hhat_k(x_n)| over k <= N; worse residuals are flagged
@@ -98,20 +116,46 @@ def gh_rule(n: int) -> QuadratureRule:
     -------
     QuadratureRule
         Strictly ascending nodes, positive weights summing to one,
-        symmetric about the origin.
+        symmetric about the origin.  The same object for every call
+        with the same n.
 
     Raises
     ------
     SizeError
         If n is not an integer in [1, N_MAX].
     NumericalFailureError
-        If the eigensolver fails to converge.
+        If the shipped rule table is missing, unreadable, or not a
+        float64 array of the expected shape.
     """
     return _gh_rule_cached(check_size(n))
 
 
 @functools.lru_cache(maxsize=None)
 def _gh_rule_cached(n: int) -> QuadratureRule:
+    table = _shipped_table()
+    start = n * (n - 1) // 2
+    return QuadratureRule(table[0, start : start + n], table[1, start : start + n])
+
+
+@functools.cache
+def _shipped_table() -> np.ndarray:
+    try:
+        table = np.load(_TABLE_PATH, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise NumericalFailureError(
+            f"cannot read the Gauss-Hermite rule table {_TABLE_PATH}: {exc}"
+        ) from exc
+    if table.shape != _TABLE_SHAPE or table.dtype != _TABLE_DTYPE:
+        raise NumericalFailureError(
+            f"the Gauss-Hermite rule table {_TABLE_PATH} holds {table.dtype} of "
+            f"shape {table.shape}, expected {_TABLE_DTYPE} of shape {_TABLE_SHAPE}"
+        )
+    table.setflags(write=False)
+    return table
+
+
+def _golub_welsch(n: int) -> QuadratureRule:
+    """The n-point rule computed anew: the construction that made the shipped table."""
     if n == 1:
         return QuadratureRule(np.array([0.0]), np.array([1.0]))
 
@@ -144,12 +188,6 @@ def _gh_rule_cached(n: int) -> QuadratureRule:
             f"node {worst} of the {n}-point rule has polynomial residual "
             f"{rel[worst]:.3e} above {_RESIDUAL_TOL:.1e}",
             NodeResidualWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return QuadratureRule(nodes, weights)
-
-
-def node_bound_holds(rule: QuadratureRule) -> bool:
-    """Whether max|x_n| <= 2 sqrt(N - 1) holds for the given rule."""
-    n = len(rule)
-    return bool(np.max(np.abs(rule.nodes)) <= 2.0 * math.sqrt(n - 1.0))

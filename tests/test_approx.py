@@ -189,3 +189,11 @@ def test_guards():
         qr_weights(b, [], 5)
     with pytest.raises(DomainError):
         christoffel_darboux_sum(0.0, 1.0, DEGREE_MAX)
+    # Sizes are read through operator.index, as check_size reads them.
+    for bad in (10.5, np.float64(12.0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            qr_weights(b, [0.0, 1.0], bad)
+    with pytest.raises(DomainError, match="must be an integer"):
+        christoffel_darboux_sum(0.1, 0.2, 2.5)
+    assert qr_weights(b, [0.0, 1.0], np.int64(5)).tolist() == qr_weights(
+        b, [0.0, 1.0], 5).tolist()

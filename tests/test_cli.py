@@ -48,6 +48,29 @@ sys.exit(max(main(argv.split()) for argv in sys.argv[1:]))
 """
 
 
+# Records each open of the shipped rule table while main runs argv, then
+# builds one rule (which must open it, so the hook is known to see it).
+TABLE_OPENS = """
+import sys
+
+opened = []
+
+def hook(event, args):
+    if event == "open" and str(args[0]).endswith("gh_rules.npy"):
+        opened.append(args[0])
+
+sys.addaudithook(hook)
+from gkquad.cli import main
+
+code = main(sys.argv[1].split())
+during = len(opened)
+from gkquad import gh_rule
+
+gh_rule(3)
+print(code, during, len(opened), file=sys.stderr)
+"""
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -103,6 +126,25 @@ def test_json_format_round_trips_the_csv_values(capsys):
         assert entry["n"] == int(row[0])
         for col, cell in zip(header[1:], row[1:]):
             assert entry[col] == float(cell)
+
+
+def test_json_writes_null_for_refused_cells(capsys):
+    # RFC 8259 has no NaN: a refused solve is null in JSON, nan in CSV.
+    def no_constants(token):
+        raise AssertionError(f"not JSON: {token}")
+
+    argv = ["integrate", "--ell", "4", "--ns", "13:15"]
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out, parse_constant=no_constants)
+    assert [(e["kq_flag"], e["ukq_flag"]) for e in payload] == [(0, 0), (1, 1), (1, 1)]
+    for entry in payload:
+        for cell, flag in (("err_kq", "kq_flag"), ("err_ukq", "ukq_flag")):
+            assert (entry[cell] is None) == (entry[flag] == 1)
+        assert all(entry[c] is not None for c in ("err_sghkq", "err_gh"))
+    _, csv_out, _ = run(capsys, argv)
+    _, rows = parse_csv(csv_out)
+    assert [r[2:4] for r in rows[1:]] == [["nan", "nan"]] * 2
 
 
 def test_weights_compare_well_vs_ill_scaled(capsys):
@@ -355,3 +397,9 @@ def test_runtime_is_scipy_free():
         "tensor-integrate",
     ])
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_constants_never_loads_the_rule_table():
+    proc = run_python(["-c", TABLE_OPENS, "constants --ell 0.2"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode().split() == ["0", "0", "1"]

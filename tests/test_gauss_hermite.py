@@ -1,5 +1,11 @@
-"""Gauss-Hermite rules against moment identities and an independent builder."""
+"""Gauss-Hermite rules against moment identities and an independent builder.
 
+``gh_rule`` reads the rules shipped in ``gh_rules.npy``, so every check
+here on ``gh_rule`` checks the shipped data; the reference construction
+``_golub_welsch`` that made the file is checked against it below.
+"""
+
+import functools
 import math
 
 import numpy as np
@@ -10,11 +16,10 @@ from gkquad import (
     NodeResidualWarning,
     QuadratureRule,
     gh_rule,
-    node_bound_holds,
     worst_case_error,
 )
 from gkquad import gauss_hermite
-from gkquad.errors import DomainError, SizeError
+from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.gauss_hermite import N_MAX
 from gkquad.hermite import normalized_table
 
@@ -106,7 +111,7 @@ def test_nodes_are_polynomial_roots():
 
 def test_node_bound_holds_for_all_sizes():
     for n in range(1, N_MAX + 1):
-        assert node_bound_holds(gh_rule(n))
+        assert np.max(np.abs(gh_rule(n).nodes)) <= 2.0 * math.sqrt(n - 1.0)
     r100 = gh_rule(100)
     assert np.abs(r100.nodes).max() <= 2.0 * math.sqrt(99.0)
 
@@ -156,12 +161,55 @@ def test_rule_container_is_read_only():
 
 
 def test_node_residual_warning_names_the_worst_node(monkeypatch):
-    # Build uncached so the warning rule never enters the shared cache.
     monkeypatch.setattr(gauss_hermite, "_RESIDUAL_TOL", 0.0)
     n = 8
     with pytest.warns(NodeResidualWarning) as record:
-        rule = gauss_hermite._gh_rule_cached.__wrapped__(n)
+        rule = gauss_hermite._golub_welsch(n)
     table = normalized_table(rule.nodes, n)
     worst = int(np.argmax(np.abs(table[:, n]) / np.abs(table).max(axis=1)))
     assert len(record) == 1
     assert f"node {worst} of the {n}-point rule" in str(record[0].message)
+
+
+def test_shipped_rules_match_the_reference_construction():
+    # Here (numpy 2.4.6, OpenBLAS 0.3.31) the shipped table and
+    # _golub_welsch agree to the bit at every size.  Another LAPACK build
+    # may return eigenvalues a few ulps apart; after the Newton step that
+    # moved nodes by at most 2.1e-16 (1 + |x|) and weights by at most
+    # 1.04e-13 relative (the extreme nodes' tiny weights), measured with
+    # eigenvalues perturbed by up to 1024 ulps.  The bounds keep 5x and
+    # 10x of margin over those figures.
+    for n in range(1, N_MAX + 1):
+        shipped = gh_rule(n)
+        ref = gauss_hermite._golub_welsch(n)
+        assert np.max(np.abs(shipped.nodes - ref.nodes) / (1.0 + np.abs(ref.nodes))) <= 1e-15
+        assert np.max(np.abs(shipped.weights - ref.weights) / ref.weights) <= 1e-12
+
+
+def test_damaged_table_is_refused(monkeypatch, tmp_path):
+    # Read uncached, so the shared table and rules stay as shipped.
+    good = np.load(gauss_hermite._TABLE_PATH)
+    cases = {
+        "short.npy": good[:, :-1],
+        "float32.npy": good.astype(np.float32),
+        "one_row.npy": good[0],
+    }
+    for name, table in cases.items():
+        np.save(tmp_path / name, table)
+    np.save(tmp_path / "pickled.npy", np.array([None], dtype=object), allow_pickle=True)
+    for name in [*cases, "pickled.npy", "missing.npy"]:
+        monkeypatch.setattr(gauss_hermite, "_TABLE_PATH", tmp_path / name)
+        with pytest.raises(NumericalFailureError, match=name):
+            gauss_hermite._shipped_table.__wrapped__()
+    monkeypatch.setattr(gauss_hermite, "_TABLE_PATH", tmp_path / "short.npy")
+    with pytest.raises(NumericalFailureError, match=r"shape \(2, 20099\)"):
+        gauss_hermite._shipped_table.__wrapped__()
+    # Through the public call, with empty caches swapped in for the test.
+    monkeypatch.setattr(
+        gauss_hermite, "_shipped_table", functools.cache(gauss_hermite._shipped_table.__wrapped__)
+    )
+    monkeypatch.setattr(
+        gauss_hermite, "_gh_rule_cached", functools.cache(gauss_hermite._gh_rule_cached.__wrapped__)
+    )
+    with pytest.raises(NumericalFailureError, match="short.npy"):
+        gh_rule(7)
