@@ -38,7 +38,6 @@ from .exact import (
 )
 from .gauss_hermite import (
     N_MAX,
-    NodeResidualWarning,
     QuadratureRule,
     gh_rule,
 )
@@ -48,15 +47,11 @@ from .mercer import (
     GaussianKernel,
     MercerBasis,
     basis_from,
-    eigenfunction,
-    eigenfunction_mean,
     eigenvalue,
-    kernel_truncated,
 )
 from .tensor import (
     DIM_MAX,
     GRID_MAX,
-    SeparableGaussianKernel,
     TensorRule,
     gaussian_poly_integrand,
     tensor_integrate,
@@ -65,7 +60,6 @@ from .tensor import (
 from .wce import (
     ConvergenceConstants,
     WceReport,
-    eta_lemma_check,
     multivariate_constants,
     theoretical_constants,
     worst_case_error,

@@ -30,12 +30,11 @@ ever appear.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError
+from .errors import DomainError, NumericalFailureError, as_index
 from .gauss_hermite import QuadratureRule, check_size, gh_rule
 from .hermite import DEGREE_MAX, normalized_table
 from .mercer import (
@@ -138,12 +137,18 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     """Truncation length M >= n whose neglected tail is below machine precision.
 
     Smallest M with lambda_M / lambda_n < machine epsilon, i.e. n plus
-    ceil(ln eps / ln ratio) extra terms; capped at the degree guard.
+    ceil(ln eps / ln ratio) extra terms; capped at the degree guard.  A ratio
+    rounded to 0 (l > 3e161) or 1 (l < 7e-17) takes the limit, 1 or the cap.
     """
     n = check_size(n)
     ratio = basis.eigenvalue_ratio
-    extra = math.ceil(math.log(np.finfo(float).eps) / math.log(ratio))
-    return min(n + max(extra, 0), DEGREE_MAX)
+    if ratio == 0.0:
+        extra = 1
+    elif ratio == 1.0:
+        extra = DEGREE_MAX
+    else:
+        extra = math.ceil(math.log(np.finfo(float).eps) / math.log(ratio))
+    return min(n + extra, DEGREE_MAX)
 
 
 def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
@@ -178,7 +183,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     n = check_size(nodes.size, "node count")
     if np.unique(nodes).size != n:
         raise DomainError("nodes must be distinct")
-    m_terms = _index(m_terms, "truncation length")
+    m_terms = as_index(m_terms, "truncation length")
     if m_terms < n:
         raise DomainError(f"truncation length {m_terms} is below the node count {n}")
     if m_terms > DEGREE_MAX:
@@ -219,7 +224,7 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     rejected because the ratio form degenerates there, and callers
     needing the diagonal can sum hhat_m(x)^2 directly.
     """
-    m_max = _index(m_max, "m_max")
+    m_max = as_index(m_max, "m_max")
     if not 0 <= m_max <= DEGREE_MAX - 1:
         raise DomainError(f"m_max must be in [0, {DEGREE_MAX - 1}], got {m_max}")
     if x == y:
@@ -227,10 +232,3 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     table = normalized_table(np.array([float(x), float(y)]), m_max)
     return float(np.dot(table[0], table[1]))
 
-
-def _index(value, what: str) -> int:
-    """Return value as an int, as check_size reads sizes; DomainError otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None

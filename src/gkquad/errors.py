@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer reader.
 
 Domain / size / degree violations subclass ValueError so that generic
 callers can treat them as bad input; numerical failures subclass
 RuntimeError because the inputs were legal but the computation could not
 be trusted.
 """
+
+import operator
 
 __all__ = [
     "GkquadError",
@@ -14,6 +16,7 @@ __all__ = [
     "NumericalFailureError",
     "IllConditionedError",
     "EvaluationError",
+    "as_index",
 ]
 
 
@@ -60,3 +63,11 @@ class EvaluationError(GkquadError, RuntimeError):
     def __init__(self, message: str, multi_index: tuple[int, ...] | None = None):
         super().__init__(message)
         self.multi_index = multi_index
+
+
+def as_index(value, what: str, error: type[GkquadError] = DomainError) -> int:
+    """Return value as an int, as operator.index reads it (2.0 fails); else raise error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

@@ -17,9 +17,7 @@ carries the condition estimate and names the check, exactly when
 
 The threshold makes refusals independent of the LAPACK build: below it
 the estimate is stable, while past about 1e16 whether Cholesky completes
-depends on the build, so the Cholesky check is only a backstop.  An
-optional ridge (default 0) is available for callers who explicitly want
-K + ridge I.
+depends on the build, so the Cholesky check is only a backstop.
 """
 
 import math
@@ -88,7 +86,7 @@ def _condition_estimate(matrix: np.ndarray) -> float:
     return float(eigs.max() / smallest)
 
 
-def kernel_system(nodes, ell: float, ridge: float = 0.0) -> KernelSystem:
+def kernel_system(nodes, ell: float) -> KernelSystem:
     """Assemble the kernel matrix and embedding vector for a node set.
 
     Raises
@@ -105,12 +103,8 @@ def kernel_system(nodes, ell: float, ridge: float = 0.0) -> KernelSystem:
         raise DomainError("nodes must be finite")
     if np.unique(nodes).size != nodes.size:
         raise DomainError("nodes must be distinct")
-    if ridge < 0 or not math.isfinite(ridge):
-        raise DomainError(f"ridge must be a finite nonnegative value, got {ridge}")
     kern = GaussianKernel(ell)
     matrix = kern.value(nodes[:, None], nodes[None, :])
-    if ridge:
-        matrix = matrix + ridge * np.eye(nodes.size)
     embedding = np.atleast_1d(kernel_mean(ell, nodes))
     return KernelSystem(
         kernel_matrix=matrix,
@@ -119,7 +113,7 @@ def kernel_system(nodes, ell: float, ridge: float = 0.0) -> KernelSystem:
     )
 
 
-def exact_weights(nodes, ell: float, ridge: float = 0.0) -> tuple[np.ndarray, float]:
+def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
     """Solve K w = k_mu for the exact kernel quadrature weights.
 
     Returns
@@ -134,7 +128,7 @@ def exact_weights(nodes, ell: float, ridge: float = 0.0) -> tuple[np.ndarray, fl
         down (``check`` is ``"cholesky"``); the error carries the
         condition estimate.  No jitter is applied implicitly.
     """
-    system = kernel_system(nodes, ell, ridge)
+    system = kernel_system(nodes, ell)
     cond = system.condition_estimate
     if cond > CONDITION_MAX:
         raise IllConditionedError(

@@ -30,14 +30,13 @@ reproduces the shipped bytes.
 
 import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError, SizeError
+from .errors import DomainError, NumericalFailureError, SizeError, as_index
 from .hermite import normalized_table
 
 __all__ = [
@@ -75,15 +74,15 @@ class QuadratureRule:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or weights.ndim != 1:
-            raise ValueError("nodes and weights must be one-dimensional")
+            raise DomainError("nodes and weights must be one-dimensional")
         if nodes.size != weights.size:
-            raise ValueError("nodes and weights must have equal length")
+            raise DomainError("nodes and weights must have equal length")
         if nodes.size == 0:
-            raise ValueError("a rule needs at least one node")
+            raise DomainError("a rule needs at least one node")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
             raise DomainError("nodes and weights must be finite")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly ascending")
+            raise DomainError("nodes must be strictly ascending")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         nodes.setflags(write=False)
@@ -95,10 +94,7 @@ class QuadratureRule:
 
 def check_size(n, what: str = "rule size") -> int:
     """Return n as an int; raise SizeError unless it is an integer in [1, N_MAX]."""
-    try:
-        size = operator.index(n)
-    except TypeError:
-        raise SizeError(f"{what} must be an integer, got {n!r}") from None
+    size = as_index(n, what, SizeError)
     if not 1 <= size <= N_MAX:
         raise SizeError(f"{what} must be in [1, {N_MAX}], got {size}")
     return size

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DegreeOverflowError
+from .errors import DegreeOverflowError, as_index
 
 __all__ = [
     "DEGREE_MAX",
@@ -31,11 +31,14 @@ __all__ = [
 DEGREE_MAX = 400
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n) -> int:
+    """Return n as an int in [0, DEGREE_MAX]; a non-integer raises DomainError."""
+    n = as_index(n, "degree")
     if n < 0:
         raise DegreeOverflowError(f"degree must be nonnegative, got {n}")
     if n > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {n} exceeds the guard {DEGREE_MAX}")
+    return n
 
 
 def hermite_eval(n: int, x: float) -> float:
@@ -56,7 +59,7 @@ def hermite_eval(n: int, x: float) -> float:
         hundreds for moderate x; use :func:`normalized_table` for
         large degrees.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     if n == 0:
         return 1.0
     h_prev = 1.0
@@ -79,7 +82,7 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
     ndarray, shape (npoints, degree_max + 1)
         Column n holds hhat_n(x).
     """
-    _check_degree(degree_max)
+    degree_max = _check_degree(degree_max)
     x = np.asarray(x, dtype=float)
     out = np.empty((x.size, degree_max + 1))
     out[:, 0] = 1.0

@@ -26,12 +26,13 @@ r_m = r_{m-1} sqrt((2m - 1) / (2m)).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .hermite import DEGREE_MAX, normalized_table
+from .errors import DomainError, as_index
+from .hermite import normalized_table
 
 __all__ = [
     "ALPHA_DEFAULT",
@@ -40,12 +41,9 @@ __all__ = [
     "basis_from",
     "check_length_scale",
     "eigenvalue",
-    "eigenfunction",
     "eigenfunction_table",
-    "eigenfunction_mean",
     "eigenfunction_means",
     "even_mean_ratios",
-    "kernel_truncated",
 ]
 
 # The measure parameter a.  Formulas use it as written: in floating point
@@ -55,9 +53,11 @@ ALPHA_DEFAULT = math.sqrt(0.5)
 
 
 def check_length_scale(ell) -> None:
-    """Raise DomainError unless ell is a finite positive length scale."""
+    """Raise DomainError unless ell is finite and at least 1.49e-154."""
     if not (ell > 0 and math.isfinite(ell)):
         raise DomainError(f"length scale must be positive, got {ell}")
+    if ell * ell < sys.float_info.min:  # 4 / l^2 in beta would overflow
+        raise DomainError(f"length scale {ell} is too small: its square is subnormal")
 
 
 @dataclass(frozen=True)
@@ -119,27 +119,12 @@ def eigenvalue(basis: MercerBasis, n: int) -> float:
     lambda_0 = sqrt(a^2 / (a^2 + delta^2 + eps^2)) doubles as the
     constant tau of the convergence bound.
     """
+    n = as_index(n, "eigenvalue index")
     if n < 0:
         raise DomainError(f"eigenvalue index must be nonnegative, got {n}")
     a2 = ALPHA_DEFAULT**2
     denom = a2 + basis.delta_sq + basis.epsilon**2
     return math.sqrt(a2 / denom) * basis.eigenvalue_ratio**n
-
-
-def eigenfunction(basis: MercerBasis, n: int, x):
-    """Evaluate the normalized eigenfunction phi_n at x (scalar or array).
-
-    Computed on the normalized Hermite path
-    phi_n(x) = sqrt(beta) exp(-delta^2 x^2) hhat_n(sqrt(2) a beta x),
-    which stays finite throughout the guarded degree range.
-    """
-    if n < 0:
-        raise DomainError(f"eigenfunction index must be nonnegative, got {n}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    values = eigenfunction_table(basis, xs, n + 1)[:, n]
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(values[0])
-    return values
 
 
 def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.ndarray:
@@ -161,19 +146,9 @@ def even_mean_ratios(m_max: int) -> np.ndarray:
     return r
 
 
-def eigenfunction_mean(basis: MercerBasis, n: int) -> float:
-    """Mean of phi_n under the standard Gaussian measure.
-
-    Zero for odd n; for n = 2m given by the closed form in the module
-    docstring, as computed by :func:`eigenfunction_means`.
-    """
-    if n < 0:
-        raise DomainError(f"eigenfunction index must be nonnegative, got {n}")
-    return float(eigenfunction_means(basis, n + 1)[n])
-
-
 def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:
     """Vector of mu(phi_n) for n < count."""
+    count = as_index(count, "count")
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     out = np.zeros(count)
@@ -184,16 +159,3 @@ def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:
     out[0 : 2 * m_top + 1 : 2] = lead * ratios * powers
     return out
 
-
-def kernel_truncated(basis: MercerBasis, m_terms: int, x: float, y: float) -> float:
-    """Truncated eigenexpansion sum_{n < m_terms} lambda_n phi_n(x) phi_n(y).
-
-    Converges to the kernel value as m_terms grows; the truncation error
-    is geometric with ratio lambda_{n+1}/lambda_n.
-    """
-    if not 1 <= m_terms <= DEGREE_MAX:
-        raise DomainError(f"m_terms must be in [1, {DEGREE_MAX}], got {m_terms}")
-    pts = np.array([float(x), float(y)])
-    table = eigenfunction_table(basis, pts, m_terms)
-    lams = eigenvalue(basis, 0) * basis.eigenvalue_ratio ** np.arange(m_terms)
-    return float(np.sum(lams * table[0] * table[1]))

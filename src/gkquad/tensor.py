@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, SizeError
+from .errors import DomainError, EvaluationError, SizeError, as_index
 from .gauss_hermite import QuadratureRule
 from .mercer import check_length_scale
 from .wce import _fsum_largest_first
@@ -34,7 +34,6 @@ __all__ = [
     "DIM_MAX",
     "GRID_MAX",
     "ProductIntegrand",
-    "SeparableGaussianKernel",
     "TensorRule",
     "tensor_rule",
     "tensor_integrate",
@@ -43,27 +42,6 @@ __all__ = [
 
 DIM_MAX = 6
 GRID_MAX = 10**7
-
-
-@dataclass(frozen=True)
-class SeparableGaussianKernel:
-    """Product of one-dimensional Gaussian kernels, one length scale each."""
-
-    length_scales: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.length_scales) == 0:
-            raise DomainError("at least one length scale is required")
-        for ell in self.length_scales:
-            check_length_scale(ell)
-
-    def value(self, x, y) -> float:
-        if len(x) != len(self.length_scales) or len(y) != len(self.length_scales):
-            raise DomainError("point dimension does not match the kernel")
-        exponent = 0.0
-        for xi, yi, ell in zip(x, y, self.length_scales):
-            exponent += (xi - yi) ** 2 / (2.0 * ell * ell)
-        return math.exp(-exponent)
 
 
 @dataclass(frozen=True)
@@ -223,7 +201,7 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
     d : int
         Dimension; must match len(m) == len(c).
     m : sequence of int
-        Nonnegative monomial powers.
+        Nonnegative monomial powers; a float such as 2.5 or 2.0 is refused.
     c : sequence of float
         Gaussian sharpness parameters, each in (0, 4).
     ell : float
@@ -240,7 +218,8 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
         If an argument is out of range, or if the closed-form integral
         does not fit in a float.
     """
-    m = tuple(int(v) for v in m)
+    d = as_index(d, "dimension")
+    m = tuple(as_index(v, "power") for v in m)
     c = tuple(float(v) for v in c)
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")

@@ -19,9 +19,7 @@ The geometric convergence constants for the scaled-node rules are
 
 with a = 1/sqrt(2) fixed by the standard Gaussian measure.  The rule's
 error obeys e(Q_N) <= (1 + C1 W_N) C2 eta^N, where W_N bounds the
-absolute weight sum.  eta < 1 for every length scale; the generalized
-check with exponent rho/(2 b^2) stays below one for all length scales
-exactly when rho <= 2.
+absolute weight sum.  eta < 1 for every length scale.
 """
 
 import itertools
@@ -31,10 +29,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError
+from .errors import DomainError, NumericalFailureError, as_index
 from .exact import kernel_mean, kernel_mean_mean
 from .gauss_hermite import QuadratureRule
-from .mercer import GaussianKernel, MercerBasis, basis_from, eigenvalue
+from .mercer import GaussianKernel, MercerBasis, eigenvalue
 
 __all__ = [
     "HERMITE_SUP_CONSTANT",
@@ -43,7 +41,6 @@ __all__ = [
     "ConvergenceConstants",
     "worst_case_error",
     "theoretical_constants",
-    "eta_lemma_check",
     "multivariate_constants",
 ]
 
@@ -139,23 +136,15 @@ def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
     """Constants (tau, lam, eta, C1, C2) of the error bound for this basis."""
     tau = eigenvalue(basis, 0)
     lam = basis.eigenvalue_ratio
+    if lam == 1.0:  # l below about 7e-17
+        raise NumericalFailureError(
+            f"the eigenvalue ratio rounds to 1 at length scale {basis.length_scale}; "
+            "the bound constant C2 is infinite"
+        )
     eta = math.sqrt(lam) * math.exp(1.0 / basis.beta**2)
     c1 = HERMITE_SUP_CONSTANT * math.sqrt(basis.beta)
     c2 = math.sqrt(tau) / (1.0 - math.sqrt(lam))
     return ConvergenceConstants(tau=tau, lam=lam, eta=eta, c1=c1, c2=c2)
-
-
-def eta_lemma_check(ell: float, rho: float) -> bool:
-    """Whether sqrt(lam) * exp(rho / (2 beta^2)) < 1 at this length scale.
-
-    True for every ell > 0 exactly when rho <= 2; for rho > 2 the value
-    crosses one near eps^2 = 1 / (4 (rho - 2)).
-    """
-    if rho < 0 or not math.isfinite(rho):
-        raise DomainError(f"rho must be finite and nonnegative, got {rho}")
-    basis = basis_from(ell)
-    lam = basis.eigenvalue_ratio
-    return math.sqrt(lam) * math.exp(rho / (2.0 * basis.beta**2)) < 1.0
 
 
 def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
@@ -165,6 +154,7 @@ def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
     as W^d on the caller's side.  The measure is the standard Gaussian,
     a = 1/sqrt(2), in every dimension.
     """
+    d = as_index(d, "dimension")
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
     consts = theoretical_constants(basis)

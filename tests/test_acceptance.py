@@ -36,7 +36,7 @@ from gkquad.errors import NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean, kernel_system
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
 from gkquad.hermite import hermite_eval
-from gkquad.mercer import eigenfunction, eigenfunction_mean
+from gkquad.mercer import eigenfunction_means, eigenfunction_table
 from gkquad.tensor import gaussian_poly_integrand
 from gkquad.wce import theoretical_constants
 
@@ -303,15 +303,17 @@ def test_criterion_09_quadrature_oracles():
         if abs(mm_oracle - kernel_mean_mean(ell)) > 1e-8:
             failures.append(f"kernel_mean_mean ell={ell}")
 
+        means = eigenfunction_means(basis, 9)
         for n in range(9):
             oracle, _ = quad(
-                lambda x: eigenfunction(basis, n, x) * gaussian_pdf(x),
+                lambda x: eigenfunction_table(basis, np.array([x]), n + 1)[0, n]
+                * gaussian_pdf(x),
                 -np.inf,
                 np.inf,
                 limit=200,
             )
-            if abs(oracle - eigenfunction_mean(basis, n)) > 1e-8:
-                failures.append(f"eigenfunction_mean ell={ell} n={n}")
+            if abs(oracle - means[n]) > 1e-8:
+                failures.append(f"eigenfunction_means ell={ell} n={n}")
 
     for m_max in range(26):
         for x, y in ((0.75, -0.625), (1.5, 0.25), (-2.0, 1.0)):

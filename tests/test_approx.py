@@ -147,6 +147,21 @@ def test_machine_truncation_values_and_cap():
             assert machine_truncation(b, n) >= n
 
 
+def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
+    # ln(ratio) is ln(0) once eps^2 underflows, from l = 3e161, and 0 once
+    # the ratio rounds to 1, below l = 7e-17.  The formula's limits there
+    # are n + 1 and the cap.
+    assert basis_from(1e160).eigenvalue_ratio > 0.0
+    for ell in (1e160, 1e162, 1e200, 1e308):
+        b = basis_from(ell)
+        assert [machine_truncation(b, n) for n in (1, 3, 200)] == [2, 4, 201]
+    assert basis_from(1e200).eigenvalue_ratio == 0.0
+    for ell in (1e-17, 1e-100):
+        b = basis_from(ell)
+        assert b.eigenvalue_ratio == 1.0
+        assert machine_truncation(b, 3) == DEGREE_MAX
+
+
 @pytest.mark.parametrize("m_max", [0, 1, 5, 12, 25])
 def test_christoffel_darboux_sum_matches_ratio_form(m_max):
     x, y = Fraction(3, 4), Fraction(-5, 8)

@@ -381,6 +381,34 @@ def test_non_finite_integrand_exits_three(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", line.encode())
 
 
+def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
+    # 4 / l^2 overflows below l = 1.49e-154, C2 = sqrt(tau) / (1 - sqrt(lam))
+    # is infinite once lam rounds to 1, and ln(lam) is ln(0) once eps^2
+    # underflows, where machine_truncation takes its limit, n + 1.  Each
+    # outcome is an exit code with at most one line on stderr, in
+    # process and in a fresh interpreter (no traceback).
+    cases = [
+        (["constants", "--ell", "1e-200"], 2,
+         "error: length scale 1e-200 is too small: its square is subnormal\n"),
+        (["integrate", "--ell", "1e-200", "--ns", "3"], 2,
+         "error: length scale 1e-200 is too small: its square is subnormal\n"),
+        (["constants", "--ell", "1e-17"], 3,
+         "numerical failure: the eigenvalue ratio rounds to 1 at length scale 1e-17; "
+         "the bound constant C2 is infinite\n"),
+        (["weights-compare", "--ell", "1e200", "--ns", "3"], 0, ""),
+    ]
+    for argv, want_code, want_err in cases:
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (want_code, want_err)
+        proc = run_python(["-m", "gkquad.cli", *argv])
+        assert (proc.returncode, proc.stderr) == (want_code, want_err.encode())
+        assert proc.stdout == out.encode()
+    _, rows = parse_csv(out)
+    assert rows == [["1e+200", "3", "4.079219866531554e-16", "0"]]
+    _, same = parse_csv(run(capsys, ["weights-compare", "--ell", "1e160", "--ns", "3"])[1])
+    assert same[0][1:] == rows[0][1:]
+
+
 def test_module_run_matches_main(capsys):
     argv = ["rule", "--ell", "1", "--n", "3"]
     _, out, _ = run(capsys, argv)

@@ -12,15 +12,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
-from gkquad import (
-    NodeResidualWarning,
-    QuadratureRule,
-    gh_rule,
-    worst_case_error,
-)
+from gkquad import QuadratureRule, gh_rule, worst_case_error
 from gkquad import gauss_hermite
 from gkquad.errors import DomainError, NumericalFailureError, SizeError
-from gkquad.gauss_hermite import N_MAX
+from gkquad.gauss_hermite import N_MAX, NodeResidualWarning
 from gkquad.hermite import normalized_table
 
 
@@ -138,13 +133,13 @@ def test_size_guards():
 
 
 def test_rule_container_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="ascending"):
         QuadratureRule(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="equal length"):
         QuadratureRule(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="at least one node"):
         QuadratureRule(np.array([]), np.array([]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="one-dimensional"):
         QuadratureRule(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(DomainError):
         worst_case_error(QuadratureRule([0.0, np.inf], [1.0, 1.0]), 1.0)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gkquad import DEGREE_MAX, hermite_eval
-from gkquad.errors import DegreeOverflowError
+from gkquad.errors import DegreeOverflowError, DomainError
 from gkquad.hermite import normalized_table
 
 
@@ -87,6 +87,12 @@ def test_degree_guard():
         normalized_table([0.0], DEGREE_MAX + 1)
     with pytest.raises(DegreeOverflowError):
         hermite_eval(DEGREE_MAX + 1, 0.0)
+    for bad in (2.5, 2.0, None):
+        with pytest.raises(DomainError, match="degree must be an integer"):
+            hermite_eval(bad, 1.0)
+        with pytest.raises(DomainError, match="degree must be an integer"):
+            normalized_table(np.array([0.5, 1.0]), bad)
+    assert hermite_eval(np.int64(3), 2.0) == hermite_eval(3, 2.0) == 2.0
 
 
 def test_degree_guard_is_a_value_error():

@@ -7,18 +7,15 @@ import pytest
 from scipy.integrate import quad
 
 from gkquad import basis_from
-from gkquad.errors import DomainError
+from gkquad.errors import DegreeOverflowError, DomainError
 from gkquad.mercer import (
     ALPHA_DEFAULT,
     GaussianKernel,
     MercerBasis,
-    eigenfunction,
-    eigenfunction_mean,
     eigenfunction_means,
     eigenfunction_table,
     eigenvalue,
     even_mean_ratios,
-    kernel_truncated,
 )
 
 SCALES = (0.2, 1.0, 4.0)
@@ -26,6 +23,18 @@ SCALES = (0.2, 1.0, 4.0)
 
 def gaussian_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def phi(b: MercerBasis, n: int, x: float) -> float:
+    """phi_n(x), read from the table the rules use."""
+    return float(eigenfunction_table(b, np.array([x]), n + 1)[0, n])
+
+
+def mercer_sum(b: MercerBasis, m_terms: int, x: float, y: float) -> float:
+    """The Mercer sum of lambda_n phi_n(x) phi_n(y) over n < m_terms."""
+    table = eigenfunction_table(b, np.array([x, y]), m_terms)
+    lams = np.array([eigenvalue(b, n) for n in range(m_terms)])
+    return float(np.sum(lams * table[0] * table[1]))
 
 
 def test_constants_at_unit_length_scale():
@@ -62,7 +71,7 @@ def test_eigenfunctions_orthonormal_under_gaussian_measure(ell):
     for i in range(5):
         for j in range(i, 5):
             val, _ = quad(
-                lambda x: eigenfunction(b, i, x) * eigenfunction(b, j, x) * gaussian_pdf(x),
+                lambda x: phi(b, i, x) * phi(b, j, x) * gaussian_pdf(x),
                 -np.inf,
                 np.inf,
                 limit=200,
@@ -73,20 +82,18 @@ def test_eigenfunctions_orthonormal_under_gaussian_measure(ell):
 @pytest.mark.parametrize("ell", SCALES)
 def test_closed_form_means_match_quadrature(ell):
     b = basis_from(ell)
+    means = eigenfunction_means(b, 9)
     for n in range(9):
-        val, _ = quad(
-            lambda x: eigenfunction(b, n, x) * gaussian_pdf(x), -np.inf, np.inf, limit=200
-        )
-        assert abs(val - eigenfunction_mean(b, n)) <= 1e-12
+        val, _ = quad(lambda x: phi(b, n, x) * gaussian_pdf(x), -np.inf, np.inf, limit=200)
+        assert abs(val - means[n]) <= 1e-12
 
 
 def test_odd_means_are_exactly_zero():
     b = basis_from(0.7)
-    assert all(eigenfunction_mean(b, n) == 0.0 for n in (1, 3, 5, 11))
     means = eigenfunction_means(b, 12)
     assert np.array_equal(means[1::2], np.zeros(6))
-    for n in range(0, 12, 2):
-        assert means[n] == eigenfunction_mean(b, n)
+    for count in range(1, 12):
+        assert np.array_equal(eigenfunction_means(b, count), means[:count])
 
 
 def test_even_mean_ratios_match_binomial_closed_form():
@@ -96,32 +103,21 @@ def test_even_mean_ratios_match_binomial_closed_form():
         assert abs(got[m] - exact) <= 1e-14 * exact
 
 
-def test_eigenfunction_table_matches_pointwise_path():
-    b = basis_from(0.4)
-    xs = np.array([-2.5, -0.1, 0.0, 1.7])
-    table = eigenfunction_table(b, xs, 8)
-    assert table.shape == (4, 8)
-    for n in range(8):
-        col = eigenfunction(b, n, xs)
-        assert np.array_equal(table[:, n], col)
-    assert eigenfunction(b, 3, 1.7) == table[3, 3]
-
-
 def test_truncated_expansion_converges_to_kernel():
     for ell in (0.5, 1.0, 4.0):
         b = basis_from(ell)
         k = GaussianKernel(ell)
         for x, y in ((0.0, 0.0), (0.3, -1.2), (2.0, 1.5), (-3.0, 0.7)):
-            assert abs(kernel_truncated(b, 150, x, y) - float(k.value(x, y))) <= 1e-12
+            assert abs(mercer_sum(b, 150, x, y) - float(k.value(x, y))) <= 1e-12
     b = basis_from(0.2)
     k = GaussianKernel(0.2)
-    assert abs(kernel_truncated(b, 400, 0.3, -0.4) - float(k.value(0.3, -0.4))) <= 1e-12
+    assert abs(mercer_sum(b, 400, 0.3, -0.4) - float(k.value(0.3, -0.4))) <= 1e-12
 
 
 def test_truncation_error_shrinks_geometrically():
     b = basis_from(1.0)
     k = float(GaussianKernel(1.0).value(0.9, -0.6))
-    errs = [abs(kernel_truncated(b, m, 0.9, -0.6) - k) for m in (5, 15, 30)]
+    errs = [abs(mercer_sum(b, m, 0.9, -0.6) - k) for m in (5, 15, 30)]
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -159,12 +155,26 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         eigenvalue(b, -1)
     with pytest.raises(DomainError):
-        eigenfunction(b, -2, 0.0)
-    with pytest.raises(DomainError):
-        eigenfunction_mean(b, -1)
-    with pytest.raises(DomainError):
         eigenfunction_means(b, 0)
     with pytest.raises(DomainError):
         even_mean_ratios(-1)
-    with pytest.raises(DomainError):
-        kernel_truncated(b, 0, 0.0, 0.0)
+    with pytest.raises(DegreeOverflowError):
+        eigenfunction_table(b, np.array([0.0]), 0)
+    # A float index is refused, not read as ratio**2.5, which is no eigenvalue.
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError, match="must be an integer"):
+            eigenvalue(b, bad)
+        with pytest.raises(DomainError, match="must be an integer"):
+            eigenfunction_means(b, bad)
+    assert eigenvalue(b, np.int64(3)) == eigenvalue(b, 3)
+
+
+@pytest.mark.parametrize("ell", [1.49e-154, 1e-200, 5e-324])
+def test_length_scale_below_the_float_range_is_a_domain_error(ell):
+    # (2 eps / a)^2 = 4 / l^2 overflows once l^2 is subnormal, below
+    # l = 1.49e-154, and at the subnormal end eps itself is infinite.
+    # Every entry point that takes a length scale refuses it alike.
+    for build in (basis_from, GaussianKernel):
+        with pytest.raises(DomainError, match="too small"):
+            build(ell)
+    assert math.isfinite(basis_from(1.5e-154).beta)

@@ -13,7 +13,6 @@ from gkquad.tensor import (
     DIM_MAX,
     GRID_MAX,
     ProductIntegrand,
-    SeparableGaussianKernel,
     TensorRule,
     gaussian_poly_integrand,
 )
@@ -94,6 +93,8 @@ def test_integrand_guards():
         gaussian_poly_integrand(1, [2], [4.0], 1.0)
     with pytest.raises(DomainError):
         gaussian_poly_integrand(1, [2], [1.0], 0.0)
+    with pytest.raises(DomainError, match="too small"):  # l * l underflows to 0
+        gaussian_poly_integrand(1, [3], [1.0], 1e-200)
     # (m - 1)!! fits in a float up to m = 300, not at m = 302; a product
     # of factors that each fit can still overflow.
     assert math.isfinite(gaussian_poly_integrand(1, [300], [1.0], 1.0)[1])
@@ -101,6 +102,14 @@ def test_integrand_guards():
         gaussian_poly_integrand(1, [302], [1.0], 1.0)
     with pytest.raises(DomainError):
         gaussian_poly_integrand(2, [300, 300], [0.01, 0.01], 10.0)
+    # A float power is refused, not truncated to the m = 2 integral 0.3536.
+    for m in ([2.5], [2.0], ["2"]):
+        with pytest.raises(DomainError, match="power must be an integer"):
+            gaussian_poly_integrand(1, m, [1.0], 1.0)
+    with pytest.raises(DomainError, match="dimension must be an integer"):
+        gaussian_poly_integrand(1.0, [2], [1.0], 1.0)
+    _, exact = gaussian_poly_integrand(np.int64(1), [np.int64(2)], [1.0], 1.0)
+    assert exact == gaussian_poly_integrand(1, [2], [1.0], 1.0)[1]
 
 
 def _per_point(f):
@@ -222,20 +231,6 @@ def test_dimension_and_grid_guards():
     assert tensor_rule([gh_rule(200)] * 3).size == 8_000_000 <= GRID_MAX
     with pytest.raises(SizeError):
         tensor_rule([gh_rule(200)] * 4)
-
-
-def test_separable_kernel_values():
-    k = SeparableGaussianKernel((1.0, 2.0))
-    assert k.value((0.3, -1.0), (0.3, -1.0)) == 1.0
-    a, b = (0.0, 0.0), (1.0, 2.0)
-    assert k.value(a, b) == k.value(b, a)
-    assert abs(k.value(a, b) - math.exp(-(0.5 + 0.5))) <= 1e-16
-    with pytest.raises(DomainError):
-        k.value((0.0,), (0.0, 1.0))
-    with pytest.raises(DomainError):
-        SeparableGaussianKernel(())
-    with pytest.raises(DomainError):
-        SeparableGaussianKernel((1.0, -2.0))
 
 
 def test_tensor_rule_is_frozen():

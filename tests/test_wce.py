@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gkquad import approx_rule, basis_from, gh_rule, worst_case_error
-from gkquad.errors import DomainError, IllConditionedError
+from gkquad.errors import DomainError, IllConditionedError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
 from gkquad.mercer import GaussianKernel
@@ -18,7 +18,6 @@ from gkquad.wce import (
     ConvergenceConstants,
     WceReport,
     _fsum_largest_first,
-    eta_lemma_check,
     multivariate_constants,
     theoretical_constants,
 )
@@ -107,7 +106,8 @@ def test_frozen_convergence_constants(ell):
 
 
 def test_constant_identities():
-    for ell in (0.05, 0.2, 1.0, 4.0, 100.0):
+    # eta < 1 at every length scale (the rho = 2 case of the paper's lemma).
+    for ell in (0.05, 0.2, 1.0, 4.0, 100.0, *np.logspace(-2, 2, 41)):
         b = basis_from(ell)
         c = theoretical_constants(b)
         assert abs(c.lam - b.eigenvalue_ratio) <= 1e-16
@@ -127,18 +127,6 @@ def test_rate_is_capped_in_the_flat_limit():
     assert c8.rate == -math.log(c8.eta)
 
 
-def test_eta_lemma_threshold():
-    assert eta_lemma_check(1.0, 2.0)
-    assert not eta_lemma_check(math.sqrt(2.0), 3.0)
-    for ell in np.logspace(-2, 2, 41):
-        assert eta_lemma_check(float(ell), 2.0)
-    assert any(not eta_lemma_check(float(ell), 2.5) for ell in np.logspace(-2, 2, 41))
-    with pytest.raises(DomainError):
-        eta_lemma_check(1.0, -0.5)
-    with pytest.raises(DomainError):
-        eta_lemma_check(1.0, float("nan"))
-
-
 def test_multivariate_constants_properties():
     b = basis_from(1.0)
     ref_eta = theoretical_constants(b).eta
@@ -150,6 +138,21 @@ def test_multivariate_constants_properties():
         prev = big_c
     with pytest.raises(DomainError):
         multivariate_constants(b, 0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        multivariate_constants(b, 2.5)  # not 2 * 2.5 * factor**2.5
+
+
+def test_eigenvalue_ratio_rounded_to_one_is_a_numerical_failure():
+    # Below l = 7e-17 lam rounds to 1 and C2 = sqrt(tau) / (1 - sqrt(lam))
+    # is infinite; l = 1e-16 still has lam < 1.
+    for ell in (1e-17, 1e-100, 1.5e-154):
+        b = basis_from(ell)
+        assert b.eigenvalue_ratio == 1.0
+        with pytest.raises(NumericalFailureError, match="rounds to 1"):
+            theoretical_constants(b)
+        with pytest.raises(NumericalFailureError, match="rounds to 1"):
+            multivariate_constants(b, 2)
+    assert math.isfinite(theoretical_constants(basis_from(1e-16)).c2)
 
 
 # Finite terms with exponents from the subnormal range up to 2^996, so
