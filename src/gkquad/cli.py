@@ -51,15 +51,17 @@ def _comma_list(cast, distinct: bool = False):
     return parse
 
 
-def _parse_ns(text: str) -> list[int]:
-    """Rule sizes as a comma-separated int list or an inclusive a:b range."""
-    if ":" in text:
-        try:
-            lo, hi = (int(part) for part in text.split(":"))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an a:b range: {text!r}") from None
-        text = ",".join(str(n) for n in range(lo, hi + 1))
-    return _comma_list(int, distinct=True)(text)
+def _parse_ns(text: str) -> list[int] | range:
+    """Rule sizes as a comma-separated int list or an inclusive, unexpanded a:b range."""
+    if ":" not in text:
+        return _comma_list(int, distinct=True)(text)
+    try:
+        lo, hi = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an a:b range: {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError("empty value list")
+    return range(lo, hi + 1)
 
 
 def _format_cell(value) -> str:
@@ -86,36 +88,6 @@ def _emit(columns: list[str], rows: list[list], args) -> None:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    if args.plot_script:
-        _emit_plot_script(columns, args)
-
-
-def _check_plot_script(args) -> None:
-    """Refuse --plot-script without a CSV file, before any output is written."""
-    if not args.plot_script:
-        return
-    if args.out is None:
-        raise ValueError("--plot-script needs --out so the script can name the CSV")
-    if args.format != "csv":
-        raise ValueError("--plot-script only accompanies CSV output")
-
-
-def _emit_plot_script(columns: list[str], args) -> None:
-    stem = args.out[: -len(".csv")] if args.out.endswith(".csv") else args.out
-    xcol = "n" if "n" in columns else columns[0]
-    ycols = [c for c in columns if c not in (xcol, "ell") and not c.endswith("_flag")
-             and c != "cutoff"]
-    lines = [
-        f"# line plot over the columns of {args.out}",
-        "set datafile separator ','",
-        "set key autotitle columnhead outside",
-        "set logscale y",
-        "plot " + ", ".join(
-            f"'{args.out}' using '{xcol}':'{y}' with linespoints" for y in ycols
-        ),
-    ]
-    with open(stem + ".gp", "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 def _cmd_rule(args):
@@ -248,19 +220,24 @@ def _cmd_constants(args):
     return columns, [row]
 
 
-def _add_common(sub, ells=False, ns=False):
+def _add_values(sub, name: str, parse_one, parse_many, default=None) -> None:
+    """--<name> (one value) or --<name>s (a list), both stored as the list args.<name>s.
+
+    nargs=1 makes the one value a list. Both carry the default, because
+    argparse takes a shared dest's default from the first action that has it.
+    """
+    group = sub.add_mutually_exclusive_group(required=default is None)
+    group.add_argument(f"--{name}", type=parse_one, nargs=1, dest=f"{name}s",
+                       metavar=name.upper(), default=default)
+    group.add_argument(f"--{name}s", type=parse_many, default=default)
+
+
+def _add_common(sub, sweep=False):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--plot-script", action="store_true",
-                     help="write a companion plain-text plot script next to --out")
-    if ells:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--ell", type=float, dest="single_ell")
-        group.add_argument("--ells", type=_comma_list(float, distinct=True))
-    if ns:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=int, dest="single_n")
-        group.add_argument("--ns", type=_parse_ns)
+    if sweep:
+        _add_values(sub, "ell", float, _comma_list(float, distinct=True))
+        _add_values(sub, "n", int, _parse_ns)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,17 +255,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("weights-compare",
                         help="closed-form weights vs converged reference weights")
-    _add_common(p, ells=True, ns=True)
+    _add_common(p, sweep=True)
     p.set_defaults(handler=_cmd_weights_compare)
 
     p = subs.add_parser("positivity-sweep",
                         help="minimum weight and weight-sum error over rule sizes")
-    _add_common(p, ells=True, ns=True)
+    _add_common(p, sweep=True)
     p.set_defaults(handler=_cmd_positivity_sweep)
 
     p = subs.add_parser("wce-sweep",
                         help="worst-case error of the scaled rule and comparators")
-    _add_common(p, ells=True, ns=True)
+    _add_common(p, sweep=True)
     p.set_defaults(handler=_cmd_wce_sweep)
 
     p = subs.add_parser("integrate",
@@ -296,9 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=float, default=1.2)
     p.add_argument("--m", type=_comma_list(int), default=[6])
     p.add_argument("--c", type=_comma_list(float), default=[1.5])
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--n", type=int, dest="single_n")
-    group.add_argument("--ns", type=_parse_ns, default=list(range(1, 31)))
+    _add_values(p, "n", int, _parse_ns, default=range(1, 31))
     _add_common(p)
     p.set_defaults(handler=_cmd_integrate)
 
@@ -308,9 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=3)
     p.add_argument("--m", type=_comma_list(int), default=[6, 4, 2])
     p.add_argument("--c", type=_comma_list(float), default=[1.5, 3.0, 0.5])
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--n", type=int, dest="single_n")
-    group.add_argument("--ns", type=_parse_ns, default=list(range(2, 13)))
+    _add_values(p, "n", int, _parse_ns, default=range(2, 13))
     _add_common(p)
     p.set_defaults(handler=_cmd_tensor_integrate)
 
@@ -324,22 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize(args) -> None:
-    if getattr(args, "single_ell", None) is not None:
-        args.ells = [args.single_ell]
-    if getattr(args, "single_n", None) is not None:
-        args.ns = [args.single_n]
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    _normalize(args)
     try:
-        _check_plot_script(args)
         columns, rows = args.handler(args)
         _emit(columns, rows, args)
     except (NumericalFailureError, EvaluationError) as exc:

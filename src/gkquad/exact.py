@@ -62,7 +62,7 @@ def kernel_mean(ell: float, x):
 
     Accepts scalar or array x; values lie in (0, l / sqrt(1 + l^2)].
     """
-    check_length_scale(ell)
+    ell = check_length_scale(ell)
     xs = np.asarray(x, dtype=float)
     amp = ell / math.sqrt(1.0 + ell * ell)
     out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell * ell)))
@@ -73,7 +73,7 @@ def kernel_mean(ell: float, x):
 
 def kernel_mean_mean(ell: float) -> float:
     """Initial error mu(k_mu) = l / sqrt(2 + l^2), in (0, 1)."""
-    check_length_scale(ell)
+    ell = check_length_scale(ell)
     return ell / math.sqrt(2.0 + ell * ell)
 
 

@@ -52,12 +52,14 @@ __all__ = [
 ALPHA_DEFAULT = math.sqrt(0.5)
 
 
-def check_length_scale(ell) -> None:
-    """Raise DomainError unless ell is finite and at least 1.49e-154."""
-    if not (ell > 0 and math.isfinite(ell)):
-        raise DomainError(f"length scale must be positive, got {ell}")
+def check_length_scale(ell) -> float:
+    """ell as a float; DomainError unless it is finite and at least 1.49e-154."""
+    if not 0 < ell <= sys.float_info.max:  # also refuses an int with no float
+        raise DomainError(f"length scale must be positive and finite, got {ell}")
+    ell = float(ell)
     if ell * ell < sys.float_info.min:  # 4 / l^2 in beta would overflow
         raise DomainError(f"length scale {ell} is too small: its square is subnormal")
+    return ell
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,12 @@ def basis_from(length_scale: float) -> MercerBasis:
 
     The measure is the standard Gaussian, a = 1/sqrt(2), for every basis.
     """
-    check_length_scale(length_scale)
+    length_scale = check_length_scale(length_scale)
     epsilon = 1.0 / (math.sqrt(2.0) * length_scale)
     beta = (1.0 + (2.0 * epsilon / ALPHA_DEFAULT) ** 2) ** 0.25
     delta_sq = 0.5 * ALPHA_DEFAULT**2 * (beta**2 - 1.0)
     return MercerBasis(
-        length_scale=float(length_scale),
+        length_scale=length_scale,
         epsilon=epsilon,
         beta=beta,
         delta_sq=delta_sq,

@@ -229,7 +229,7 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
         raise DomainError("powers must be nonnegative")
     if any(not 0.0 < v < 4.0 for v in c):
         raise DomainError("each c_i must lie in the open interval (0, 4)")
-    check_length_scale(ell)
+    ell = check_length_scale(ell)
 
     two_ell_sq = 2.0 * ell * ell
 

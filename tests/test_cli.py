@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,33 @@ def test_weights_compare_stops_after_flagging(capsys):
     assert rows[-1][3] == "1"
 
 
+def test_one_value_and_a_one_value_list_print_the_same(capsys):
+    sweeps = ["weights-compare", "positivity-sweep", "wce-sweep"]
+    for command in sweeps:
+        one = run(capsys, [command, "--ell", "1", "--ns", "1:20"])
+        listed = run(capsys, [command, "--ells", "1", "--ns", "1:20"])
+        assert one == listed and one[0] == 0
+    for command, ell in [*((c, ["--ell", "1"]) for c in sweeps),
+                         ("integrate", []), ("tensor-integrate", [])]:
+        one = run(capsys, [command, *ell, "--n", "7"])
+        listed = run(capsys, [command, *ell, "--ns", "7"])
+        assert one == listed and one[0] == 0
+
+
+def test_rule_size_ranges_are_never_expanded(capsys):
+    # The sweeps stop at a flag or at the first refused size, so the
+    # upper end of an a:b range costs nothing: a billion is no slower
+    # than the sizes the sweep reaches.
+    start = time.perf_counter()
+    wide = run(capsys, ["weights-compare", "--ell", "4", "--ns", "1:1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert wide == run(capsys, ["weights-compare", "--ell", "4", "--ns", "1:60"])
+    start = time.perf_counter()
+    refused = run(capsys, ["positivity-sweep", "--ell", "1", "--ns", "1:1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert refused == (2, "", "error: rule size must be in [1, 200], got 201\n")
+
+
 def test_positivity_sweep_matches_library(capsys):
     code, out, _ = run(capsys, ["positivity-sweep", "--ell", "1", "--ns", "1,5,10"])
     assert code == 0
@@ -296,46 +324,15 @@ def test_constants_small_scale_and_multivariate(capsys):
     assert float(row["multi_c"]) > 1.0
 
 
-def test_plot_script_emission(capsys, tmp_path):
-    out_path = tmp_path / "sweep.csv"
-    code = cli.main([
-        "wce-sweep", "--ell", "1", "--ns", "1:10",
-        "--out", str(out_path), "--plot-script",
-    ])
-    capsys.readouterr()
-    assert code == 0
-    script = tmp_path / "sweep.gp"
-    assert script.exists()
-    text = script.read_text(encoding="utf-8")
-    assert "set datafile separator ','" in text
-    assert str(out_path) in text
-    assert "wce_sghkq" in text
-    assert "ukq_flag" not in text.split("plot ")[1]
-
-
-def test_plot_script_requires_csv_file_output(capsys, tmp_path):
-    # Both refusals come before the table is written anywhere.
-    code, out, err = run(capsys, ["rule", "--ell", "1", "--n", "3", "--plot-script"])
-    assert code == 2
-    assert "--out" in err
-    assert out == ""
-    path = tmp_path / "rule.json"
-    code2, out2, err2 = run(capsys, [
-        "rule", "--ell", "1", "--n", "3",
-        "--out", str(path), "--format", "json", "--plot-script",
-    ])
-    assert code2 == 2
-    assert "CSV" in err2
-    assert out2 == ""
-    assert not path.exists()
-    assert not (tmp_path / "rule.gp").exists()
-
-
 def test_validation_failures_exit_two(capsys, tmp_path):
     assert run(capsys, ["rule", "--ell", "1", "--n", "0"])[0] == 2
     assert run(capsys, ["rule", "--ell", "-1", "--n", "3"])[0] == 2
     assert run(capsys, ["rule", "--ell", "1"])[0] == 2
     assert run(capsys, ["weights-compare", "--ns", "1:5"])[0] == 2
+    # One value and a list of them are one input each, never both.
+    assert run(capsys, ["weights-compare", "--ell", "1", "--ells", "2", "--n", "3"])[0] == 2
+    assert run(capsys, ["positivity-sweep", "--ell", "1", "--n", "3", "--ns", "4"])[0] == 2
+    assert run(capsys, ["integrate", "--n", "3", "--ns", "4"])[0] == 2
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, ["rule", "--ell", "1", "--n", "3", "--alpha", "1"])[0] == 2
     # (301)!! does not fit in a float, so m = 302 has no closed form.

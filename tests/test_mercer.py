@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gkquad import basis_from
+from gkquad import basis_from, gaussian_poly_integrand
 from gkquad.errors import DegreeOverflowError, DomainError
+from gkquad.exact import kernel_mean, kernel_mean_mean
 from gkquad.mercer import (
     ALPHA_DEFAULT,
     GaussianKernel,
@@ -178,3 +179,16 @@ def test_length_scale_below_the_float_range_is_a_domain_error(ell):
         with pytest.raises(DomainError, match="too small"):
             build(ell)
     assert math.isfinite(basis_from(1.5e-154).beta)
+
+
+def test_integer_length_scale_is_read_as_a_float():
+    # 10**400 has no float, so it is refused like inf rather than raising
+    # OverflowError; a smaller int is the float it equals, even where its
+    # square, kept as an int, has none.
+    entry_points = (basis_from, GaussianKernel, lambda ell: kernel_mean(ell, 0.0),
+                    kernel_mean_mean)
+    for call in entry_points:
+        with pytest.raises(DomainError, match="positive and finite"):
+            call(10**400)
+    _, exact = gaussian_poly_integrand(1, [2], [1.0], 10**200)
+    assert exact == gaussian_poly_integrand(1, [2], [1.0], 1e200)[1] == 1.0
