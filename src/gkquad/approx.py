@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailureError, as_index
-from .gauss_hermite import QuadratureRule, check_size, gh_rule
+from .gauss_hermite import QuadratureRule, check_nodes, check_size, gh_rule
 from .hermite import DEGREE_MAX, normalized_table
 from .mercer import (
     ALPHA_DEFAULT,
@@ -124,9 +124,7 @@ def eigen_exactness_residual(approx: ApproxRule, n: int) -> float:
     Zero up to roundoff by construction for n < N; generally nonzero for
     n >= N, which is why the index is guarded.
     """
-    size = len(approx)
-    if not 0 <= n < size:
-        raise IndexError(f"eigenfunction index must be below the rule size {size}")
+    n = as_index(n, "eigenfunction index", 0, len(approx) - 1, range_error=IndexError)
     values = eigenfunction_table(approx.basis, approx.rule.nodes, n + 1)[:, n]
     applied = math.fsum(approx.rule.weights * values)
     target = eigenfunction_means(approx.basis, n + 1)[n]
@@ -158,7 +156,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     ----------
     basis : MercerBasis
     nodes : array_like
-        Distinct node locations, any order of magnitude N <= N_MAX.
+        Distinct finite node locations, any order, 1 <= N <= N_MAX of them.
     m_terms : int
         Truncation length M, N <= M <= degree guard.
 
@@ -179,15 +177,9 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     exp-scale dynamic range between central and extreme rows that would
     otherwise dominate the factorization error.
     """
-    nodes = np.asarray(nodes, dtype=float).ravel()
-    n = check_size(nodes.size, "node count")
-    if np.unique(nodes).size != n:
-        raise DomainError("nodes must be distinct")
-    m_terms = as_index(m_terms, "truncation length")
-    if m_terms < n:
-        raise DomainError(f"truncation length {m_terms} is below the node count {n}")
-    if m_terms > DEGREE_MAX:
-        raise DomainError(f"truncation length {m_terms} exceeds the guard {DEGREE_MAX}")
+    nodes = check_nodes(nodes)
+    n = nodes.size
+    m_terms = as_index(m_terms, "truncation length", n, DEGREE_MAX)
 
     phi = eigenfunction_table(basis, nodes, m_terms)
     means = eigenfunction_means(basis, m_terms)
@@ -224,9 +216,7 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     rejected because the ratio form degenerates there, and callers
     needing the diagonal can sum hhat_m(x)^2 directly.
     """
-    m_max = as_index(m_max, "m_max")
-    if not 0 <= m_max <= DEGREE_MAX - 1:
-        raise DomainError(f"m_max must be in [0, {DEGREE_MAX - 1}], got {m_max}")
+    m_max = as_index(m_max, "m_max", 0, DEGREE_MAX - 1)
     if x == y:
         raise DomainError("the diagonal x = y is rejected; use the plain sum form")
     table = normalized_table(np.array([float(x), float(y)]), m_max)

@@ -168,8 +168,8 @@ def _cmd_wce_sweep(args):
     return columns, rows
 
 
-def _integration_errors(args, dims: int):
-    f, exact = gaussian_poly_integrand(dims, args.m, args.c, args.ell)
+def _integration_errors(args):
+    f, exact = gaussian_poly_integrand(len(args.m), args.m, args.c, args.ell)
     basis = basis_from(args.ell)
     columns = ["n", "err_sghkq", "err_kq", "err_ukq", "err_gh", "kq_flag", "ukq_flag"]
     rows = []
@@ -178,7 +178,7 @@ def _integration_errors(args, dims: int):
         gh = gh_rule(n)
 
         def grid_error(rule_1d: QuadratureRule) -> float:
-            grid = tensor_rule([rule_1d] * dims)
+            grid = tensor_rule([rule_1d] * len(args.m))
             return abs(tensor_integrate(grid, f) - exact)
 
         err_sghkq = grid_error(approx.rule)
@@ -193,13 +193,13 @@ def _integration_errors(args, dims: int):
 def _cmd_integrate(args):
     if len(args.m) != 1 or len(args.c) != 1:
         raise ValueError("integrate is one-dimensional; pass single --m and --c values")
-    return _integration_errors(args, 1)
+    return _integration_errors(args)
 
 
 def _cmd_tensor_integrate(args):
-    if len(args.m) != args.dims or len(args.c) != args.dims:
+    if len(args.m) != len(args.c):
         raise ValueError("--m and --c must list one value per dimension")
-    return _integration_errors(args, args.dims)
+    return _integration_errors(args)
 
 
 def _cmd_constants(args):
@@ -280,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tensor-integrate",
                         help="tensor-grid test integrand errors per rule size")
     p.add_argument("--ell", type=float, default=1.2)
-    p.add_argument("--dims", type=int, default=3)
     p.add_argument("--m", type=_comma_list(int), default=[6, 4, 2])
     p.add_argument("--c", type=_comma_list(float), default=[1.5, 3.0, 0.5])
     _add_values(p, "n", int, _parse_ns, default=range(2, 13))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer reader.
+"""Exception types shared across the package, and the bounded integer reader.
 
 Domain / size / degree violations subclass ValueError so that generic
 callers can treat them as bad input; numerical failures subclass
@@ -65,9 +65,12 @@ class EvaluationError(GkquadError, RuntimeError):
         self.multi_index = multi_index
 
 
-def as_index(value, what: str, error: type[GkquadError] = DomainError) -> int:
-    """Return value as an int, as operator.index reads it (2.0 fails); else raise error."""
+def as_index(value, what: str, lo: int, hi: int, error=DomainError, range_error=None) -> int:
+    """value as an int in [lo, hi] (2.0 fails); else error, or range_error if out of range."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+    if not lo <= index <= hi:
+        raise (range_error or error)(f"{what} must be in [{lo}, {hi}], got {index}")
+    return index

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedError
-from .gauss_hermite import check_size
+from .errors import IllConditionedError
+from .gauss_hermite import check_nodes
 from .mercer import GaussianKernel, check_length_scale
 
 __all__ = [
@@ -64,17 +64,18 @@ def kernel_mean(ell: float, x):
     """
     ell = check_length_scale(ell)
     xs = np.asarray(x, dtype=float)
-    amp = ell / math.sqrt(1.0 + ell * ell)
-    out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell * ell)))
+    ell_sq = ell * ell  # inf above l = 1.34e154, where the amplitude rounds to 1
+    amp = ell / math.sqrt(1.0 + ell_sq) if ell_sq < math.inf else 1.0
+    out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell_sq)))
     if xs.ndim == 0:
         return float(out)
     return out
 
 
 def kernel_mean_mean(ell: float) -> float:
-    """Initial error mu(k_mu) = l / sqrt(2 + l^2), in (0, 1)."""
+    """Initial error mu(k_mu) = l / sqrt(2 + l^2), in (0, 1]."""
     ell = check_length_scale(ell)
-    return ell / math.sqrt(2.0 + ell * ell)
+    return ell / math.sqrt(2.0 + ell * ell) if ell * ell < math.inf else 1.0
 
 
 def _condition_estimate(matrix: np.ndarray) -> float:
@@ -97,12 +98,7 @@ def kernel_system(nodes, ell: float) -> KernelSystem:
         If nodes are non-finite or duplicated, or parameters are out of
         range.
     """
-    nodes = np.asarray(nodes, dtype=float).ravel()
-    check_size(nodes.size, "node count")
-    if not np.all(np.isfinite(nodes)):
-        raise DomainError("nodes must be finite")
-    if np.unique(nodes).size != nodes.size:
-        raise DomainError("nodes must be distinct")
+    nodes = check_nodes(nodes)
     kern = GaussianKernel(ell)
     matrix = kern.value(nodes[:, None], nodes[None, :])
     embedding = np.atleast_1d(kernel_mean(ell, nodes))

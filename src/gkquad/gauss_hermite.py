@@ -44,6 +44,7 @@ __all__ = [
     "QuadratureRule",
     "NodeResidualWarning",
     "check_size",
+    "check_nodes",
     "gh_rule",
 ]
 
@@ -94,10 +95,18 @@ class QuadratureRule:
 
 def check_size(n, what: str = "rule size") -> int:
     """Return n as an int; raise SizeError unless it is an integer in [1, N_MAX]."""
-    size = as_index(n, what, SizeError)
-    if not 1 <= size <= N_MAX:
-        raise SizeError(f"{what} must be in [1, {N_MAX}], got {size}")
-    return size
+    return as_index(n, what, 1, N_MAX, SizeError)
+
+
+def check_nodes(nodes) -> np.ndarray:
+    """A flat float array of 1..N_MAX finite, distinct nodes; else SizeError or DomainError."""
+    nodes = np.asarray(nodes, dtype=float).ravel()
+    check_size(nodes.size, "node count")
+    if not np.all(np.isfinite(nodes)):
+        raise DomainError("nodes must be finite")
+    if np.unique(nodes).size != nodes.size:
+        raise DomainError("nodes must be distinct")
+    return nodes
 
 
 def gh_rule(n: int) -> QuadratureRule:

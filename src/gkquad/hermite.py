@@ -32,13 +32,8 @@ DEGREE_MAX = 400
 
 
 def _check_degree(n) -> int:
-    """Return n as an int in [0, DEGREE_MAX]; a non-integer raises DomainError."""
-    n = as_index(n, "degree")
-    if n < 0:
-        raise DegreeOverflowError(f"degree must be nonnegative, got {n}")
-    if n > DEGREE_MAX:
-        raise DegreeOverflowError(f"degree {n} exceeds the guard {DEGREE_MAX}")
-    return n
+    """n as an int; DomainError if not an integer, DegreeOverflowError outside [0, DEGREE_MAX]."""
+    return as_index(n, "degree", 0, DEGREE_MAX, range_error=DegreeOverflowError)
 
 
 def hermite_eval(n: int, x: float) -> float:

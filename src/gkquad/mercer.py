@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, as_index
-from .hermite import normalized_table
+from .hermite import DEGREE_MAX, normalized_table
 
 __all__ = [
     "ALPHA_DEFAULT",
@@ -73,7 +73,11 @@ class GaussianKernel:
 
     def value(self, x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return np.exp(-(d * d) / (2.0 * self.length_scale**2))
+        try:
+            scale = 2.0 * self.length_scale**2
+        except OverflowError:  # l^2 has no float above l = 1.34e154
+            scale = math.inf
+        return np.exp(-(d * d) / scale)
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,7 @@ def eigenvalue(basis: MercerBasis, n: int) -> float:
     lambda_0 = sqrt(a^2 / (a^2 + delta^2 + eps^2)) doubles as the
     constant tau of the convergence bound.
     """
-    n = as_index(n, "eigenvalue index")
-    if n < 0:
-        raise DomainError(f"eigenvalue index must be nonnegative, got {n}")
+    n = as_index(n, "eigenvalue index", 0, sys.maxsize)
     a2 = ALPHA_DEFAULT**2
     denom = a2 + basis.delta_sq + basis.epsilon**2
     return math.sqrt(a2 / denom) * basis.eigenvalue_ratio**n
@@ -139,8 +141,7 @@ def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.nda
 
 def even_mean_ratios(m_max: int) -> np.ndarray:
     """r_m = sqrt(C(2m, m) / 4^m) for m = 0..m_max, by stable recurrence."""
-    if m_max < 0:
-        raise DomainError(f"m_max must be nonnegative, got {m_max}")
+    m_max = as_index(m_max, "m_max", 0, DEGREE_MAX // 2)
     r = np.empty(m_max + 1)
     r[0] = 1.0
     for m in range(1, m_max + 1):
@@ -149,10 +150,8 @@ def even_mean_ratios(m_max: int) -> np.ndarray:
 
 
 def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:
-    """Vector of mu(phi_n) for n < count."""
-    count = as_index(count, "count")
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
+    """Vector of mu(phi_n) for n < count, 1 <= count <= DEGREE_MAX + 1 (the table's limit)."""
+    count = as_index(count, "count", 1, DEGREE_MAX + 1)
     out = np.zeros(count)
     m_top = (count - 1) // 2
     ratios = even_mean_ratios(m_top)

@@ -24,12 +24,13 @@ absolute weight sum.  eta < 1 for every length scale.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError, as_index
+from .errors import NumericalFailureError, as_index
 from .exact import kernel_mean, kernel_mean_mean
 from .gauss_hermite import QuadratureRule
 from .mercer import GaussianKernel, MercerBasis, eigenvalue
@@ -154,13 +155,17 @@ def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
     as W^d on the caller's side.  The measure is the standard Gaussian,
     a = 1/sqrt(2), in every dimension.
     """
-    d = as_index(d, "dimension")
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d}")
+    d = as_index(d, "dimension", 1, sys.maxsize)
     consts = theoretical_constants(basis)
     eta = consts.eta
     if eta >= 1.0:
         raise NumericalFailureError("eta >= 1; the multivariate bound degenerates")
     factor = HERMITE_SUP_CONSTANT * math.sqrt(consts.tau * basis.beta) / (1.0 - eta)
-    big_c = 2.0 * d * factor**d
+    try:
+        big_c = 2.0 * d * factor**d
+    except OverflowError:
+        big_c = math.inf
+    if big_c == math.inf:
+        raise NumericalFailureError(
+            f"the multivariate bound constant C overflows a float at dimension {d}")
     return big_c, eta

@@ -287,9 +287,9 @@ def test_tensor_integrate_defaults(capsys):
 
 
 def test_tensor_integrate_dimension_mismatch(capsys):
-    code, _, err = run(capsys, ["tensor-integrate", "--dims", "2"])
+    code, _, err = run(capsys, ["tensor-integrate", "--m", "6,4", "--c", "1.5,3.0,0.5"])
     assert code == 2
-    assert "per dimension" in err
+    assert err == "error: --m and --c must list one value per dimension\n"
 
 
 def test_constants_row_matches_library(capsys):
@@ -381,7 +381,8 @@ def test_non_finite_integrand_exits_three(capsys):
 def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
     # 4 / l^2 overflows below l = 1.49e-154, C2 = sqrt(tau) / (1 - sqrt(lam))
     # is infinite once lam rounds to 1, and ln(lam) is ln(0) once eps^2
-    # underflows, where machine_truncation takes its limit, n + 1.  Each
+    # underflows, where machine_truncation takes its limit, n + 1.  Above
+    # l = 1.34e154 l^2 has no float, and C overflows once d is large.  Each
     # outcome is an exit code with at most one line on stderr, in
     # process and in a fresh interpreter (no traceback).
     cases = [
@@ -392,18 +393,34 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         (["constants", "--ell", "1e-17"], 3,
          "numerical failure: the eigenvalue ratio rounds to 1 at length scale 1e-17; "
          "the bound constant C2 is infinite\n"),
+        (["constants", "--ell", "1", "--dims", "1000"], 3,
+         "numerical failure: the multivariate bound constant C overflows a float "
+         "at dimension 1000\n"),
         (["weights-compare", "--ell", "1e200", "--ns", "3"], 0, ""),
+        (["integrate", "--ell", "1e200", "--ns", "3"], 0, ""),
+        (["wce-sweep", "--ell", "1e200", "--ns", "3"], 0, ""),
     ]
+    outs = {}
     for argv, want_code, want_err in cases:
         code, out, err = run(capsys, argv)
         assert (code, err) == (want_code, want_err)
         proc = run_python(["-m", "gkquad.cli", *argv])
         assert (proc.returncode, proc.stderr) == (want_code, want_err.encode())
         assert proc.stdout == out.encode()
-    _, rows = parse_csv(out)
+        outs[argv[0]] = out
+    assert run(capsys, ["constants", "--ell", "1", "--dims", "10"])[0] == 0
+    _, rows = parse_csv(outs["weights-compare"])
     assert rows == [["1e+200", "3", "4.079219866531554e-16", "0"]]
     _, same = parse_csv(run(capsys, ["weights-compare", "--ell", "1e160", "--ns", "3"])[1])
     assert same[0][1:] == rows[0][1:]
+    # Past l = 1.34e154 the kernel is 1 and its mean 1, as they round at 1e150.
+    for command, ell_column in (("integrate", None), ("wce-sweep", 0)):
+        _, rows = parse_csv(outs[command])
+        _, same = parse_csv(run(capsys, [command, "--ell", "1e150", "--ns", "3"])[1])
+        if ell_column is not None:
+            assert rows[0].pop(ell_column) == "1e+200"
+            same[0].pop(ell_column)
+        assert rows == same
 
 
 def test_module_run_matches_main(capsys):

@@ -1,12 +1,14 @@
 """Exact kernel quadrature weights, means and conditioning diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gkquad import gh_rule
+from gkquad.approx import qr_weights
 from gkquad.errors import DomainError, IllConditionedError, SizeError
 from gkquad.exact import (
     CONDITION_MAX,
@@ -16,6 +18,7 @@ from gkquad.exact import (
     kernel_system,
 )
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
+from gkquad.mercer import GaussianKernel, basis_from
 from gkquad.wce import worst_case_error
 
 
@@ -154,3 +157,29 @@ def test_guards():
         exact_weights([], 1.0)
     with pytest.raises(SizeError):
         exact_weights(np.linspace(-1, 1, 201), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_node_is_a_domain_error_without_a_warning(bad):
+    # Both solvers read their nodes through one reader, so a non-finite
+    # node is refused before any arithmetic can warn about it.
+    b = basis_from(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda x: kernel_system(x, 1.0), lambda x: qr_weights(b, x, 3)):
+            with pytest.raises(DomainError, match="nodes must be finite"):
+                call([0.0, bad])
+
+
+def test_length_scale_whose_square_has_no_float():
+    # Above l = 1.34e154, l^2 overflows; the kernel and both means take
+    # the values they round to just below it, where nothing changes.
+    for ell in (1e200, 10**200, 1.7e308):
+        assert GaussianKernel(ell).value(0.0, 3.0) == 1.0
+        assert kernel_mean(ell, np.array([0.0, 5.0])).tolist() == [1.0, 1.0]
+        assert kernel_mean_mean(ell) == 1.0
+    for ell in (1e150, 1.3e154):
+        assert GaussianKernel(ell).value(0.0, 3.0) == 1.0
+        assert kernel_mean(ell, 5.0) == kernel_mean_mean(ell) == 1.0
+    assert GaussianKernel(0.6).value(0.0, 1.0) == math.exp(-1.0 / (2.0 * 0.6**2))
+    assert kernel_mean_mean(0.6) == 0.6 / math.sqrt(2.0 + 0.6 * 0.6)

@@ -2,14 +2,23 @@
 
 A name joins the package root only when the paper, the CLI or the
 acceptance gate needs it, so adding or removing one fails the pin below
-until the list is edited on purpose.
+until the list is edited on purpose.  The same holds for the CLI's
+settable values, and every integer argument has one stated range.
 """
 
+import argparse
 import ast
+import re
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import gkquad
+from gkquad import cli
+from gkquad.errors import DegreeOverflowError, DomainError, SizeError
+from gkquad.mercer import eigenfunction_means, even_mean_ratios
 
 ROOT_NAMES = [
     "ALPHA_DEFAULT",
@@ -91,3 +100,69 @@ def test_every_module_uses_what_it_imports():
         dead.extend(f"{path.name}: {name}" for name in sorted(imported - used))
     assert not dead, "imported but unused: " + ", ".join(dead)
 
+
+
+def test_settable_cli_values_are_pinned():
+    # Counted as argparse dests over the seven subcommands; --ell and
+    # --ells (--n and --ns) share one dest, and --help sets nothing.
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(subs.choices) == 7
+    dests = {name: {a.dest for a in sub._actions if a.dest != "help"}
+             for name, sub in subs.choices.items()}
+    assert dests["tensor-integrate"] == {"ell", "m", "c", "ns", "out", "format"}
+    assert sum(len(d) for d in dests.values()) == 32
+
+
+_BASIS = gkquad.basis_from(1.0)
+_RULE = gkquad.approx_rule(_BASIS, 5)
+
+# (call, what, lo, hi, error for a non-integer, error out of range)
+INTEGER_ARGUMENTS = {
+    "gh_rule": (gkquad.gh_rule, "rule size", 1, 200, SizeError, SizeError),
+    "approx_rule": (lambda n: gkquad.approx_rule(_BASIS, n), "rule size", 1, 200,
+                    SizeError, SizeError),
+    "even_hermite_series": (lambda n: gkquad.even_hermite_series(0.4, n, 1.0), "rule size",
+                            1, 200, SizeError, SizeError),
+    "machine_truncation": (lambda n: gkquad.machine_truncation(_BASIS, n), "rule size",
+                           1, 200, SizeError, SizeError),
+    "hermite_eval": (lambda n: gkquad.hermite_eval(n, 0.5), "degree", 0, 400,
+                     DomainError, DegreeOverflowError),
+    "normalized_table": (lambda n: gkquad.hermite.normalized_table([0.5], n), "degree",
+                         0, 400, DomainError, DegreeOverflowError),
+    "eigenvalue": (lambda n: gkquad.eigenvalue(_BASIS, n), "eigenvalue index",
+                   0, sys.maxsize, DomainError, DomainError),
+    "even_mean_ratios": (even_mean_ratios, "m_max", 0, 200, DomainError, DomainError),
+    "eigenfunction_means": (lambda n: eigenfunction_means(_BASIS, n), "count", 1, 401,
+                            DomainError, DomainError),
+    "qr_weights": (lambda m: gkquad.qr_weights(_BASIS, [0.0, 1.0], m), "truncation length",
+                   2, 400, DomainError, DomainError),
+    "christoffel_darboux_sum": (lambda m: gkquad.christoffel_darboux_sum(0.1, 0.2, m),
+                                "m_max", 0, 399, DomainError, DomainError),
+    "multivariate_constants": (lambda d: gkquad.multivariate_constants(_BASIS, d),
+                               "dimension", 1, sys.maxsize, DomainError, DomainError),
+    "gaussian_poly_integrand.d": (
+        lambda d: gkquad.gaussian_poly_integrand(d, [2] * 7, [1.0] * 7, 1.0),
+        "dimension", 1, 6, DomainError, DomainError),
+    "gaussian_poly_integrand.m": (
+        lambda m: gkquad.gaussian_poly_integrand(1, [m], [1.0], 1.0),
+        "power", 0, sys.maxsize, DomainError, DomainError),
+    "eigen_exactness_residual": (lambda n: gkquad.eigen_exactness_residual(_RULE, n),
+                                 "eigenfunction index", 0, 4, DomainError, IndexError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_every_integer_argument_has_one_range(name):
+    # A float, one step past either end, and an int with no float each
+    # raise the type the argument has always raised, naming the range.
+    call, what, lo, hi, type_error, range_error = INTEGER_ARGUMENTS[name]
+    for bad in (2.5, 2.0):
+        with pytest.raises(type_error, match=f"^{what} must be an integer, got") as info:
+            call(bad)
+        assert info.type is type_error
+    for bad in (lo - 1, hi + 1, 10**400):
+        want = re.escape(f"{what} must be in [{lo}, {hi}], got {bad}")
+        with pytest.raises(range_error, match=f"^{want}$") as info:
+            call(bad)
+        assert info.type is range_error
