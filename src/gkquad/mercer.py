@@ -132,7 +132,8 @@ def eigenvalue(basis: MercerBasis, n: int) -> float:
 
 
 def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.ndarray:
-    """Values phi_n(x_i) for n < count; shape (len(x), count)."""
+    """Values phi_n(x_i) for n < count, 1 <= count <= DEGREE_MAX + 1; shape (len(x), count)."""
+    count = as_index(count, "count", 1, DEGREE_MAX + 1)
     x = np.asarray(x, dtype=float)
     scaled = math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x
     envelope = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)

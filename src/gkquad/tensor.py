@@ -13,9 +13,9 @@ lazily.  A ``ProductIntegrand`` is evaluated once per one-dimensional
 node instead, and its grid values and weights are formed one slab of
 the last two axes at a time, so at most N_MAX² points are held at once
 whatever the dimension.  Neither path builds the d-dimensional grid.
-Both produce the same terms and take one exactly rounded sum of them
-(``math.fsum``); the product path feeds each slab largest-first, which
-is cheaper and, the sum being exact, returns the same bits.
+Both produce the same terms and take one exactly rounded sum of them:
+``math.fsum`` on the per-point path, and on the product path the
+vectorised exact sum of the slabs, which gives the same bits.
 """
 
 import itertools
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError, SizeError, as_index
 from .gauss_hermite import QuadratureRule
 from .mercer import check_length_scale
-from .wce import _fsum_largest_first
+from .wce import _exact_sum
 
 __all__ = [
     "DIM_MAX",
@@ -124,8 +124,8 @@ def tensor_integrate(rule: TensorRule, f: Callable[..., float]) -> float:
     partitioning of the enumeration.  A :class:`ProductIntegrand` is not
     called per point: its factors are tabulated at each axis's nodes and
     multiplied out slab by slab, in the same rounding order as a call,
-    and each slab is fed to the sum largest-first, so the result is the
-    same bits at a fraction of the cost.
+    and the slabs are summed exactly in numpy, so the result is the same
+    bits at a fraction of the cost.
 
     Raises
     ------
@@ -137,7 +137,7 @@ def tensor_integrate(rule: TensorRule, f: Callable[..., float]) -> float:
     """
     if isinstance(f, ProductIntegrand):
         _check_dimension(f, rule.dimension)
-        return _fsum_largest_first(_product_slabs(rule, f))
+        return _exact_sum(_product_slabs(rule, f))
 
     def terms():
         for idx, node, weight in rule.points():

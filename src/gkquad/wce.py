@@ -5,11 +5,11 @@ over the unit ball of the kernel's RKHS is
 
     e(Q)^2 = mu(k_mu) + sum_ij w_i w_j k(x_i, x_j) - 2 sum_i w_i k_mu(x_i).
 
-Each of the sums is exactly rounded (``math.fsum``) with its terms fed
-largest-first, and the square root is taken last; tiny negative values
-from cancellation are clamped, anything below -1e-14 signals broken
-inputs and raises.  The quadratic sum runs over w_i^2 and twice the
-strict upper triangle, half the kernel evaluations of the full matrix.
+Each of the sums is exactly rounded, the same bits as ``math.fsum`` of
+its terms (see ``_exact_sum``), and the square root is taken last; tiny
+negative values from cancellation are clamped, anything below -1e-14
+signals broken inputs and raises.  The quadratic sum runs over the full
+N x N matrix of terms.
 
 The geometric convergence constants for the scaled-node rules are
 
@@ -22,7 +22,6 @@ error obeys e(Q_N) <= (1 + C1 W_N) C2 eta^N, where W_N bounds the
 absolute weight sum.  eta < 1 for every length scale.
 """
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -97,13 +96,9 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     weights = rule.weights
 
     term_mean_mean = kernel_mean_mean(ell)
-    # w_i w_j k(x_i, x_j) equals w_j w_i k(x_j, x_i) to the bit and
-    # k(x_i, x_i) = exp(-0.0) = 1, so doubling the strict upper triangle
-    # leaves the exact sum, and so the rounded one, unchanged.
-    i, j = np.triu_indices(len(nodes), 1)
-    upper = weights[i] * weights[j] * kern.value(nodes[i], nodes[j])
-    term_quadratic = _fsum_largest_first([weights * weights, 2.0 * upper])
-    term_cross = _fsum_largest_first([weights * np.atleast_1d(kernel_mean(ell, nodes))])
+    term_quadratic = _exact_sum([np.multiply.outer(weights, weights)
+                                 * kern.value(nodes[:, None], nodes[None, :])])
+    term_cross = _exact_sum([weights * np.atleast_1d(kernel_mean(ell, nodes))])
 
     squared = term_mean_mean + term_quadratic - 2.0 * term_cross
     if squared < -_NEGATIVE_TOL:
@@ -119,18 +114,87 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     )
 
 
-def _fsum_largest_first(chunks: Iterable[np.ndarray]) -> float:
-    """``math.fsum`` of all the chunks' terms, each chunk fed largest-first.
+# Bin j of _exact_sum counts in units of 2**(26 j + _UNIT_LOW); bins 0 and
+# 1 lie below the subnormals and only ever take zero pieces.  Terms are
+# binned _BLOCK at a time, a size whose temporaries stay in cache; a bin
+# then takes at most _BLOCK pieces, and _BLOCK * (2**26 - 1) < 2**53.
+# Fewer than _BATCH terms cost less in math.fsum than in the bins.
+_WINDOW = 26
+_UNIT_LOW = -1074 - 2 * _WINDOW
+_BINS = (1023 - _UNIT_LOW) // _WINDOW + 1
+_BLOCK = 8192
+_BATCH = 400
 
-    fsum is exactly rounded, so the order of its inputs cannot change the
-    result, a nan, or the ValueError for +inf with -inf; it only sets the
-    cost, which is far lower for terms in decreasing magnitude than for
-    terms that swing across hundreds of decades.  Sorting each chunk on
-    its own bounds the extra memory by the largest chunk; nan sorts last
-    and is still fed.
+
+def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
+    """The exactly rounded sum of all the chunks' terms: ``math.fsum``'s bits.
+
+    A finite term t with leading bit 2**p is written as a + b 2**-26 +
+    c 2**-52 times 2**u, where u is the unit of the 26-bit window that
+    holds p: a, b and c are integers of magnitude below 2**26, each
+    computed without rounding (scaling by a power of two, truncation and
+    the fraction left by it are all exact), and together they carry t's
+    53 significant bits.  Each piece is added into its window's bin; a bin
+    that takes at most 2**27 pieces holds an integer below 2**53, which
+    float64 adds exactly in any order.  So the bins, scaled back by their
+    units (also exact), sum to exactly the sum of the terms, and
+    ``math.fsum`` of the bins of every block rounds that once, as
+    ``math.fsum`` of the terms does (Neal, arXiv:1505.05571).  Small
+    chunks are gathered into blocks, and a remainder of fewer than _BATCH
+    terms goes to the final ``math.fsum`` as it is.
+
+    If any term is nan or infinite the result is ``math.fsum`` of the
+    non-finite terms: nan, an infinity, or the ValueError for +inf with
+    -inf.  A bin too large for a float raises OverflowError, which
+    ``math.fsum`` raises for an intermediate overflow.
     """
-    return math.fsum(itertools.chain.from_iterable(
-        t[np.argsort(-np.abs(t))].tolist() for t in chunks))
+    special, partials, batch, size = [], [], [], 0
+    for chunk in chunks:
+        t = np.ravel(chunk)
+        finite = np.isfinite(t)
+        if not finite.all():
+            special += t[~finite].tolist()
+            t = t[finite]
+        batch.append(t)
+        size += t.size
+        if size >= _BLOCK:
+            partials += _partials(batch)
+            batch, size = [], 0
+    if special:
+        return math.fsum(special)
+    if batch:
+        partials += _partials(batch)
+    return math.fsum(partials)
+
+
+def _partials(batch: list[np.ndarray]) -> list[float]:
+    """Floats with the exact sum of the batch: its scaled bins, or its terms if few."""
+    t = batch[0] if len(batch) == 1 else np.concatenate(batch)
+    if t.size < _BATCH:
+        return t.tolist()
+    out = []
+    for start in range(0, t.size, _BLOCK):
+        bins = _window_bins(t[start:start + _BLOCK])
+        out += [math.ldexp(bins[j], j * _WINDOW + _UNIT_LOW)
+                for j in np.flatnonzero(bins).tolist()]
+    return out
+
+
+def _window_bins(t: np.ndarray) -> np.ndarray:
+    """Per-window sums of the pieces a, b, c of the finite terms t."""
+    s, exponent = np.frexp(t)  # |t| in [2**(exponent - 1), 2**exponent)
+    window = (exponent - (1 + _UNIT_LOW)) // _WINDOW  # holds the leading bit
+    np.ldexp(s, exponent - (window * _WINDOW + _UNIT_LOW), out=s)
+    a = np.trunc(s)
+    s -= a
+    s *= 2.0**_WINDOW
+    b = np.trunc(s)
+    s -= b
+    s *= 2.0**_WINDOW  # c
+    bins = np.bincount(window, a, _BINS)
+    bins[:-1] += np.bincount(window, b, _BINS)[1:]
+    bins[:-2] += np.bincount(window, s, _BINS)[2:]
+    return bins
 
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:

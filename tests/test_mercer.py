@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from gkquad import basis_from, gaussian_poly_integrand
-from gkquad.errors import DegreeOverflowError, DomainError
+from gkquad.errors import DomainError
 from gkquad.exact import kernel_mean, kernel_mean_mean
 from gkquad.mercer import (
     ALPHA_DEFAULT,
@@ -159,8 +159,9 @@ def test_domain_guards():
         eigenfunction_means(b, 0)
     with pytest.raises(DomainError):
         even_mean_ratios(-1)
-    with pytest.raises(DegreeOverflowError):
-        eigenfunction_table(b, np.array([0.0]), 0)
+    for bad in (0, 2.5):
+        with pytest.raises(DomainError, match="count"):
+            eigenfunction_table(b, np.array([0.0]), bad)
     # A float index is refused, not read as ratio**2.5, which is no eigenvalue.
     for bad in (2.5, 2.0, "2"):
         with pytest.raises(DomainError, match="must be an integer"):

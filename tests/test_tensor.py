@@ -153,6 +153,19 @@ def test_product_path_is_bit_identical_to_the_per_point_path():
         assert fast.hex() == slow.hex(), ([len(r) for r in factors], m, ell, fast, slow)
 
 
+@pytest.mark.parametrize("ell, sizes, m, c", [
+    (1.2, [30, 30, 30], [6, 4, 2], [1.5, 3.0, 0.5]),  # criterion 10's grid
+    (0.5, [100, 100], [4, 2], [1.0, 2.0]),
+])
+def test_product_path_is_bit_identical_at_benchmark_scale(ell, sizes, m, c):
+    # The fixed tensor-cubature grids: 27,000 and 10,000 points.
+    basis = basis_from(ell)
+    rule = tensor_rule([approx_rule(basis, n).rule for n in sizes])
+    f, _ = gaussian_poly_integrand(len(sizes), m, c, ell)
+    want = math.fsum(weight * f(node) for _, node, weight in rule.points())
+    assert tensor_integrate(rule, f).hex() == want.hex()
+
+
 def test_product_integrand_calls_each_factor_once_per_node():
     calls = []
 

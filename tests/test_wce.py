@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkquad import approx_rule, basis_from, gh_rule, worst_case_error
+from gkquad import approx_rule, basis_from, gh_rule, wce, worst_case_error
 from gkquad.errors import DomainError, IllConditionedError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
@@ -17,7 +17,7 @@ from gkquad.wce import (
     RATE_CAP,
     ConvergenceConstants,
     WceReport,
-    _fsum_largest_first,
+    _exact_sum,
     multivariate_constants,
     theoretical_constants,
 )
@@ -178,21 +178,65 @@ def _chunked(terms, cuts):
     return np.split(t, sorted(c % (t.size + 1) for c in cuts))
 
 
+@settings(max_examples=500)
 @given(st.lists(_wide_floats, max_size=300), st.lists(st.integers(0, 300), max_size=4))
-def test_largest_first_fsum_is_bit_identical_to_fsum(terms, cuts):
+def test_exact_sum_is_bit_identical_to_fsum(terms, cuts):
     want = math.fsum(terms)
-    got = _fsum_largest_first(_chunked(terms, cuts))
-    assert got.hex() == want.hex()
+    # Every chunk through the bins; then small chunks gathered, or left to fsum.
+    for batch in (1, 100, wce._BATCH):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wce, "_BATCH", batch)
+            got = _exact_sum(_chunked(terms, cuts))
+        assert got.hex() == want.hex()
 
 
 @given(st.lists(_wide_floats, max_size=60),
        st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=4),
        st.randoms(use_true_random=False), st.lists(st.integers(0, 70), max_size=3))
-def test_largest_first_fsum_keeps_nan_and_inf_outcomes(terms, special, rnd, cuts):
+def test_exact_sum_keeps_nan_and_inf_outcomes(terms, special, rnd, cuts):
     terms = terms + special
     rnd.shuffle(terms)
-    assert (_fsum_outcome(_fsum_largest_first, _chunked(terms, cuts))
-            == _fsum_outcome(math.fsum, terms))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wce, "_BATCH", 1)
+        assert (_fsum_outcome(_exact_sum, _chunked(terms, cuts))
+                == _fsum_outcome(math.fsum, terms))
+
+
+def _wide_terms(size, seed):
+    """Terms from the subnormals up to 1e300, half of them in near-cancelling pairs."""
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(size // 2) * 10.0 ** rng.uniform(-323, 300, size // 2)
+    pairs = -half * (1.0 + rng.integers(-4, 5, half.size) * np.finfo(float).eps)
+    terms = np.concatenate([half, pairs])
+    rng.shuffle(terms)
+    return terms
+
+
+@pytest.mark.parametrize("batch", [1, wce._BATCH])  # small inputs binned, or left to fsum
+def test_exact_sum_fixed_cases(batch, monkeypatch):
+    monkeypatch.setattr(wce, "_BATCH", batch)
+    terms = _wide_terms(100_000, 3)
+    subnormal = (terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny)
+    assert subnormal.any() and np.abs(terms).max() > 1e299
+    assert _exact_sum([terms]).hex() == math.fsum(terms).hex()
+    square = terms[:10_000].reshape(100, 100)
+    assert _exact_sum([square]).hex() == math.fsum(square.ravel()).hex()
+    assert _exact_sum([]).hex() == _exact_sum([np.array([])]).hex() == (0.0).hex()
+    big = np.finfo(float).max
+    assert _exact_sum([np.array([big, -big, big])]).hex() == big.hex()
+    with pytest.raises(OverflowError):
+        math.fsum([big, big])
+    with pytest.raises(OverflowError):
+        _exact_sum([np.array([big, big])])
+
+
+def test_exact_sum_is_exact_for_any_block_size(monkeypatch):
+    terms = _wide_terms(10_000, 4)
+    want = math.fsum(terms).hex()
+    monkeypatch.setattr(wce, "_BATCH", 1)
+    for block in (7, 1000):
+        monkeypatch.setattr(wce, "_BLOCK", block)
+        assert _exact_sum([terms[:3], terms[3:5000], terms[5000:]]).hex() == want, block
 
 
 def _odometer_report(rule, ell):
