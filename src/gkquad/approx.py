@@ -63,7 +63,6 @@ class ApproxRule:
 
     rule: QuadratureRule
     basis: MercerBasis
-    gh_source: QuadratureRule
 
     def __len__(self) -> int:
         return len(self.rule)
@@ -111,11 +110,7 @@ def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
             f"non-finite weight in the {n}-point rule at length scale "
             f"{basis.length_scale}"
         )
-    return ApproxRule(
-        rule=QuadratureRule(nodes, weights),
-        basis=basis,
-        gh_source=gh,
-    )
+    return ApproxRule(rule=QuadratureRule(nodes, weights), basis=basis)
 
 
 def eigen_exactness_residual(approx: ApproxRule, n: int) -> float:

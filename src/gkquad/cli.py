@@ -93,7 +93,7 @@ def _emit(columns: list[str], rows: list[list], args) -> None:
 def _cmd_rule(args):
     basis = basis_from(args.ell)
     approx = approx_rule(basis, args.n)
-    gh = approx.gh_source
+    gh = gh_rule(args.n)
     columns = ["n", "node", "approx_weight", "gh_node", "gh_weight"]
     rows = [
         [i + 1, approx.rule.nodes[i], approx.rule.weights[i], gh.nodes[i], gh.weights[i]]
@@ -308,10 +308,7 @@ def main(argv=None) -> int:
     except (NumericalFailureError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -6,16 +6,15 @@ that is exact for each factor's eigenfunctions is exact for products of
 them, which is what transfers the one-dimensional exactness to the
 separable Gaussian kernel.
 
-Grids are enumerated in odometer order (last index fastest) along one
-of two paths, and a size guard caps the total point count.  An arbitrary
-callable is called once per grid point while the grid is enumerated
-lazily.  A ``ProductIntegrand`` is evaluated once per one-dimensional
-node instead, and its grid values and weights are formed one slab of
-the last two axes at a time, so at most N_MAX² points are held at once
-whatever the dimension.  Neither path builds the d-dimensional grid.
-Both produce the same terms and take one exactly rounded sum of them:
-``math.fsum`` on the per-point path, and on the product path the
-vectorised exact sum of the slabs, which gives the same bits.
+The integrand is a ``ProductIntegrand``, one factor per axis, as the
+paper's test integrand is.  Each factor is evaluated once per node of
+its own axis, and the grid values and weights are formed one slab of
+the last two axes at a time, in odometer order (last index fastest),
+so at most N_MAX² points are held at once whatever the dimension and
+the d-dimensional grid is never built.  The terms are summed exactly
+rounded, so the result is the correctly rounded sum of weight * f(node)
+over the grid, whatever the slab partition.  A size guard caps the
+total point count.
 """
 
 import itertools
@@ -58,18 +57,6 @@ class TensorRule:
     @property
     def size(self) -> int:
         return math.prod(len(f) for f in self.factors)
-
-    def points(self) -> Iterator[tuple[tuple[int, ...], tuple[float, ...], float]]:
-        """Yield (multi_index, node_tuple, weight) in odometer order.
-
-        The weight is the left-to-right product of the factor weights,
-        with no further arithmetic.
-        """
-        ranges = [range(len(f)) for f in self.factors]
-        for idx in itertools.product(*ranges):
-            node = tuple(f.nodes[i] for f, i in zip(self.factors, idx))
-            weight = math.prod(f.weights[i] for f, i in zip(self.factors, idx))
-            yield idx, node, weight
 
 
 def tensor_rule(factors) -> TensorRule:
@@ -116,52 +103,40 @@ def _check_dimension(f: ProductIntegrand, d: int) -> None:
         raise DomainError(f"integrand of dimension {len(f.factors)} given {d} coordinates")
 
 
-def tensor_integrate(rule: TensorRule, f: Callable[..., float]) -> float:
-    """Apply the cubature rule to f, a function of one node tuple.
+def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
+    """Apply the cubature rule to the product integrand f.
 
-    The terms w * f(node) over the full grid are summed exactly rounded
-    (``math.fsum``), so the result is independent of the order and of any
-    partitioning of the enumeration.  A :class:`ProductIntegrand` is not
-    called per point: its factors are tabulated at each axis's nodes and
-    multiplied out slab by slab, in the same rounding order as a call,
-    and the slabs are summed exactly in numpy, so the result is the same
-    bits at a fraction of the cost.
+    The result is the exactly rounded sum of the terms weight * f(node)
+    over the full grid, where the weight is the left-to-right product of
+    the factor weights and f(node) is what calling f on the node tuple
+    returns.  f is not called per point: its factors are tabulated at
+    each axis's nodes and multiplied out slab by slab, in the same
+    rounding order as a call.
 
     Raises
     ------
     DomainError
-        If f is a ProductIntegrand whose dimension differs from the rule's.
+        If f is not a ProductIntegrand, or its dimension differs from
+        the rule's.
     EvaluationError
-        If f returns a non-finite value; the error carries the offending
-        multi-index.
+        If a grid value f(node) is non-finite; the error carries the
+        first such multi-index in odometer order.
     """
-    if isinstance(f, ProductIntegrand):
-        _check_dimension(f, rule.dimension)
-        return _exact_sum(_product_slabs(rule, f))
-
-    def terms():
-        for idx, node, weight in rule.points():
-            value = f(node)
-            if not math.isfinite(value):
-                raise _non_finite(value, idx)
-            yield weight * value
-
-    return math.fsum(terms())
-
-
-def _non_finite(value, idx: tuple[int, ...]) -> EvaluationError:
-    return EvaluationError(f"integrand returned {value} at grid point {idx}", idx)
+    if not isinstance(f, ProductIntegrand):
+        raise DomainError("the integrand must be a ProductIntegrand")
+    _check_dimension(f, rule.dimension)
+    return _exact_sum(_product_slabs(rule, f))
 
 
 def _product_slabs(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarray]:
     """Yield the terms weight * f(node), one array per slab, in odometer order.
 
     A slab fixes every index but the last two.  Values and weights are
-    products taken from left to right, as ``f(node)`` and
-    ``TensorRule.points`` take them.  Before a non-finite value the
-    slab's earlier terms are yielded, then the error is raised, exactly
-    where the per-point loop would raise it.  Overflow and invalid
-    operations are not warned about: the non-finite check reports them.
+    products taken from left to right, as ``f(node)`` takes them.  A
+    slab with a non-finite value raises before it is yielded, naming its
+    first such point, which is also the grid's first in odometer order.
+    Overflow and invalid operations are not warned about: the
+    non-finite check reports them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         tables = [np.array([g(x) for x in r.nodes], dtype=float)
@@ -177,14 +152,12 @@ def _product_slabs(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarray
             for t, w in zip(tables[head_axes:], weights[head_axes:]):
                 value = np.multiply.outer(value, t)
                 weight = np.multiply.outer(weight, w)
-            shape, value, weight = value.shape, value.ravel(), weight.ravel()
-            bad = np.flatnonzero(~np.isfinite(value))
-            end = int(bad[0]) if bad.size else value.size
-            terms = weight[:end] * value[:end]
+            terms = (weight * value).ravel()
+        if not np.isfinite(value).all():
+            tail = tuple(int(j) for j in np.argwhere(~np.isfinite(value))[0])
+            idx = head + tail
+            raise EvaluationError(f"integrand returned {value[tail]} at grid point {idx}", idx)
         yield terms
-        if bad.size:
-            tail = np.unravel_index(end, shape)
-            raise _non_finite(value[end], head + tuple(int(j) for j in tail))
 
 
 def gaussian_poly_integrand(d: int, m, c, ell: float):

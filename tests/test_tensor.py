@@ -1,5 +1,6 @@
 """Tensor-grid cubature, separability and the closed-form test integrand."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,19 +19,47 @@ from gkquad.tensor import (
 )
 
 
+def _odometer_sum(rule, f):
+    """The cubature sum one grid point at a time: the per-point path.
+
+    The weight is the left-to-right product of the factor weights, f is
+    called on the node tuple, the terms are summed exactly rounded, and
+    the first non-finite value in odometer order (last index fastest)
+    raises.  The product path must match it bit for bit.
+    """
+    terms = []
+    for idx in itertools.product(*(range(len(r)) for r in rule.factors)):
+        value = f(tuple(r.nodes[i] for r, i in zip(rule.factors, idx)))
+        if not math.isfinite(value):
+            raise EvaluationError(f"integrand returned {value} at grid point {idx}", idx)
+        terms.append(math.prod(r.weights[i] for r, i in zip(rule.factors, idx)) * value)
+    return math.fsum(terms)
+
+
 def test_grid_weights_are_plain_products():
+    # An integrand that is 1 at one node tuple and 0 elsewhere picks out
+    # that grid point's weight.
     f0, f1 = gh_rule(4), gh_rule(3)
     rule = tensor_rule([f0, f1])
-    for idx, node, weight in rule.points():
-        i, j = idx
-        assert node == (f0.nodes[i], f1.nodes[j])
-        assert weight == f0.weights[i] * f1.weights[j]
+    for i, j in itertools.product(range(4), range(3)):
+        f = ProductIntegrand((lambda x, i=i: float(x == f0.nodes[i]),
+                              lambda x, j=j: float(x == f1.nodes[j])))
+        assert tensor_integrate(rule, f) == f0.weights[i] * f1.weights[j]
 
 
 def test_enumeration_is_odometer_ordered_and_complete():
-    rule = tensor_rule([gh_rule(2), gh_rule(3)])
-    seen = [idx for idx, _, _ in rule.points()]
-    assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    # Unit weights and values 2**(3 i + j) at grid point (i, j): every
+    # point counts once exactly when the sum is 2**6 - 1.
+    ones = [QuadratureRule(np.arange(n, dtype=float), np.ones(n)) for n in (2, 3)]
+    rule = tensor_rule(ones)
+    assert tensor_integrate(rule, ProductIntegrand((lambda x: 8.0**x, lambda x: 2.0**x))) == 63.0
+    # Row 1 and column 2 are infinite; (0, 2) comes first in odometer
+    # order, (1, 0) first with the first index fastest.
+    f = ProductIntegrand((lambda x: math.inf if x == 1 else 1.0,
+                          lambda x: math.inf if x == 2 else 1.0))
+    want = ("integrand returned inf at grid point (0, 2)", (0, 2))
+    assert _evaluation_error(tensor_integrate, rule, f) == want
+    assert _evaluation_error(_odometer_sum, rule, f) == want
     assert rule.size == 6
     assert rule.dimension == 2
     assert isinstance(rule, TensorRule)
@@ -112,11 +141,6 @@ def test_integrand_guards():
     assert exact == gaussian_poly_integrand(1, [2], [1.0], 1.0)[1]
 
 
-def _per_point(f):
-    """The same integrand as a plain callable, which takes the per-point path."""
-    return lambda x: f(x)
-
-
 def test_product_path_is_bit_identical_to_the_per_point_path():
     basis = basis_from(1.2)
     approx = [approx_rule(basis, n).rule for n in (3, 8, 13)]
@@ -149,7 +173,7 @@ def test_product_path_is_bit_identical_to_the_per_point_path():
         d = len(factors)
         rule = tensor_rule(factors)
         f, _ = gaussian_poly_integrand(d, m, [1.5, 3.0, 0.5][:d], ell)
-        fast, slow = tensor_integrate(rule, f), tensor_integrate(rule, _per_point(f))
+        fast, slow = tensor_integrate(rule, f), _odometer_sum(rule, f)
         assert fast.hex() == slow.hex(), ([len(r) for r in factors], m, ell, fast, slow)
 
 
@@ -162,8 +186,7 @@ def test_product_path_is_bit_identical_at_benchmark_scale(ell, sizes, m, c):
     basis = basis_from(ell)
     rule = tensor_rule([approx_rule(basis, n).rule for n in sizes])
     f, _ = gaussian_poly_integrand(len(sizes), m, c, ell)
-    want = math.fsum(weight * f(node) for _, node, weight in rule.points())
-    assert tensor_integrate(rule, f).hex() == want.hex()
+    assert tensor_integrate(rule, f).hex() == _odometer_sum(rule, f).hex()
 
 
 def test_product_integrand_calls_each_factor_once_per_node():
@@ -176,9 +199,7 @@ def test_product_integrand_calls_each_factor_once_per_node():
     f = ProductIntegrand(tuple(counted(k) for k in range(3)))
     value = tensor_integrate(rule, f)
     assert sorted(calls) == [0] * 4 + [1] * 6 + [2] * 5
-    calls.clear()
-    assert value == tensor_integrate(rule, _per_point(f))
-    assert len(calls) == 3 * rule.size
+    assert value == _odometer_sum(rule, f)
 
 
 def test_product_integrand_of_another_dimension_is_refused():
@@ -191,33 +212,30 @@ def test_product_integrand_of_another_dimension_is_refused():
         rule = tensor_rule(factors)
         with pytest.raises(DomainError):
             tensor_integrate(rule, f)
-        with pytest.raises(DomainError):
-            tensor_integrate(rule, _per_point(f))
+    # Only a ProductIntegrand is integrated; a plain callable is refused.
+    for factors in [[gh_rule(5)], [gh_rule(5)] * 2]:
+        with pytest.raises(DomainError, match="must be a ProductIntegrand"):
+            tensor_integrate(tensor_rule(factors), lambda x: 1.0)
 
 
-def _evaluation_error(rule, f):
+def _evaluation_error(integrate, rule, f):
     with pytest.raises(EvaluationError) as info:
-        tensor_integrate(rule, f)
+        integrate(rule, f)
     return str(info.value), info.value.multi_index
 
 
 def test_non_finite_integrand_value_is_located():
-    rule = tensor_rule([gh_rule(3), gh_rule(3)])
-
-    def bad(x):
-        return float("nan") if x[0] > 0 and x[1] > 0 else 1.0
-
-    assert _evaluation_error(rule, bad) == (
-        "integrand returned nan at grid point (2, 2)", (2, 2))
-
     # The product path reports the same point and value as the per-point
-    # path: for one non-finite factor, for finite factors whose product
-    # overflows (the head axis times a slab axis, and two slab axes),
-    # and for the test integrand once x**m overflows.
+    # path: for one non-finite factor, for an infinite factor times a
+    # zero one (nan), for finite factors whose product overflows (the
+    # head axis times a slab axis, and two slab axes), and for the test
+    # integrand once x**m overflows.
     def huge_if_positive(x):
         return 1e200 if x > 0 else 1.0
 
     cases = [
+        (ProductIntegrand((lambda x: math.inf if x > 0 else 1.0, lambda x: float(x >= 0))),
+         tensor_rule([gh_rule(3), gh_rule(3)]), "nan", (2, 0)),
         (ProductIntegrand((lambda x: 1.0, lambda x: math.inf if x > 0 else x, lambda x: 2.0)),
          tensor_rule([gh_rule(3)] * 3), "inf", (0, 2, 0)),
         (ProductIntegrand((huge_if_positive, lambda x: 1.0, huge_if_positive)),
@@ -230,8 +248,8 @@ def test_non_finite_integrand_value_is_located():
     with np.errstate(over="ignore"):
         for f, grid, value, idx in cases:
             want = (f"integrand returned {value} at grid point {idx}", idx)
-            assert _evaluation_error(grid, f) == want
-            assert _evaluation_error(grid, _per_point(f)) == want
+            assert _evaluation_error(tensor_integrate, grid, f) == want
+            assert _evaluation_error(_odometer_sum, grid, f) == want
 
 
 def test_dimension_and_grid_guards():
