@@ -48,8 +48,9 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # Copies: the caller's arrays stay writable, and no view reaches the rule.
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or weights.ndim != 1:
             raise DomainError("nodes and weights must be one-dimensional")
         if nodes.size != weights.size:

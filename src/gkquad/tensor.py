@@ -8,16 +8,14 @@ separable Gaussian kernel.
 
 The integrand is a ``ProductIntegrand``, one factor per axis, as the
 paper's test integrand is.  Each factor is evaluated once per node of
-its own axis, and the grid values and weights are formed one slab of
-the last two axes at a time, in odometer order (last index fastest),
-so at most N_MAX² points are held at once whatever the dimension and
-the d-dimensional grid is never built.  The terms are summed exactly
-rounded, so the result is the correctly rounded sum of weight * f(node)
-over the grid, whatever the slab partition.  A size guard caps the
-total point count.
+its own axis, and the grid values and weights are formed in blocks of
+up to N_MAX² points in odometer order (last index fastest), so no
+larger array is held whatever the dimension and the d-dimensional grid
+is never built.  The terms are summed exactly rounded, so the result is
+the correctly rounded sum of weight * f(node) over the grid, whatever
+the block partition.  A size guard caps the total point count.
 """
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError, EvaluationError, SizeError, as_index
-from .gauss_hermite import QuadratureRule
+from .gauss_hermite import N_MAX, QuadratureRule
 from .mercer import check_length_scale
 from .wce import _exact_sum
 
@@ -46,9 +44,27 @@ GRID_MAX = 10**7
 
 @dataclass(frozen=True)
 class TensorRule:
-    """Cartesian product of one-dimensional quadrature rules."""
+    """Cartesian product of one-dimensional quadrature rules.
+
+    Raises
+    ------
+    SizeError
+        If the dimension is outside [1, DIM_MAX] or the grid would
+        exceed GRID_MAX points.
+    DomainError
+        If a factor is not a QuadratureRule.
+    """
 
     factors: tuple[QuadratureRule, ...]
+
+    def __post_init__(self):
+        # A tuple, so that no factor can be added once the guards have run.
+        object.__setattr__(self, "factors", tuple(self.factors))
+        as_index(len(self.factors), "dimension", 1, DIM_MAX, SizeError)
+        if not all(isinstance(f, QuadratureRule) for f in self.factors):
+            raise DomainError("factors must be QuadratureRule instances")
+        if self.size > GRID_MAX:
+            raise SizeError(f"grid of {self.size} points exceeds the guard {GRID_MAX}")
 
     @property
     def dimension(self) -> int:
@@ -60,23 +76,8 @@ class TensorRule:
 
 
 def tensor_rule(factors) -> TensorRule:
-    """Assemble a tensor rule from a sequence of one-dimensional rules.
-
-    Raises
-    ------
-    SizeError
-        If the dimension is outside [1, DIM_MAX] or the grid would
-        exceed GRID_MAX points.
-    """
-    factors = tuple(factors)
-    as_index(len(factors), "dimension", 1, DIM_MAX, SizeError)
-    for f in factors:
-        if not isinstance(f, QuadratureRule):
-            raise DomainError("factors must be QuadratureRule instances")
-    size = math.prod(len(f) for f in factors)
-    if size > GRID_MAX:
-        raise SizeError(f"grid of {size} points exceeds the guard {GRID_MAX}")
-    return TensorRule(factors=factors)
+    """Assemble a tensor rule from a sequence of one-dimensional rules."""
+    return TensorRule(factors)
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
     over the full grid, where the weight is the left-to-right product of
     the factor weights and f(node) is what calling f on the node tuple
     returns.  f is not called per point: its factors are tabulated at
-    each axis's nodes and multiplied out slab by slab, in the same
+    each axis's nodes and multiplied out block by block, in the same
     rounding order as a call.
 
     Raises
@@ -125,38 +126,42 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
     if not isinstance(f, ProductIntegrand):
         raise DomainError("the integrand must be a ProductIntegrand")
     _check_dimension(f, rule.dimension)
-    return _exact_sum(_product_slabs(rule, f))
+    return _exact_sum(_product_blocks(rule, f))
 
 
-def _product_slabs(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarray]:
-    """Yield the terms weight * f(node), one array per slab, in odometer order.
+def _product_blocks(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarray]:
+    """Yield the terms weight * f(node) in blocks of up to N_MAX² points, in odometer order.
 
-    A slab fixes every index but the last two.  Values and weights are
-    products taken from left to right, as ``f(node)`` takes them.  A
-    slab with a non-finite value raises before it is yielded, naming its
-    first such point, which is also the grid's first in odometer order.
-    Overflow and invalid operations are not warned about: the
-    non-finite check reports them.
+    A block joins a run of leading-axis positions to every point of the
+    trailing axes, the longest run of last axes (one axis at least stays
+    leading) whose grid has at most N_MAX² points.  Values and weights
+    are products taken from left to right, as ``f(node)`` takes them.  A
+    block with a non-finite value raises before it is yielded, naming its
+    first such point, the grid's first in odometer order.  Overflow and
+    invalid operations go unwarned: the non-finite check reports them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         tables = [np.array([g(x) for x in r.nodes], dtype=float)
                   for g, r in zip(f.factors, rule.factors)]
     weights = [r.weights for r in rule.factors]
-    head_axes = max(rule.dimension - 2, 0)
-    for head in itertools.product(*(range(len(t)) for t in tables[:head_axes])):
+    shape = tuple(len(t) for t in tables)
+    split = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= N_MAX**2)
+    head, rows = shape[:split], N_MAX**2 // math.prod(shape[split:])
+    for start in range(0, math.prod(head), rows):
+        index = np.unravel_index(np.arange(start, min(start + rows, math.prod(head))), head)
         with np.errstate(over="ignore", invalid="ignore"):
             value, weight = 1.0, 1.0
-            for i, t, w in zip(head, tables, weights):
+            for i, t, w in zip(index, tables, weights):
                 value *= t[i]
                 weight *= w[i]
-            for t, w in zip(tables[head_axes:], weights[head_axes:]):
+            for t, w in zip(tables[split:], weights[split:]):
                 value = np.multiply.outer(value, t)
                 weight = np.multiply.outer(weight, w)
             terms = (weight * value).ravel()
         if not np.isfinite(value).all():
-            tail = tuple(int(j) for j in np.argwhere(~np.isfinite(value))[0])
-            idx = head + tail
-            raise EvaluationError(f"integrand returned {value[tail]} at grid point {idx}", idx)
+            first = tuple(np.argwhere(~np.isfinite(value))[0])
+            idx = tuple(int(i[first[0]]) for i in index) + tuple(int(j) for j in first[1:])
+            raise EvaluationError(f"integrand returned {value[first]} at grid point {idx}", idx)
         yield terms
 
 

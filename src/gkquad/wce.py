@@ -139,45 +139,31 @@ def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
     float64 adds exactly in any order.  So the bins, scaled back by their
     units (also exact), sum to exactly the sum of the terms, and
     ``math.fsum`` of the bins of every block rounds that once, as
-    ``math.fsum`` of the terms does (Neal, arXiv:1505.05571).  Small
-    chunks are gathered into blocks, and a remainder of fewer than _BATCH
-    terms goes to the final ``math.fsum`` as it is.
+    ``math.fsum`` of the terms does (Neal, arXiv:1505.05571).  A chunk of
+    fewer than _BATCH terms joins that final ``math.fsum`` as it is.
 
     If any term is nan or infinite the result is ``math.fsum`` of the
     non-finite terms: nan, an infinity, or the ValueError for +inf with
     -inf.  A bin too large for a float raises OverflowError, which
     ``math.fsum`` raises for an intermediate overflow.
     """
-    special, partials, batch, size = [], [], [], 0
+    special, partials = [], []
     for chunk in chunks:
         t = np.ravel(chunk)
         finite = np.isfinite(t)
         if not finite.all():
             special += t[~finite].tolist()
             t = t[finite]
-        batch.append(t)
-        size += t.size
-        if size >= _BLOCK:
-            partials += _partials(batch)
-            batch, size = [], 0
+        if t.size < _BATCH:
+            partials += t.tolist()
+            continue
+        for start in range(0, t.size, _BLOCK):
+            bins = _window_bins(t[start:start + _BLOCK])
+            partials += [math.ldexp(bins[j], j * _WINDOW + _UNIT_LOW)
+                         for j in np.flatnonzero(bins).tolist()]
     if special:
         return math.fsum(special)
-    if batch:
-        partials += _partials(batch)
     return math.fsum(partials)
-
-
-def _partials(batch: list[np.ndarray]) -> list[float]:
-    """Floats with the exact sum of the batch: its scaled bins, or its terms if few."""
-    t = batch[0] if len(batch) == 1 else np.concatenate(batch)
-    if t.size < _BATCH:
-        return t.tolist()
-    out = []
-    for start in range(0, t.size, _BLOCK):
-        bins = _window_bins(t[start:start + _BLOCK])
-        out += [math.ldexp(bins[j], j * _WINDOW + _UNIT_LOW)
-                for j in np.flatnonzero(bins).tolist()]
-    return out
 
 
 def _window_bins(t: np.ndarray) -> np.ndarray:

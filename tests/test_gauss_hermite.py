@@ -154,6 +154,15 @@ def test_rule_container_validation():
         worst_case_error(QuadratureRule([0.0, np.inf], [1.0, 1.0]), 1.0)
     with pytest.raises(DomainError):
         QuadratureRule([0.0, 1.0], [np.nan, 1.0])
+    # The rule freezes its own copies: the caller's arrays stay writable,
+    # and a view taken before the rule was built cannot unsort its nodes.
+    x, w = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+    view = x[:]
+    rule = QuadratureRule(x, w)
+    x[0], w[0] = 3.0, 0.25
+    view[1] = -1.0
+    assert rule.nodes.tolist() == [0.0, 1.0]
+    assert rule.weights.tolist() == [0.5, 0.5]
 
 
 def test_rule_container_is_read_only():

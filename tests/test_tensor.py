@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,9 +181,12 @@ def test_product_path_is_bit_identical_to_the_per_point_path():
 @pytest.mark.parametrize("ell, sizes, m, c", [
     (1.2, [30, 30, 30], [6, 4, 2], [1.5, 3.0, 0.5]),  # criterion 10's grid
     (0.5, [100, 100], [4, 2], [1.0, 2.0]),
+    (0.8, [9, 120, 70], [2, 2, 2], [1.5, 3.0, 0.5]),  # blocks of 4, 4 and 1 first-axis rows
 ])
 def test_product_path_is_bit_identical_at_benchmark_scale(ell, sizes, m, c):
-    # The fixed tensor-cubature grids: 27,000 and 10,000 points.
+    # The fixed tensor-cubature grids, 27,000 and 10,000 points, and a
+    # 75,600-point grid that spans three blocks of up to N_MAX² points,
+    # where multiplying the trailing factors out first changes the sum.
     basis = basis_from(ell)
     rule = tensor_rule([approx_rule(basis, n).rule for n in sizes])
     f, _ = gaussian_poly_integrand(len(sizes), m, c, ell)
@@ -233,6 +237,8 @@ def test_non_finite_integrand_value_is_located():
     def huge_if_positive(x):
         return 1e200 if x > 0 else 1.0
 
+    unit = [QuadratureRule(np.arange(n, dtype=float), np.ones(n)) for n in (3, 5, 100, 100)]
+
     cases = [
         (ProductIntegrand((lambda x: math.inf if x > 0 else 1.0, lambda x: float(x >= 0))),
          tensor_rule([gh_rule(3), gh_rule(3)]), "nan", (2, 0)),
@@ -244,6 +250,11 @@ def test_non_finite_integrand_value_is_located():
          tensor_rule([gh_rule(4), gh_rule(5)]), "inf", (2, 3)),
         (gaussian_poly_integrand(2, [151, 151], [0.01, 0.01], 4.0)[0],
          tensor_rule([gh_rule(200)] * 2), "inf", (0, 0)),
+        # Sizes (3, 5, 100, 100): the leading two axes are unravelled four
+        # positions per block, and (1, 1) is the third row of the second.
+        (ProductIntegrand((lambda x: 1e154 if x >= 1 else 1.0, lambda x: 1e154 if x >= 1 else 1.0,
+                           lambda x: 1.5 if x >= 2 else 1.0, lambda x: 1.5 if x >= 3 else 1.0)),
+         tensor_rule(unit), "inf", (1, 1, 2, 3)),
     ]
     with np.errstate(over="ignore"):
         for f, grid, value, idx in cases:
@@ -262,6 +273,38 @@ def test_dimension_and_grid_guards():
     assert tensor_rule([gh_rule(200)] * 3).size == 8_000_000 <= GRID_MAX
     with pytest.raises(SizeError):
         tensor_rule([gh_rule(200)] * 4)
+    # Built directly, the rule runs the same guards.
+    with pytest.raises(SizeError):
+        TensorRule(())
+    with pytest.raises(SizeError):
+        TensorRule((gh_rule(3),) * 9)
+    with pytest.raises(DomainError, match="QuadratureRule instances"):
+        TensorRule(("not a rule",))
+    with pytest.raises(SizeError, match="exceeds the guard"):
+        TensorRule((gh_rule(200),) * 6)
+    # It keeps a tuple, so growing the list it was given changes nothing.
+    factors = [gh_rule(2)]
+    rule = TensorRule(factors)
+    factors += [gh_rule(2)] * (DIM_MAX + 1)
+    assert rule.factors == (gh_rule(2),)
+    assert rule.dimension == 1
+
+
+def test_block_memory_stays_bounded_for_trailing_one_point_axes():
+    # Sizes (200, 200, 200, 1, 1, 1): the trailing grid of 40,000 points
+    # is joined to one first-axis node per block, so no array grows past
+    # N_MAX² points (320 kB) although the grid has 8e6.  The one-point
+    # factors (node 0, weight 1, value 1) change no bit of the sum.
+    f, _ = gaussian_poly_integrand(6, [2, 0, 4, 0, 0, 0], [1.0, 0.5, 2.0, 1.0, 1.0, 1.0], 1.0)
+    rule = tensor_rule([gh_rule(200)] * 3 + [gh_rule(1)] * 3)
+    tracemalloc.start()
+    try:
+        value = tensor_integrate(rule, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert value == tensor_integrate(tensor_rule([gh_rule(200)] * 3), ProductIntegrand(f.factors[:3]))
 
 
 def test_tensor_rule_is_frozen():

@@ -182,7 +182,7 @@ def _chunked(terms, cuts):
 @given(st.lists(_wide_floats, max_size=300), st.lists(st.integers(0, 300), max_size=4))
 def test_exact_sum_is_bit_identical_to_fsum(terms, cuts):
     want = math.fsum(terms)
-    # Every chunk through the bins; then small chunks gathered, or left to fsum.
+    # Every chunk through the bins; then chunks below 100 or _BATCH terms left to fsum.
     for batch in (1, 100, wce._BATCH):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wce, "_BATCH", batch)
