@@ -30,6 +30,10 @@ __all__ = [
 # kernel expansions that extend past the node count.
 DEGREE_MAX = 400
 
+# math.sqrt(n) for the recurrence, as 0-d arrays: a ufunc takes those
+# with less dispatch than Python floats, and multiplies by the same bits.
+_SQRT = [np.array(math.sqrt(n)) for n in range(DEGREE_MAX + 1)]
+
 
 def _check_degree(n) -> int:
     """n as an int; DomainError if not an integer, DegreeOverflowError outside [0, DEGREE_MAX]."""
@@ -74,15 +78,27 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (npoints, degree_max + 1)
-        Column n holds hhat_n(x).
+    ndarray, shape (npoints, degree_max + 1), C-contiguous
+        Column n holds hhat_n(x).  The recurrence runs one degree per
+        contiguous row and the result is that buffer transposed and
+        copied: each step is the same four roundings per point as the
+        formula in the module docstring.  The C-contiguous layout is
+        part of the contract: numpy's matmul of a strided slice of the
+        table takes its non-BLAS loop on this layout only, and the even
+        weight series in :mod:`gkquad.approx` prints those bits.
     """
     degree_max = _check_degree(degree_max)
     x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, degree_max + 1))
-    out[:, 0] = 1.0
+    buffer = np.empty((degree_max + 1, x.size))
+    buffer[0] = 1.0
     if degree_max >= 1:
-        out[:, 1] = x
+        buffer[1] = x
+    rows = list(buffer)
+    scratch = np.empty(x.size)
     for n in range(1, degree_max):
-        out[:, n + 1] = (x * out[:, n] - math.sqrt(n) * out[:, n - 1]) / math.sqrt(n + 1)
-    return out
+        row = rows[n + 1]  # the ufuncs' third argument is their output
+        np.multiply(x, rows[n], row)
+        np.multiply(_SQRT[n], rows[n - 1], scratch)
+        np.subtract(row, scratch, row)
+        np.divide(row, _SQRT[n + 1], row)
+    return buffer.T.copy()

@@ -140,14 +140,16 @@ def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.nda
     return envelope[:, None] * normalized_table(scaled, count - 1)
 
 
+# r_m = r_{m-1} sqrt((2m - 1) / 2m), one rounding a step in order, so
+# every prefix of the full table is the recurrence run to that length.
+_EVEN_MEAN_RATIOS = np.multiply.accumulate(
+    [1.0] + [math.sqrt((2.0 * m - 1.0) / (2.0 * m)) for m in range(1, DEGREE_MAX // 2 + 1)])
+
+
 def even_mean_ratios(m_max: int) -> np.ndarray:
-    """r_m = sqrt(C(2m, m) / 4^m) for m = 0..m_max, by stable recurrence."""
+    """r_m = sqrt(C(2m, m) / 4^m) for m = 0..m_max, by stable recurrence (a fresh array)."""
     m_max = as_index(m_max, "m_max", 0, DEGREE_MAX // 2)
-    r = np.empty(m_max + 1)
-    r[0] = 1.0
-    for m in range(1, m_max + 1):
-        r[m] = r[m - 1] * math.sqrt((2.0 * m - 1.0) / (2.0 * m))
-    return r
+    return _EVEN_MEAN_RATIOS[: m_max + 1].copy()
 
 
 def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:

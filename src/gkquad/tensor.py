@@ -86,10 +86,20 @@ class ProductIntegrand:
 
     Calling it on a point of d coordinates multiplies the factor values
     from left to right, starting from 1.0; :func:`tensor_integrate` uses
-    the factors to evaluate each one only at its own axis's nodes.
+    the factors to evaluate each one only at its own axis's nodes.  The
+    factors are kept as a tuple; DomainError if one is not callable.
     """
 
     factors: tuple[Callable[[float], float], ...]
+
+    def __post_init__(self):
+        try:
+            factors = tuple(self.factors)
+        except TypeError:
+            raise DomainError("factors must be a sequence of callables, one per axis") from None
+        if not all(callable(g) for g in factors):
+            raise DomainError("each factor must be callable")
+        object.__setattr__(self, "factors", factors)
 
     def __call__(self, x) -> float:
         _check_dimension(self, len(x))
@@ -117,8 +127,8 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
     Raises
     ------
     DomainError
-        If f is not a ProductIntegrand, or its dimension differs from
-        the rule's.
+        If f is not a ProductIntegrand, its dimension differs from the
+        rule's, or a factor does not return one number per node.
     EvaluationError
         If a grid value f(node) is non-finite; the error carries the
         first such multi-index in odometer order.
@@ -140,9 +150,18 @@ def _product_blocks(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarra
     first such point, the grid's first in odometer order.  Overflow and
     invalid operations go unwarned: the non-finite check reports them.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = [np.array([g(x) for x in r.nodes], dtype=float)
-                  for g, r in zip(f.factors, rule.factors)]
+    tables = []
+    for axis, (g, r) in enumerate(zip(f.factors, rule.factors)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [g(x) for x in r.nodes]
+        try:
+            table = np.array(values, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged or not numbers
+            raise DomainError(f"factor {axis} must return one number per node: {exc}") from exc
+        if table.shape != (len(r),):
+            raise DomainError(f"factor {axis} must return one number per node, "
+                              f"not values of shape {table.shape[1:]}")
+        tables.append(table)
     weights = [r.weights for r in rule.factors]
     shape = tuple(len(t) for t in tables)
     split = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= N_MAX**2)

@@ -114,14 +114,20 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     )
 
 
-# Bin j of _exact_sum counts in units of 2**(26 j + _UNIT_LOW); bins 0 and
-# 1 lie below the subnormals and only ever take zero pieces.  Terms are
-# binned _BLOCK at a time, a size whose temporaries stay in cache; a bin
-# then takes at most _BLOCK pieces, and _BLOCK * (2**26 - 1) < 2**53.
-# Fewer than _BATCH terms cost less in math.fsum than in the bins.
+# Window j of _exact_sum holds the terms whose leading bit lies in
+# [u, u + 26), u = 26 j + _UNIT_LOW; _UNIT_LOW is the lowest subnormal
+# bit, so every finite term has a window.  Terms are binned _BLOCK at a
+# time, a size whose temporaries stay in cache; a bin then takes at most
+# _BLOCK pieces, and _BLOCK * (2**_SPLIT - 1) < 2**53.  Fewer than _BATCH
+# terms cost less in math.fsum than in the bins.
 _WINDOW = 26
-_UNIT_LOW = -1074 - 2 * _WINDOW
+_SPLIT = 39
+_UNIT_LOW = -1074
 _BINS = (1023 - _UNIT_LOW) // _WINDOW + 1
+# Units of the bins _window_bins returns: the high pieces' 2**(u - 13)
+# for each window, then the low pieces' 2**(u - 52).
+_UNITS = [j * _WINDOW + _UNIT_LOW - (_SPLIT - _WINDOW) - k * _SPLIT
+          for k in (0, 1) for j in range(_BINS)]
 _BLOCK = 8192
 _BATCH = 400
 
@@ -129,13 +135,15 @@ _BATCH = 400
 def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
     """The exactly rounded sum of all the chunks' terms: ``math.fsum``'s bits.
 
-    A finite term t with leading bit 2**p is written as a + b 2**-26 +
-    c 2**-52 times 2**u, where u is the unit of the 26-bit window that
-    holds p: a, b and c are integers of magnitude below 2**26, each
+    A finite term t whose leading bit lies in the 26-bit window of unit
+    2**u is written as high 2**(u - 13) + low 2**(u - 52): high is t
+    scaled by 2**(13 - u) and truncated, low the fraction left by the
+    truncation times 2**39.  Both are integers of magnitude below 2**39,
     computed without rounding (scaling by a power of two, truncation and
     the fraction left by it are all exact), and together they carry t's
-    53 significant bits.  Each piece is added into its window's bin; a bin
-    that takes at most 2**27 pieces holds an integer below 2**53, which
+    53 significant bits, the lowest of which is at least 2**(u - 52).
+    Each piece is added into its window's bin of its kind; a bin that
+    takes at most 2**14 pieces holds an integer below 2**53, which
     float64 adds exactly in any order.  So the bins, scaled back by their
     units (also exact), sum to exactly the sum of the terms, and
     ``math.fsum`` of the bins of every block rounds that once, as
@@ -159,28 +167,23 @@ def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
             continue
         for start in range(0, t.size, _BLOCK):
             bins = _window_bins(t[start:start + _BLOCK])
-            partials += [math.ldexp(bins[j], j * _WINDOW + _UNIT_LOW)
-                         for j in np.flatnonzero(bins).tolist()]
+            partials += [math.ldexp(bins[j], _UNITS[j]) for j in np.flatnonzero(bins).tolist()]
     if special:
         return math.fsum(special)
     return math.fsum(partials)
 
 
 def _window_bins(t: np.ndarray) -> np.ndarray:
-    """Per-window sums of the pieces a, b, c of the finite terms t."""
+    """Per-window sums of the high pieces of the finite terms t, then of the low pieces."""
     s, exponent = np.frexp(t)  # |t| in [2**(exponent - 1), 2**exponent)
     window = (exponent - (1 + _UNIT_LOW)) // _WINDOW  # holds the leading bit
-    np.ldexp(s, exponent - (window * _WINDOW + _UNIT_LOW), out=s)
-    a = np.trunc(s)
-    s -= a
-    s *= 2.0**_WINDOW
-    b = np.trunc(s)
-    s -= b
-    s *= 2.0**_WINDOW  # c
-    bins = np.bincount(window, a, _BINS)
-    bins[:-1] += np.bincount(window, b, _BINS)[1:]
-    bins[:-2] += np.bincount(window, s, _BINS)[2:]
-    return bins
+    scale = window * -_WINDOW
+    scale += _SPLIT - _WINDOW - _UNIT_LOW  # 13 - u
+    np.ldexp(t, scale, out=s)  # below 2**39
+    high = np.trunc(s)
+    s -= high
+    s *= 2.0**_SPLIT  # low
+    return np.concatenate([np.bincount(window, high, _BINS), np.bincount(window, s, _BINS)])
 
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:

@@ -81,6 +81,35 @@ def test_table_rows_match_sequences():
         np.testing.assert_array_equal(table[i], normalized_table([x], 25)[0])
 
 
+def column_table(x, degree_max):
+    """The recurrence one column at a time, each column a fresh expression."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((x.size, degree_max + 1))
+    out[:, 0] = 1.0
+    if degree_max >= 1:
+        out[:, 1] = x
+    for n in range(1, degree_max):
+        out[:, n + 1] = (x * out[:, n] - math.sqrt(n) * out[:, n - 1]) / math.sqrt(n + 1)
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 57, DEGREE_MAX])
+@pytest.mark.parametrize("npoints", [1, 2, 7, 100, 200])
+def test_table_is_the_column_recurrence_bit_for_bit(degree, npoints):
+    # Wide points, so that large degrees overflow to inf and then to nan;
+    # zeros, signed zeros and non-finite points as well.
+    rng = np.random.default_rng(degree * 1000 + npoints)
+    x = rng.standard_normal(npoints) * 10.0 ** rng.uniform(-3, 2, npoints)
+    x[: min(npoints, 5)] = [0.0, -0.0, np.nan, np.inf, -40.0][: min(npoints, 5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = normalized_table(x, degree)
+        want = column_table(x, degree)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
 def test_degree_guard():
     normalized_table([0.0], DEGREE_MAX)
     with pytest.raises(DegreeOverflowError):

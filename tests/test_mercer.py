@@ -104,6 +104,20 @@ def test_even_mean_ratios_match_binomial_closed_form():
         assert abs(got[m] - exact) <= 1e-14 * exact
 
 
+def test_even_mean_ratios_are_fresh_prefixes_of_one_recurrence():
+    loop = [1.0]
+    for m in range(1, 201):
+        loop.append(loop[-1] * math.sqrt((2.0 * m - 1.0) / (2.0 * m)))
+    full = even_mean_ratios(200)
+    bits = full.tobytes()
+    assert bits == np.array(loop).tobytes()
+    for m in (0, 1, 2, 57, 199, 200):
+        assert even_mean_ratios(m).tobytes() == bits[: 8 * (m + 1)]
+    full[:] = -1.0
+    even_mean_ratios(3)[0] = -1.0
+    assert even_mean_ratios(200).tobytes() == bits
+
+
 def test_truncated_expansion_converges_to_kernel():
     for ell in (0.5, 1.0, 4.0):
         b = basis_from(ell)

@@ -230,6 +230,27 @@ def test_exact_sum_fixed_cases(batch, monkeypatch):
         _exact_sum([np.array([big, big])])
 
 
+def test_exact_sum_at_the_limits_of_the_two_pieces():
+    block = wce._BLOCK
+    assert block * (2**wce._SPLIT - 1) < 2**53
+    # 53-bit terms at the top of a window: every high piece is 2**39 - 1,
+    # first all in one bin (the largest bin a block can fill), then over
+    # the windows of the normal range with both signs.
+    top = np.ldexp(2.0**53 - 1 - np.arange(block), -35)
+    assert wce._window_bins(top).max() == block * (2**wce._SPLIT - 1)
+    rng = np.random.default_rng(5)
+    window = rng.integers(3, wce._BINS - 1, block)
+    spread = np.ldexp(2.0**53 - 1 - np.arange(block), window * wce._WINDOW + wce._UNIT_LOW - 27)
+    spread *= rng.choice([-1.0, 1.0], block)
+    subnormal = rng.integers(-(2**52) + 1, 2**52, block) * 5e-324
+    assert np.all(np.abs(subnormal) < np.finfo(float).tiny)
+    big = np.finfo(float).max
+    cancel = np.concatenate([[big, -big, big], subnormal[: block - 3]])
+    for terms in (top, spread, subnormal, cancel):
+        assert terms.size == block and np.isfinite(terms).all()
+        assert _exact_sum([terms]).hex() == math.fsum(terms).hex()
+
+
 def test_exact_sum_is_exact_for_any_block_size(monkeypatch):
     terms = _wide_terms(10_000, 4)
     want = math.fsum(terms).hex()
