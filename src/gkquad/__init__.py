@@ -44,7 +44,6 @@ from .gauss_hermite import (
 from .hermite import DEGREE_MAX, hermite_eval
 from .mercer import (
     ALPHA_DEFAULT,
-    GaussianKernel,
     MercerBasis,
     basis_from,
     eigenvalue,

@@ -1,16 +1,18 @@
-"""Exact Gaussian-kernel quadrature weights from the kernel linear system.
+"""The Gaussian kernel, its means, and exact weights from the kernel linear system.
 
-Given nodes x_1..x_N, the weights solve K w = k_mu with
-[K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  Under the
-standard Gaussian measure the kernel mean has the closed form
+The kernel is k(x, y) = exp(-(x - y)^2 / (2 l^2)).  Under the standard
+Gaussian measure its mean has the closed form
 
     k_mu(x) = l / sqrt(1 + l^2) * exp(-x^2 / (2 (1 + l^2))),
 
-and its own mean is mu(k_mu) = l / sqrt(2 + l^2).
+and the mean of that is mu(k_mu) = l / sqrt(2 + l^2).  Above
+l = 1.34e154, where l^2 has no float, the kernel and both means are 1.
 
-The system is solved by Cholesky factorization with no automatic
-regularization.  A solve is refused, with an ill-conditioning error that
-carries the condition estimate and names the check, exactly when
+Given nodes x_1..x_N, the weights solve K w = k_mu with
+[K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  The system is
+solved by Cholesky factorization with no automatic regularization.  A
+solve is refused, with an ill-conditioning error that carries the
+condition estimate and names the check, exactly when
 
   - the spectral condition estimate exceeds CONDITION_MAX = 1e15, or
   - the Cholesky factorization breaks down.
@@ -27,11 +29,12 @@ import numpy as np
 
 from .errors import IllConditionedError
 from .gauss_hermite import check_nodes
-from .mercer import GaussianKernel, check_length_scale
+from .mercer import check_length_scale
 
 __all__ = [
     "CONDITION_MAX",
     "KernelSystem",
+    "kernel",
     "kernel_mean",
     "kernel_mean_mean",
     "kernel_system",
@@ -57,6 +60,17 @@ class KernelSystem:
         self.embedding_vector.setflags(write=False)
 
 
+def kernel(ell: float, x, y):
+    """Kernel values k(x, y) for scalar or broadcast array arguments."""
+    ell = check_length_scale(ell)
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    try:
+        scale = 2.0 * ell**2
+    except OverflowError:
+        scale = math.inf
+    return np.exp(-(d * d) / scale)
+
+
 def kernel_mean(ell: float, x):
     """Kernel mean k_mu(x) under the standard Gaussian measure.
 
@@ -64,7 +78,7 @@ def kernel_mean(ell: float, x):
     """
     ell = check_length_scale(ell)
     xs = np.asarray(x, dtype=float)
-    ell_sq = ell * ell  # inf above l = 1.34e154, where the amplitude rounds to 1
+    ell_sq = ell * ell
     amp = ell / math.sqrt(1.0 + ell_sq) if ell_sq < math.inf else 1.0
     out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell_sq)))
     if xs.ndim == 0:
@@ -99,12 +113,10 @@ def kernel_system(nodes, ell: float) -> KernelSystem:
         range.
     """
     nodes = check_nodes(nodes)
-    kern = GaussianKernel(ell)
-    matrix = kern.value(nodes[:, None], nodes[None, :])
-    embedding = np.atleast_1d(kernel_mean(ell, nodes))
+    matrix = kernel(ell, nodes[:, None], nodes[None, :])
     return KernelSystem(
         kernel_matrix=matrix,
-        embedding_vector=embedding,
+        embedding_vector=kernel_mean(ell, nodes),
         condition_estimate=_condition_estimate(matrix),
     )
 

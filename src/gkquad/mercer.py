@@ -36,7 +36,6 @@ from .hermite import DEGREE_MAX, normalized_table
 
 __all__ = [
     "ALPHA_DEFAULT",
-    "GaussianKernel",
     "MercerBasis",
     "basis_from",
     "check_length_scale",
@@ -60,24 +59,6 @@ def check_length_scale(ell) -> float:
     if ell * ell < sys.float_info.min:  # 4 / l^2 in beta would overflow
         raise DomainError(f"length scale {ell} is too small: its square is subnormal")
     return ell
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """Gaussian kernel k(x, y) = exp(-(x - y)^2 / (2 l^2))."""
-
-    length_scale: float
-
-    def __post_init__(self):
-        check_length_scale(self.length_scale)
-
-    def value(self, x, y):
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        try:
-            scale = 2.0 * self.length_scale**2
-        except OverflowError:  # l^2 has no float above l = 1.34e154
-            scale = math.inf
-        return np.exp(-(d * d) / scale)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ the block partition.  A size guard caps the total point count.
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -128,7 +129,7 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
     ------
     DomainError
         If f is not a ProductIntegrand, its dimension differs from the
-        rule's, or a factor does not return one number per node.
+        rule's, or a factor does not return one real number per node.
     EvaluationError
         If a grid value f(node) is non-finite; the error carries the
         first such multi-index in odometer order.
@@ -155,8 +156,10 @@ def _product_blocks(rule: TensorRule, f: ProductIntegrand) -> Iterator[np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):
             values = [g(x) for x in r.nodes]
         try:
-            table = np.array(values, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged or not numbers
+            with warnings.catch_warnings():  # a complex value or a cast overflow only warns
+                warnings.simplefilter("error", RuntimeWarning)  # ComplexWarning's base class
+                table = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError, RuntimeWarning) as exc:  # not real numbers
             raise DomainError(f"factor {axis} must return one number per node: {exc}") from exc
         if table.shape != (len(r),):
             raise DomainError(f"factor {axis} must return one number per node, "

@@ -30,9 +30,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalFailureError, as_index
-from .exact import kernel_mean, kernel_mean_mean
+from .exact import kernel, kernel_mean, kernel_mean_mean
 from .gauss_hermite import QuadratureRule
-from .mercer import GaussianKernel, MercerBasis, eigenvalue
+from .mercer import MercerBasis, eigenvalue
 
 __all__ = [
     "HERMITE_SUP_CONSTANT",
@@ -91,14 +91,13 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
         If the squared error evaluates below -1e-14, which only happens
         for inconsistent inputs (e.g. weights from a failed solve).
     """
-    kern = GaussianKernel(ell)
     nodes = rule.nodes
     weights = rule.weights
 
     term_mean_mean = kernel_mean_mean(ell)
     term_quadratic = _exact_sum([np.multiply.outer(weights, weights)
-                                 * kern.value(nodes[:, None], nodes[None, :])])
-    term_cross = _exact_sum([weights * np.atleast_1d(kernel_mean(ell, nodes))])
+                                 * kernel(ell, nodes[:, None], nodes[None, :])])
+    term_cross = _exact_sum([weights * kernel_mean(ell, nodes)])
 
     squared = term_mean_mean + term_quadratic - 2.0 * term_cross
     if squared < -_NEGATIVE_TOL:
@@ -118,8 +117,7 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
 # [u, u + 26), u = 26 j + _UNIT_LOW; _UNIT_LOW is the lowest subnormal
 # bit, so every finite term has a window.  Terms are binned _BLOCK at a
 # time, a size whose temporaries stay in cache; a bin then takes at most
-# _BLOCK pieces, and _BLOCK * (2**_SPLIT - 1) < 2**53.  Fewer than _BATCH
-# terms cost less in math.fsum than in the bins.
+# _BLOCK pieces, and _BLOCK * (2**_SPLIT - 1) < 2**53.
 _WINDOW = 26
 _SPLIT = 39
 _UNIT_LOW = -1074
@@ -129,7 +127,6 @@ _BINS = (1023 - _UNIT_LOW) // _WINDOW + 1
 _UNITS = [j * _WINDOW + _UNIT_LOW - (_SPLIT - _WINDOW) - k * _SPLIT
           for k in (0, 1) for j in range(_BINS)]
 _BLOCK = 8192
-_BATCH = 400
 
 
 def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
@@ -147,8 +144,7 @@ def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
     float64 adds exactly in any order.  So the bins, scaled back by their
     units (also exact), sum to exactly the sum of the terms, and
     ``math.fsum`` of the bins of every block rounds that once, as
-    ``math.fsum`` of the terms does (Neal, arXiv:1505.05571).  A chunk of
-    fewer than _BATCH terms joins that final ``math.fsum`` as it is.
+    ``math.fsum`` of the terms does (Neal, arXiv:1505.05571).
 
     If any term is nan or infinite the result is ``math.fsum`` of the
     non-finite terms: nan, an infinity, or the ValueError for +inf with
@@ -162,9 +158,6 @@ def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
         if not finite.all():
             special += t[~finite].tolist()
             t = t[finite]
-        if t.size < _BATCH:
-            partials += t.tolist()
-            continue
         for start in range(0, t.size, _BLOCK):
             bins = _window_bins(t[start:start + _BLOCK])
             partials += [math.ldexp(bins[j], _UNITS[j]) for j in np.flatnonzero(bins).tolist()]

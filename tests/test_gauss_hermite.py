@@ -173,15 +173,14 @@ def test_rule_container_is_read_only():
         rule.weights[0] = 5.0
 
 
-def test_node_residual_warning_names_the_worst_node(monkeypatch):
-    monkeypatch.setattr(make_gh_rules, "_RESIDUAL_TOL", 0.0)
+def test_node_residual_error_names_the_worst_node(monkeypatch):
     n = 8
-    with pytest.warns(make_gh_rules.NodeResidualWarning) as record:
-        rule = make_gh_rules._golub_welsch(n)
-    table = normalized_table(rule.nodes, n)
+    table = normalized_table(make_gh_rules._golub_welsch(n).nodes, n)
     worst = int(np.argmax(np.abs(table[:, n]) / np.abs(table).max(axis=1)))
-    assert len(record) == 1
-    assert f"node {worst} of the {n}-point rule" in str(record[0].message)
+    monkeypatch.setattr(make_gh_rules, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericalFailureError) as info:
+        make_gh_rules._golub_welsch(n)
+    assert f"node {worst} of the {n}-point rule" in str(info.value)
 
 
 def test_shipped_rules_match_the_reference_construction():

@@ -8,10 +8,9 @@ from scipy.integrate import quad
 
 from gkquad import basis_from, gaussian_poly_integrand
 from gkquad.errors import DomainError
-from gkquad.exact import kernel_mean, kernel_mean_mean
+from gkquad.exact import kernel, kernel_mean, kernel_mean_mean
 from gkquad.mercer import (
     ALPHA_DEFAULT,
-    GaussianKernel,
     MercerBasis,
     eigenfunction_means,
     eigenfunction_table,
@@ -121,26 +120,23 @@ def test_even_mean_ratios_are_fresh_prefixes_of_one_recurrence():
 def test_truncated_expansion_converges_to_kernel():
     for ell in (0.5, 1.0, 4.0):
         b = basis_from(ell)
-        k = GaussianKernel(ell)
         for x, y in ((0.0, 0.0), (0.3, -1.2), (2.0, 1.5), (-3.0, 0.7)):
-            assert abs(mercer_sum(b, 150, x, y) - float(k.value(x, y))) <= 1e-12
+            assert abs(mercer_sum(b, 150, x, y) - float(kernel(ell, x, y))) <= 1e-12
     b = basis_from(0.2)
-    k = GaussianKernel(0.2)
-    assert abs(mercer_sum(b, 400, 0.3, -0.4) - float(k.value(0.3, -0.4))) <= 1e-12
+    assert abs(mercer_sum(b, 400, 0.3, -0.4) - float(kernel(0.2, 0.3, -0.4))) <= 1e-12
 
 
 def test_truncation_error_shrinks_geometrically():
     b = basis_from(1.0)
-    k = float(GaussianKernel(1.0).value(0.9, -0.6))
+    k = float(kernel(1.0, 0.9, -0.6))
     errs = [abs(mercer_sum(b, m, 0.9, -0.6) - k) for m in (5, 15, 30)]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_kernel_value_basics():
-    k = GaussianKernel(2.0)
-    assert float(k.value(1.3, 1.3)) == 1.0
-    assert float(k.value(0.0, 2.0)) == math.exp(-0.5)
-    assert float(k.value(-1.0, 3.0)) == float(k.value(3.0, -1.0))
+    assert float(kernel(2.0, 1.3, 1.3)) == 1.0
+    assert float(kernel(2.0, 0.0, 2.0)) == math.exp(-0.5)
+    assert float(kernel(2.0, -1.0, 3.0)) == float(kernel(2.0, 3.0, -1.0))
 
 
 def test_containers_are_frozen():
@@ -148,9 +144,6 @@ def test_containers_are_frozen():
     assert isinstance(b, MercerBasis)
     with pytest.raises(Exception):
         b.beta = 2.0
-    k = GaussianKernel(1.0)
-    with pytest.raises(Exception):
-        k.length_scale = 2.0
 
 
 def test_alpha_default_gives_standard_measure():
@@ -165,7 +158,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         basis_from(float("nan"))
     with pytest.raises(DomainError):
-        GaussianKernel(0.0)
+        kernel(0.0, 0.0, 0.0)
     b = basis_from(1.0)
     with pytest.raises(DomainError):
         eigenvalue(b, -1)
@@ -190,7 +183,7 @@ def test_length_scale_below_the_float_range_is_a_domain_error(ell):
     # (2 eps / a)^2 = 4 / l^2 overflows once l^2 is subnormal, below
     # l = 1.49e-154, and at the subnormal end eps itself is infinite.
     # Every entry point that takes a length scale refuses it alike.
-    for build in (basis_from, GaussianKernel):
+    for build in (basis_from, lambda ell: kernel(ell, 0.0, 0.0)):
         with pytest.raises(DomainError, match="too small"):
             build(ell)
     assert math.isfinite(basis_from(1.5e-154).beta)
@@ -200,8 +193,8 @@ def test_integer_length_scale_is_read_as_a_float():
     # 10**400 has no float, so it is refused like inf rather than raising
     # OverflowError; a smaller int is the float it equals, even where its
     # square, kept as an int, has none.
-    entry_points = (basis_from, GaussianKernel, lambda ell: kernel_mean(ell, 0.0),
-                    kernel_mean_mean)
+    entry_points = (basis_from, lambda ell: kernel(ell, 0.0, 0.0),
+                    lambda ell: kernel_mean(ell, 0.0), kernel_mean_mean)
     for call in entry_points:
         with pytest.raises(DomainError, match="positive and finite"):
             call(10**400)

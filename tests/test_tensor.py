@@ -224,15 +224,20 @@ def test_product_integrand_of_another_dimension_is_refused():
 
 def test_malformed_product_integrand_is_refused():
     # Each was accepted at one point: a one-element return broadcast
-    # against the weights (3 * 0.99... with no error), the others raised
-    # a bare TypeError or ValueError.
+    # against the weights (3 * 0.99... with no error), a numpy complex
+    # cast to its real part (0.9999999999999999 for 1 + 5j, with only a
+    # ComplexWarning), the others raised a bare TypeError, ValueError or
+    # OverflowError.
     with pytest.raises(DomainError, match="one per axis"):
         ProductIntegrand(lambda x: 1.0)
     with pytest.raises(DomainError, match="must be callable"):
         ProductIntegrand((lambda x: 1.0, 2.0))
     rule = tensor_rule([gh_rule(2), gh_rule(3)])
     for g, detail in [(lambda x: [1.0], r"shape \(1,\)"), (lambda x: [1.0, 2.0], r"shape \(2,\)"),
-                      (lambda x: "one", "convert"), (lambda x: [1.0] * int(x > 0), "inhomogeneous")]:
+                      (lambda x: "one", "convert"), (lambda x: [1.0] * int(x > 0), "inhomogeneous"),
+                      (lambda x: np.complex128(1 + 5j), "imaginary part"),
+                      (lambda x: 1 + 5j, "not 'complex'"),
+                      (lambda x: 10**400, "too large")]:
         with pytest.raises(DomainError, match=f"factor 1 must return one number per node.*{detail}"):
             tensor_integrate(rule, ProductIntegrand((lambda x: 1.0, g)))
     # The factors are kept as a tuple, so the list it was given may change.

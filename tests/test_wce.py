@@ -11,7 +11,6 @@ from gkquad import approx_rule, basis_from, gh_rule, wce, worst_case_error
 from gkquad.errors import DomainError, IllConditionedError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
-from gkquad.mercer import GaussianKernel
 from gkquad.wce import (
     HERMITE_SUP_CONSTANT,
     RATE_CAP,
@@ -181,13 +180,7 @@ def _chunked(terms, cuts):
 @settings(max_examples=500)
 @given(st.lists(_wide_floats, max_size=300), st.lists(st.integers(0, 300), max_size=4))
 def test_exact_sum_is_bit_identical_to_fsum(terms, cuts):
-    want = math.fsum(terms)
-    # Every chunk through the bins; then chunks below 100 or _BATCH terms left to fsum.
-    for batch in (1, 100, wce._BATCH):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wce, "_BATCH", batch)
-            got = _exact_sum(_chunked(terms, cuts))
-        assert got.hex() == want.hex()
+    assert _exact_sum(_chunked(terms, cuts)).hex() == math.fsum(terms).hex()
 
 
 @given(st.lists(_wide_floats, max_size=60),
@@ -196,10 +189,8 @@ def test_exact_sum_is_bit_identical_to_fsum(terms, cuts):
 def test_exact_sum_keeps_nan_and_inf_outcomes(terms, special, rnd, cuts):
     terms = terms + special
     rnd.shuffle(terms)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wce, "_BATCH", 1)
-        assert (_fsum_outcome(_exact_sum, _chunked(terms, cuts))
-                == _fsum_outcome(math.fsum, terms))
+    assert (_fsum_outcome(_exact_sum, _chunked(terms, cuts))
+            == _fsum_outcome(math.fsum, terms))
 
 
 def _wide_terms(size, seed):
@@ -212,9 +203,7 @@ def _wide_terms(size, seed):
     return terms
 
 
-@pytest.mark.parametrize("batch", [1, wce._BATCH])  # small inputs binned, or left to fsum
-def test_exact_sum_fixed_cases(batch, monkeypatch):
-    monkeypatch.setattr(wce, "_BATCH", batch)
+def test_exact_sum_fixed_cases():
     terms = _wide_terms(100_000, 3)
     subnormal = (terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny)
     assert subnormal.any() and np.abs(terms).max() > 1e299
@@ -254,7 +243,6 @@ def test_exact_sum_at_the_limits_of_the_two_pieces():
 def test_exact_sum_is_exact_for_any_block_size(monkeypatch):
     terms = _wide_terms(10_000, 4)
     want = math.fsum(terms).hex()
-    monkeypatch.setattr(wce, "_BATCH", 1)
     for block in (7, 1000):
         monkeypatch.setattr(wce, "_BLOCK", block)
         assert _exact_sum([terms[:3], terms[3:5000], terms[5000:]]).hex() == want, block
@@ -263,9 +251,10 @@ def test_exact_sum_is_exact_for_any_block_size(monkeypatch):
 def _odometer_report(rule, ell):
     """The direct form: every term w_i w_j k(x_i, x_j), in odometer order."""
     x, w = rule.nodes, rule.weights
-    kmat = GaussianKernel(ell).value(x[:, None], x[None, :])
+    d = x[:, None] - x[None, :]
+    kmat = np.exp(-(d * d) / (2.0 * ell**2))
     quadratic = math.fsum((w[:, None] * w[None, :] * kmat).ravel())
-    cross = math.fsum(w * np.atleast_1d(kernel_mean(ell, x)))
+    cross = math.fsum(w * kernel_mean(ell, x))
     mean_mean = kernel_mean_mean(ell)
     squared = mean_mean + quadratic - 2.0 * cross
     return WceReport(math.sqrt(max(squared, 0.0)), mean_mean, quadratic, cross)

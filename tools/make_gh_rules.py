@@ -27,7 +27,6 @@ largest node is below 2 sqrt(N - 1).
 
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -36,13 +35,9 @@ from gkquad.gauss_hermite import _TABLE_PATH, N_MAX, QuadratureRule
 from gkquad.hermite import normalized_table
 
 # Polished nodes are expected to satisfy |hhat_N(x_n)| below this times
-# the largest |hhat_k(x_n)| over k <= N; worse residuals are flagged
-# with a warning, which ``main`` turns into an error.
+# the largest |hhat_k(x_n)| over k <= N; a worse residual raises
+# NumericalFailureError.
 _RESIDUAL_TOL = 1e-8
-
-
-class NodeResidualWarning(UserWarning):
-    """A polished node left a larger-than-expected polynomial residual."""
 
 
 def _golub_welsch(n: int) -> QuadratureRule:
@@ -75,20 +70,16 @@ def _golub_welsch(n: int) -> QuadratureRule:
     rel = residual[:, n] / residual.max(axis=1)
     if np.any(rel > _RESIDUAL_TOL):
         worst = int(np.argmax(rel))
-        warnings.warn(
+        raise NumericalFailureError(
             f"node {worst} of the {n}-point rule has polynomial residual "
-            f"{rel[worst]:.3e} above {_RESIDUAL_TOL:.1e}",
-            NodeResidualWarning,
-            stacklevel=2,
+            f"{rel[worst]:.3e} above {_RESIDUAL_TOL:.1e}"
         )
     return QuadratureRule(nodes, weights)
 
 
 def main(argv: list[str]) -> int:
     out = argv[0] if argv else _TABLE_PATH
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", NodeResidualWarning)
-        rules = [_golub_welsch(n) for n in range(1, N_MAX + 1)]
+    rules = [_golub_welsch(n) for n in range(1, N_MAX + 1)]
     table = np.stack([
         np.concatenate([rule.nodes for rule in rules]),
         np.concatenate([rule.weights for rule in rules]),
