@@ -50,7 +50,6 @@ from .mercer import (
 )
 from .tensor import (
     DIM_MAX,
-    GRID_MAX,
     TensorRule,
     gaussian_poly_integrand,
     tensor_integrate,

@@ -445,3 +445,15 @@ def test_constants_never_loads_the_rule_table():
     proc = run_python(["-c", TABLE_OPENS, "constants --ell 0.2"])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr.decode().split() == ["0", "0", "1"]
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # fractions imports decimal, about 3 ms of every process start; the
+    # exact tensor sums use Python ints instead.  Each import runs in its
+    # own interpreter, and the probe must see the two when they load.
+    probe = "import sys, {}; print(*sorted({{'decimal', 'fractions'}} & set(sys.modules)))"
+    for module, want in (("gkquad", []), ("gkquad.cli", []),
+                         ("fractions", ["decimal", "fractions"])):
+        proc = run_python(["-c", probe.format(module)])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().split() == want, module

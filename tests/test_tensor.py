@@ -3,9 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkquad import approx_rule, basis_from, gh_rule, tensor_integrate, tensor_rule
 from gkquad.errors import DomainError, EvaluationError, SizeError
@@ -13,7 +16,6 @@ from gkquad.exact import exact_weights
 from gkquad.gauss_hermite import QuadratureRule
 from gkquad.tensor import (
     DIM_MAX,
-    GRID_MAX,
     ProductIntegrand,
     TensorRule,
     gaussian_poly_integrand,
@@ -26,7 +28,7 @@ def _odometer_sum(rule, f):
     The weight is the left-to-right product of the factor weights, f is
     called on the node tuple, the terms are summed exactly rounded, and
     the first non-finite value in odometer order (last index fastest)
-    raises.  The product path must match it bit for bit.
+    raises.  It is the reference for where the product path refuses.
     """
     terms = []
     for idx in itertools.product(*(range(len(r)) for r in rule.factors)):
@@ -35,6 +37,14 @@ def _odometer_sum(rule, f):
             raise EvaluationError(f"integrand returned {value} at grid point {idx}", idx)
         terms.append(math.prod(r.weights[i] for r, i in zip(rule.factors, idx)) * value)
     return math.fsum(terms)
+
+
+def _rational_oracle(rule, f):
+    """float(prod_k sum_j w_kj g_k(x_kj)) with every sum and product exact, rounded once."""
+    product = Fraction(1)
+    for g, r in zip(f.factors, rule.factors):
+        product *= sum(Fraction(w) * Fraction(g(x)) for x, w in zip(r.nodes, r.weights))
+    return float(product)
 
 
 def test_grid_weights_are_plain_products():
@@ -163,8 +173,8 @@ def test_product_path_is_bit_identical_to_the_per_point_path():
     ]
     powers = {1: [[6], [3]], 2: [[3, 2], [4, 0], [1, 5]], 3: [[6, 4, 2], [2, 3, 0], [1, 1, 1]]}
     # Criterion 10's integrand on its own rules, and on uniform nodes at
-    # l = 0.6: grids where grouping the weight products differently
-    # changes the sum.
+    # l = 0.6: grids where the rounded grid sum and the correctly rounded
+    # product of the per-axis sums part.
     x = approx_rule(basis_from(0.6), 7).rule.nodes
     x = np.linspace(x[0], x[-1], 7)
     cases = [(g, m, 1.2) for g in grids for m in powers[len(g)]] + [
@@ -174,23 +184,23 @@ def test_product_path_is_bit_identical_to_the_per_point_path():
         d = len(factors)
         rule = tensor_rule(factors)
         f, _ = gaussian_poly_integrand(d, m, [1.5, 3.0, 0.5][:d], ell)
-        fast, slow = tensor_integrate(rule, f), _odometer_sum(rule, f)
-        assert fast.hex() == slow.hex(), ([len(r) for r in factors], m, ell, fast, slow)
+        got, want = tensor_integrate(rule, f), _rational_oracle(rule, f)
+        assert got.hex() == want.hex(), ([len(r) for r in factors], m, ell, got, want)
 
 
 @pytest.mark.parametrize("ell, sizes, m, c", [
     (1.2, [30, 30, 30], [6, 4, 2], [1.5, 3.0, 0.5]),  # criterion 10's grid
     (0.5, [100, 100], [4, 2], [1.0, 2.0]),
-    (0.8, [9, 120, 70], [2, 2, 2], [1.5, 3.0, 0.5]),  # blocks of 4, 4 and 1 first-axis rows
+    (0.8, [9, 120, 70], [2, 2, 2], [1.5, 3.0, 0.5]),
 ])
 def test_product_path_is_bit_identical_at_benchmark_scale(ell, sizes, m, c):
     # The fixed tensor-cubature grids, 27,000 and 10,000 points, and a
-    # 75,600-point grid that spans three blocks of up to N_MAX² points,
-    # where multiplying the trailing factors out first changes the sum.
+    # 75,600-point grid of unequal axes: the benchmark's own oracle,
+    # rounded once.
     basis = basis_from(ell)
     rule = tensor_rule([approx_rule(basis, n).rule for n in sizes])
     f, _ = gaussian_poly_integrand(len(sizes), m, c, ell)
-    assert tensor_integrate(rule, f).hex() == _odometer_sum(rule, f).hex()
+    assert tensor_integrate(rule, f).hex() == _rational_oracle(rule, f).hex()
 
 
 def test_product_integrand_calls_each_factor_once_per_node():
@@ -247,6 +257,103 @@ def test_malformed_product_integrand_is_refused():
     assert f.factors == (factors[0],)
 
 
+# Factor values and weights: moderate ones of either sign, any finite
+# float (hypothesis favours its boundaries), and the ends of the range
+# with signed zeros.
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+             1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+_NUMBERS = st.one_of(st.floats(0.1, 4.0), st.floats(-4.0, -0.1),
+                     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EXTREMES))
+# Nodes per axis by dimension: at most 24 in 1-D and 729 grid points in 6-D.
+_MAX_NODES = {1: 24, 2: 16, 3: 8, 4: 5, 5: 3, 6: 3}
+
+
+def _unit_grid(axes):
+    """(TensorRule, ProductIntegrand) on the nodes 0, 1, ... of each axis's (weights, values)."""
+    rule = tensor_rule([QuadratureRule(np.arange(len(w), dtype=float), w) for w, _ in axes])
+    return rule, ProductIntegrand(tuple((lambda x, v=v: v[int(x)]) for _, v in axes))
+
+
+@st.composite
+def _grids(draw):
+    """Unit grids with d = 1-6.
+
+    In about one grid in four, one axis is mirrored: symmetric weights
+    and odd values, as an odd power on a symmetric rule has, so that its
+    sum cancels to exactly 0.  In about one in ten, one axis has a nan or
+    an infinite value.
+    """
+    d = draw(st.integers(1, DIM_MAX))
+    mirrored = draw(st.integers(-3 * d, d - 1))
+    poisoned = draw(st.integers(-9 * d, d - 1))
+    axes = []
+    for axis in range(d):
+        n = draw(st.integers(1, _MAX_NODES[d]))
+        weights = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+        values = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+        if n > 1 and axis == mirrored:
+            half = n // 2
+            middle = [0.0] if n % 2 else []
+            weights = weights[:half] + weights[half:n - half] + weights[:half][::-1]
+            values = values[:half] + middle + [-v for v in values[:half][::-1]]
+        if axis == poisoned:
+            values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.inf, -math.inf,
+                                                                        math.nan]))
+        axes.append((weights, values))
+    return _unit_grid(axes)
+
+
+@settings(max_examples=150)
+@given(_grids())
+# A subnormal sum (0.75 of the least one rounds up to it), -0.0 terms
+# summing to +0.0, and the largest float as a product of two sums.
+@example(_unit_grid([([0.5, 0.25], [5e-324, 5e-324])]))
+@example(_unit_grid([([1.0, 2.0], [-0.0, -0.0]), ([3.0], [1.0])]))
+@example(_unit_grid([([1.0, 1.0], [2.0**999, 2.0**999 - 2.0**947]), ([1.0, 1.0], [2.0**23] * 2)]))
+def test_product_path_is_the_rational_oracle_on_random_grids(grid):
+    # Bit for bit the rational oracle rounded once, or the refusal the
+    # per-point path makes at the same point, or, for a sum beyond the
+    # float range, an EvaluationError without a location.
+    rule, f = grid
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # its weight products may overflow
+            _odometer_sum(rule, f)
+    except EvaluationError as exc:
+        assert _evaluation_error(tensor_integrate, rule, f) == (str(exc), exc.multi_index)
+        return
+    except (OverflowError, ValueError):  # math.fsum of an overflowed term: not a refusal
+        pass
+    try:
+        want = _rational_oracle(rule, f)
+    except OverflowError:
+        assert _evaluation_error(tensor_integrate, rule, f) == (
+            "the integral lies beyond the float range", None)
+        return
+    assert tensor_integrate(rule, f).hex() == want.hex()
+
+
+def test_integral_beyond_the_float_range_is_refused():
+    # Grid values that fit, whose weighted sum does not: the sum of two
+    # terms of 1e308 (a bare OverflowError escaped when the grid terms
+    # were summed), one term 1e308 * 10 (that sum returned inf), and a
+    # product of two per-axis sums 2e154 of grid values 1e308.
+    one = QuadratureRule([0.0, 1.0], [1.0, 1.0])
+    cases = [(tensor_rule([one]), ProductIntegrand((lambda x: 1e308,))),
+             (tensor_rule([one]), ProductIntegrand((lambda x: -1e308,))),
+             (tensor_rule([QuadratureRule([0.0], [1e308])]), ProductIntegrand((lambda x: 10.0,))),
+             (tensor_rule([one] * 2), ProductIntegrand((lambda x: 1e154, lambda x: -1e154)))]
+    for rule, f in cases:
+        assert _evaluation_error(tensor_integrate, rule, f) == (
+            "the integral lies beyond the float range", None)
+    # Terms beyond the range that cancel exactly give 0.0 (that sum raised
+    # a bare ValueError, -inf + inf), and a product that is exactly the
+    # largest float is returned.
+    rule = tensor_rule([QuadratureRule([0.0, 1.0], [1e308, 1e308])])
+    assert tensor_integrate(rule, ProductIntegrand((lambda x: 10.0 - 20.0 * x,))) == 0.0
+    f = ProductIntegrand((lambda x: 0.5 * 1.7976931348623157e308, lambda x: 0.5))
+    assert tensor_integrate(tensor_rule([one] * 2), f) == 1.7976931348623157e308
+
+
 def _evaluation_error(integrate, rule, f):
     with pytest.raises(EvaluationError) as info:
         integrate(rule, f)
@@ -295,9 +402,14 @@ def test_dimension_and_grid_guards():
         tensor_rule([gh_rule(2)] * (DIM_MAX + 1))
     with pytest.raises(DomainError):
         tensor_rule([gh_rule(2), object()])
-    assert tensor_rule([gh_rule(200)] * 3).size == 8_000_000 <= GRID_MAX
-    with pytest.raises(SizeError):
-        tensor_rule([gh_rule(200)] * 4)
+    # No grid is built, so no point count is refused: a 200⁶-point grid
+    # integrates to the rational oracle, bit for bit.
+    rule = tensor_rule([gh_rule(200)] * DIM_MAX)
+    f, _ = gaussian_poly_integrand(DIM_MAX, [2, 0, 4, 1, 6, 2], [1.0, 0.5, 2.0, 1.0, 3.0, 0.2], 1.0)
+    assert rule.size == 200**6
+    assert tensor_integrate(rule, f).hex() == _rational_oracle(rule, f).hex()
+    f, _ = gaussian_poly_integrand(DIM_MAX, [2, 0, 4, 2, 6, 2], [1.0, 0.5, 2.0, 1.0, 3.0, 0.2], 1.0)
+    assert tensor_integrate(rule, f).hex() == _rational_oracle(rule, f).hex()
     # Built directly, the rule runs the same guards.
     with pytest.raises(SizeError):
         TensorRule(())
@@ -305,8 +417,6 @@ def test_dimension_and_grid_guards():
         TensorRule((gh_rule(3),) * 9)
     with pytest.raises(DomainError, match="QuadratureRule instances"):
         TensorRule(("not a rule",))
-    with pytest.raises(SizeError, match="exceeds the guard"):
-        TensorRule((gh_rule(200),) * 6)
     # It keeps a tuple, so growing the list it was given changes nothing.
     factors = [gh_rule(2)]
     rule = TensorRule(factors)
@@ -316,20 +426,23 @@ def test_dimension_and_grid_guards():
 
 
 def test_block_memory_stays_bounded_for_trailing_one_point_axes():
-    # Sizes (200, 200, 200, 1, 1, 1): the trailing grid of 40,000 points
-    # is joined to one first-axis node per block, so no array grows past
-    # N_MAX² points (320 kB) although the grid has 8e6.  The one-point
-    # factors (node 0, weight 1, value 1) change no bit of the sum.
+    # Sizes (200, 200, 200, 1, 1, 1) and 200⁶: no grid and no block of it
+    # is held, so the peak is a few factor tables and per-axis integer
+    # terms, about 60 kB for both, where one float per point of the 8e6
+    # grid would take 64 MB.  The one-point factors (node 0, weight 1,
+    # value 1) change no bit of the result.
     f, _ = gaussian_poly_integrand(6, [2, 0, 4, 0, 0, 0], [1.0, 0.5, 2.0, 1.0, 1.0, 1.0], 1.0)
-    rule = tensor_rule([gh_rule(200)] * 3 + [gh_rule(1)] * 3)
-    tracemalloc.start()
-    try:
-        value = tensor_integrate(rule, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000, peak
-    assert value == tensor_integrate(tensor_rule([gh_rule(200)] * 3), ProductIntegrand(f.factors[:3]))
+    for rule in (tensor_rule([gh_rule(200)] * 3 + [gh_rule(1)] * 3), tensor_rule([gh_rule(200)] * 6)):
+        tracemalloc.start()
+        try:
+            tensor_integrate(rule, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (rule.size, peak)
+    three = tensor_rule([gh_rule(200)] * 3 + [gh_rule(1)] * 3)
+    assert tensor_integrate(three, f) == tensor_integrate(tensor_rule([gh_rule(200)] * 3),
+                                                          ProductIntegrand(f.factors[:3]))
 
 
 def test_tensor_rule_is_frozen():
