@@ -76,17 +76,18 @@ def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
 def even_hermite_series(gamma: float, n: int, t) -> np.ndarray:
     """The weight series S_N(t) for rule size n, evaluated at t.
 
-    Sums g^m r_m hhat_{2m}(t) over m = 0..floor((n-1)/2).  Each factor
-    is bounded (|g| < 1 in the kernel setting, r_m < 1, hhat bounded by
-    1.087 exp(t^2/4)), which is what keeps the closed-form weights
-    finite where the naive unnormalized form would overflow.
+    Sums g^m r_m hhat_{2m}(t) over m = 0..floor((n-1)/2) in ascending m, in
+    contiguous rows whatever the table's layout.  Each factor is bounded
+    (|g| < 1 in the kernel setting, r_m < 1, hhat bounded by 1.087 exp(t^2/4)),
+    which keeps the closed-form weights finite where the naive form overflows.
     """
     n = check_size(n)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     m_top = (n - 1) // 2
     table = normalized_table(ts, 2 * m_top)
     coeffs = gamma ** np.arange(m_top + 1) * even_mean_ratios(m_top)
-    return table[:, 0 : 2 * m_top + 1 : 2] @ coeffs
+    terms = np.multiply(table[:, 0 : 2 * m_top + 1 : 2], coeffs, order="C")
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
 
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
@@ -203,7 +204,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
 
 
 def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
-    """Sum of H_m(x) H_m(y) / m! for m = 0..m_max, via normalized values.
+    """Sum of H_m(x) H_m(y) / m! for m = 0..m_max, via normalized values, by math.fsum.
 
     The equivalent ratio form
     (H_M(y) H_{M+1}(x) - H_M(x) H_{M+1}(y)) / (M! (x - y)) is the
@@ -215,5 +216,5 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     if x == y:
         raise DomainError("the diagonal x = y is rejected; use the plain sum form")
     table = normalized_table(np.array([float(x), float(y)]), m_max)
-    return float(np.dot(table[0], table[1]))
+    return math.fsum(table[0] * table[1])
 

@@ -78,14 +78,12 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (npoints, degree_max + 1), C-contiguous
+    ndarray, shape (npoints, degree_max + 1)
         Column n holds hhat_n(x).  The recurrence runs one degree per
-        contiguous row and the result is that buffer transposed and
-        copied: each step is the same four roundings per point as the
-        formula in the module docstring.  The C-contiguous layout is
-        part of the contract: numpy's matmul of a strided slice of the
-        table takes its non-BLAS loop on this layout only, and the even
-        weight series in :mod:`gkquad.approx` prints those bits.
+        contiguous row, and the result is a transposed view of that
+        buffer: each step is the same four roundings per point as the
+        formula in the module docstring.  No memory layout is promised;
+        a caller that sums over the table states its own order.
     """
     degree_max = _check_degree(degree_max)
     x = np.asarray(x, dtype=float)
@@ -101,4 +99,4 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
         np.multiply(_SQRT[n], rows[n - 1], scratch)
         np.subtract(row, scratch, row)
         np.divide(row, _SQRT[n + 1], row)
-    return buffer.T.copy()
+    return buffer.T

@@ -118,7 +118,7 @@ def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.nda
     x = np.asarray(x, dtype=float)
     scaled = math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x
     envelope = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)
-    return envelope[:, None] * normalized_table(scaled, count - 1)
+    return np.multiply(envelope[:, None], normalized_table(scaled, count - 1), order="C")
 
 
 # r_m = r_{m-1} sqrt((2m - 1) / 2m), one rounding a step in order, so

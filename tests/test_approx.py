@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gkquad import approx_rule, basis_from, gh_rule, qr_weights
+from gkquad import approx, approx_rule, basis_from, gh_rule, qr_weights
 from gkquad.approx import (
     christoffel_darboux_sum,
     eigen_exactness_residual,
@@ -106,6 +106,22 @@ def test_flat_limit_recovers_gauss_hermite_weights():
     gh = gh_rule(20)
     assert np.abs(a.rule.weights - gh.weights).max() <= 1e-8
     assert np.abs(a.rule.nodes - gh.nodes).max() <= 1e-6
+
+
+def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
+    # normalized_table promises no memory layout, so the weight series
+    # states its own summation order: the same bits from a C-ordered and
+    # a Fortran-ordered table.  A matmul over the strided even columns
+    # goes through BLAS on the Fortran layout, which would change the
+    # weights at 190 of the 200 sizes at length-scale 1.
+    table = approx.normalized_table
+
+    def weights(order):
+        monkeypatch.setattr(approx, "normalized_table", lambda x, d: order(table(x, d)))
+        return [approx_rule(basis_from(ell), n).rule.weights.tobytes()
+                for ell in (0.05, 1.0, 10.0) for n in range(1, 201)]
+
+    assert weights(np.ascontiguousarray) == weights(np.asfortranarray)
 
 
 @pytest.mark.parametrize("ell,n", [(0.2, 20), (1.0, 20), (4.0, 20), (0.2, 80), (1.0, 5)])

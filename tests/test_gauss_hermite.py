@@ -198,6 +198,21 @@ def test_shipped_rules_match_the_reference_construction():
         assert np.max(np.abs(shipped.weights - ref.weights) / ref.weights) <= 1e-12
 
 
+def test_reference_construction_does_not_depend_on_the_table_layout(monkeypatch):
+    # normalized_table promises no memory layout, so the Christoffel sums
+    # state their own order: the same rules to the bit from a C-ordered
+    # and a Fortran-ordered table, which keeps the shipped file
+    # reproducible.
+    table = make_gh_rules.normalized_table
+
+    def rules(order):
+        monkeypatch.setattr(make_gh_rules, "normalized_table", lambda x, d: order(table(x, d)))
+        return [(rule.nodes.tobytes(), rule.weights.tobytes())
+                for rule in map(make_gh_rules._golub_welsch, range(1, N_MAX + 1))]
+
+    assert rules(np.ascontiguousarray) == rules(np.asfortranarray)
+
+
 def test_damaged_table_is_refused(monkeypatch, tmp_path):
     # Read uncached, so the shared table and rules stay as shipped.
     good = np.load(gauss_hermite._TABLE_PATH)

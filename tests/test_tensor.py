@@ -382,6 +382,11 @@ def test_non_finite_integrand_value_is_located():
          tensor_rule([gh_rule(4), gh_rule(5)]), "inf", (2, 3)),
         (gaussian_poly_integrand(2, [151, 151], [0.01, 0.01], 4.0)[0],
          tensor_rule([gh_rule(200)] * 2), "inf", (0, 0)),
+        # x**300 overflows at the widest node; the factor receives an
+        # np.float64 node, whose power gives inf where a Python float's
+        # raises OverflowError.
+        (gaussian_poly_integrand(1, [300], [0.5], 10.0)[0],
+         tensor_rule([gh_rule(200)]), "inf", (0,)),
         # Sizes (3, 5, 100, 100): the leading two axes are unravelled four
         # positions per block, and (1, 1) is the third row of the second.
         (ProductIntegrand((lambda x: 1e154 if x >= 1 else 1.0, lambda x: 1e154 if x >= 1 else 1.0,

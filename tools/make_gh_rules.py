@@ -62,9 +62,11 @@ def _golub_welsch(n: int) -> QuadratureRule:
 
     # Christoffel weights from the polished nodes.  The row sums involve
     # only even powers under the mirror map, so mirrored weights agree
-    # to the bit without extra averaging.
+    # to the bit without extra averaging.  Squaring into a C-ordered
+    # array makes each row contiguous, so np.sum adds it pairwise, the
+    # order the shipped table was built with.
     table = normalized_table(nodes, n)
-    weights = 1.0 / np.sum(table[:, :n] ** 2, axis=1)
+    weights = 1.0 / np.sum(np.square(table[:, :n], order="C"), axis=1)
 
     residual = np.abs(table)
     rel = residual[:, n] / residual.max(axis=1)
