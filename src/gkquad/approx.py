@@ -210,11 +210,19 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     (H_M(y) H_{M+1}(x) - H_M(x) H_{M+1}(y)) / (M! (x - y)) is the
     identity this function is tested against; the diagonal x = y is
     rejected because the ratio form degenerates there, and callers
-    needing the diagonal can sum hhat_m(x)^2 directly.
+    needing the diagonal can sum hhat_m(x)^2 directly.  A value, product
+    or sum that is not a finite float raises NumericalFailureError.
     """
     m_max = as_index(m_max, "m_max", 0, DEGREE_MAX - 1)
     if x == y:
         raise DomainError("the diagonal x = y is rejected; use the plain sum form")
-    table = normalized_table(np.array([float(x), float(y)]), m_max)
-    return math.fsum(table[0] * table[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # such values are refused below
+        table = normalized_table(np.array([float(x), float(y)]), m_max)
+        products = table[0] * table[1]
+    if np.isfinite(products).all():
+        try:
+            return math.fsum(products)
+        except OverflowError:  # the sum lies beyond the float range
+            pass
+    raise NumericalFailureError(f"the sum to degree {m_max} at ({x}, {y}) is not a finite float")
 

@@ -122,10 +122,10 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
         If f is not a ProductIntegrand, its dimension differs from the
         rule's, or a factor does not return one real number per node.
     EvaluationError
-        If a grid value f(node), the left-to-right product of its factor
-        values, is non-finite; the error carries the first such
-        multi-index in odometer order (last index fastest).  Also, with
-        no multi-index, if the integral lies beyond the float range.
+        If a factor value is non-finite, with the first multi-index in
+        odometer order (last index fastest) whose grid point holds one
+        and f there, the left-to-right product of its factor values; or,
+        with no multi-index, if the integral lies beyond the float range.
     """
     if not isinstance(f, ProductIntegrand):
         raise DomainError("the integrand must be a ProductIntegrand")
@@ -144,7 +144,14 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
             raise DomainError(f"factor {axis} must return one number per node, "
                               f"not values of shape {table.shape[1:]}")
         tables.append(table)
-    _check_grid_values(tables)
+    # An axis's first non-finite value j is first met at grid point
+    # (0, ..., j, ..., 0); the least such point comes first in odometer order.
+    points = [tuple(int(np.argmin(np.isfinite(t))) if k == axis else 0 for k in range(len(tables)))
+              for axis, t in enumerate(tables) if not np.isfinite(t).all()]
+    if points:
+        index = min(points)
+        value = math.prod((float(t[i]) for t, i in zip(tables, index)), start=1.0)
+        raise EvaluationError(f"integrand returned {value} at grid point {index}", index)
     numerator, shift = 1, 0
     for r, values in zip(rule.factors, tables):
         # w v = a c 2**(p + q - 106) for frexp's w = (a / 2**53) 2**p and
@@ -159,32 +166,6 @@ def tensor_integrate(rule: TensorRule, f: ProductIntegrand) -> float:
         return numerator / (1 << shift)  # int true division rounds correctly
     except OverflowError:
         raise EvaluationError("the integral lies beyond the float range") from None
-
-
-def _check_grid_values(tables: list[np.ndarray]) -> None:
-    """Raise EvaluationError at the first non-finite grid value in odometer order.
-
-    A prefix of the multi-index with left-to-right product p leads to a
-    non-finite value exactly when |p| times each later axis's largest
-    |value| (nan or inf if it has one), left to right, is non-finite:
-    rounded multiplication is monotone, so no completion gets larger.
-    The search takes the first such node on each axis and never backtracks.
-    """
-    largest = [float(np.abs(t).max()) for t in tables]
-
-    def reaches(p: float, axis: int) -> bool:
-        for m in largest[axis:]:
-            p *= m
-        return not math.isfinite(p)
-
-    if not reaches(1.0, 0):
-        return
-    index, value = (), 1.0
-    for axis, t in enumerate(tables):
-        t = t.tolist()  # Python floats: overflow gives inf without a warning
-        i = next(i for i, v in enumerate(t) if reaches(abs(value * v), axis + 1))
-        index, value = index + (i,), value * t[i]
-    raise EvaluationError(f"integrand returned {value} at grid point {index}", index)
 
 
 def gaussian_poly_integrand(d: int, m, c, ell: float):

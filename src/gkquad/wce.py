@@ -5,11 +5,11 @@ over the unit ball of the kernel's RKHS is
 
     e(Q)^2 = mu(k_mu) + sum_ij w_i w_j k(x_i, x_j) - 2 sum_i w_i k_mu(x_i).
 
-Each of the sums is exactly rounded, the same bits as ``math.fsum`` of
-its terms (see ``_exact_sum``), and the square root is taken last; tiny
-negative values from cancellation are clamped, anything below -1e-14
-signals broken inputs and raises.  The quadratic sum runs over the full
-N x N matrix of terms.
+Each of the sums is exactly rounded (see ``_exact_sum``), and the
+square root is taken last; tiny negative values from cancellation are
+clamped, anything below -1e-14 signals broken inputs and raises.  So
+does a term that is not finite, or a sum beyond the float range.  The
+quadratic sum runs over the full N x N matrix of terms.
 
 The geometric convergence constants for the scaled-node rules are
 
@@ -25,7 +25,6 @@ absolute weight sum.  eta < 1 for every length scale.
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -89,15 +88,19 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     ------
     NumericalFailureError
         If the squared error evaluates below -1e-14, which only happens
-        for inconsistent inputs (e.g. weights from a failed solve).
+        for inconsistent inputs (e.g. weights from a failed solve); if a
+        term w_i w_j k(x_i, x_j) or w_i k_mu(x_i) is not finite; or if
+        the quadratic or the cross sum lies beyond the float range.
     """
     nodes = rule.nodes
     weights = rule.weights
 
     term_mean_mean = kernel_mean_mean(ell)
-    term_quadratic = _exact_sum([np.multiply.outer(weights, weights)
-                                 * kernel(ell, nodes[:, None], nodes[None, :])])
-    term_cross = _exact_sum([weights * kernel_mean(ell, nodes)])
+    with np.errstate(over="ignore", invalid="ignore"):  # such terms are refused below
+        quadratic = np.multiply.outer(weights, weights) * kernel(ell, nodes[:, None], nodes[None, :])
+        cross = weights * kernel_mean(ell, nodes)
+    term_quadratic = _exact_sum(quadratic)
+    term_cross = _exact_sum(cross)
 
     squared = term_mean_mean + term_quadratic - 2.0 * term_cross
     if squared < -_NEGATIVE_TOL:
@@ -122,48 +125,42 @@ _WINDOW = 26
 _SPLIT = 39
 _UNIT_LOW = -1074
 _BINS = (1023 - _UNIT_LOW) // _WINDOW + 1
-# Units of the bins _window_bins returns: the high pieces' 2**(u - 13)
-# for each window, then the low pieces' 2**(u - 52).
-_UNITS = [j * _WINDOW + _UNIT_LOW - (_SPLIT - _WINDOW) - k * _SPLIT
-          for k in (0, 1) for j in range(_BINS)]
+# Shifts of the bins _window_bins returns, the high pieces' units
+# 2**(u - 13) for each window and then the low pieces' 2**(u - 52), over
+# the lowest of them, 2**(_UNIT_LOW - 52); _ONE is 1.0 in that unit.
+_SHIFTS = [j * _WINDOW + k * _SPLIT for k in (1, 0) for j in range(_BINS)]
+_ONE = 1 << (2 * _SPLIT - _WINDOW - _UNIT_LOW)
 _BLOCK = 8192
 
 
-def _exact_sum(chunks: Iterable[np.ndarray]) -> float:
-    """The exactly rounded sum of all the chunks' terms: ``math.fsum``'s bits.
+def _exact_sum(terms: np.ndarray) -> float:
+    """The exactly rounded sum of the terms: ``math.fsum``'s bits where it has a value.
 
     A finite term t whose leading bit lies in the 26-bit window of unit
-    2**u is written as high 2**(u - 13) + low 2**(u - 52): high is t
-    scaled by 2**(13 - u) and truncated, low the fraction left by the
-    truncation times 2**39.  Both are integers of magnitude below 2**39,
-    computed without rounding (scaling by a power of two, truncation and
-    the fraction left by it are all exact), and together they carry t's
-    53 significant bits, the lowest of which is at least 2**(u - 52).
-    Each piece is added into its window's bin of its kind; a bin that
-    takes at most 2**14 pieces holds an integer below 2**53, which
-    float64 adds exactly in any order.  So the bins, scaled back by their
-    units (also exact), sum to exactly the sum of the terms, and
-    ``math.fsum`` of the bins of every block rounds that once, as
-    ``math.fsum`` of the terms does (Neal, arXiv:1505.05571).
-
-    If any term is nan or infinite the result is ``math.fsum`` of the
-    non-finite terms: nan, an infinity, or the ValueError for +inf with
-    -inf.  A bin too large for a float raises OverflowError, which
-    ``math.fsum`` raises for an intermediate overflow.
+    2**u is written, without rounding, as high 2**(u - 13) + low
+    2**(u - 52): high is t scaled by 2**(13 - u) and truncated, low the
+    fraction left times 2**39, both integers below 2**39 that together
+    carry t's 53 significant bits.  Each piece is added into its
+    window's bin of its kind; a bin that takes at most 2**14 pieces
+    holds an integer below 2**53, which float64 adds exactly in any
+    order.  The bins of every block, shifted to their units as Python
+    integers, sum to the terms' sum in units of 2**-1126 exactly, and
+    int true division by _ONE rounds that once.  NumericalFailureError
+    if a term is nan or infinite, or if the sum is beyond the float range.
     """
-    special, partials = [], []
-    for chunk in chunks:
-        t = np.ravel(chunk)
-        finite = np.isfinite(t)
-        if not finite.all():
-            special += t[~finite].tolist()
-            t = t[finite]
-        for start in range(0, t.size, _BLOCK):
-            bins = _window_bins(t[start:start + _BLOCK])
-            partials += [math.ldexp(bins[j], _UNITS[j]) for j in np.flatnonzero(bins).tolist()]
-    if special:
-        return math.fsum(special)
-    return math.fsum(partials)
+    t = np.ravel(terms)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise NumericalFailureError(f"a worst-case error term is {t[np.argmin(finite)]}")
+    total = 0
+    for start in range(0, t.size, _BLOCK):
+        bins = _window_bins(t[start:start + _BLOCK])
+        nonzero = np.flatnonzero(bins).tolist()
+        total += sum(b << _SHIFTS[j] for b, j in zip(bins[nonzero].astype(np.int64).tolist(), nonzero))
+    try:
+        return total / _ONE  # int true division rounds correctly
+    except OverflowError:
+        raise NumericalFailureError("a worst-case error sum lies beyond the float range") from None
 
 
 def _window_bins(t: np.ndarray) -> np.ndarray:

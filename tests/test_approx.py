@@ -14,7 +14,7 @@ from gkquad.approx import (
     machine_truncation,
     scaled_nodes,
 )
-from gkquad.errors import DomainError, SizeError
+from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.exact import exact_weights
 from gkquad.hermite import DEGREE_MAX
 from gkquad.mercer import ALPHA_DEFAULT, eigenfunction_means, eigenfunction_table
@@ -192,6 +192,21 @@ def test_christoffel_darboux_sum_matches_ratio_form(m_max):
 def test_christoffel_darboux_diagonal_is_rejected():
     with pytest.raises(DomainError):
         christoffel_darboux_sum(1.5, 1.5, 10)
+
+
+@pytest.mark.parametrize("x, y, m_max", [
+    (40.0, -39.0, 399),  # products of both signs overflow: "-inf + inf in fsum"
+    (1e100, -1e100, 4),  # hhat_4 overflows on the table itself
+    (38.0, 37.5, 353),  # finite products whose sum overflows: "intermediate overflow"
+    (1e100, 5e99, 4),  # fsum of inf products returned inf
+])
+def test_christoffel_darboux_sum_beyond_the_float_range_is_a_numerical_failure(x, y, m_max):
+    # Each raised a bare ValueError or OverflowError or returned inf,
+    # after numpy's overflow RuntimeWarning (an error in this suite).
+    with pytest.raises(NumericalFailureError, match=f"degree {m_max} .* not a finite float"):
+        christoffel_darboux_sum(x, y, m_max)
+    # Where every product and the sum fit, the value is returned.
+    assert math.isfinite(christoffel_darboux_sum(30.0, -29.0, 399))
 
 
 def test_guards():

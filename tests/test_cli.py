@@ -286,6 +286,21 @@ def test_tensor_integrate_defaults(capsys):
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
+def test_tensor_integrate_with_overflowing_grid_values(capsys):
+    # Grid values reach 7.6e430 and the integral is 3.38e261; the command
+    # exited 3 ("integrand returned inf at grid point (0, 0)") while grid
+    # values were checked instead of factor values.
+    argv = ["tensor-integrate", "--m", "150,150", "--c", "0.01,0.01", "--ell", "4", "--ns", "180,200"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert [int(r[0]) for r in rows] == [180, 200]
+    for row in rows:
+        errors = dict(zip(header, row))
+        assert float(errors["err_sghkq"]) <= 1e-13 * 3.38e261
+        assert float(errors["err_gh"]) <= 1e-13 * 3.38e261
+
+
 def test_tensor_integrate_dimension_mismatch(capsys):
     code, _, err = run(capsys, ["tensor-integrate", "--m", "6,4", "--c", "1.5,3.0,0.5"])
     assert code == 2

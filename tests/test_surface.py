@@ -3,7 +3,8 @@
 A name joins the package root only when the paper, the CLI or the
 acceptance gate needs it, so adding or removing one fails the pin below
 until the list is edited on purpose.  The same holds for the CLI's
-settable values, and every integer argument has one stated range.
+settable values, the source line count and the runtime dependencies,
+and every integer argument has one stated range.
 """
 
 import argparse
@@ -98,6 +99,22 @@ def test_every_module_uses_what_it_imports():
         dead.extend(f"{path.name}: {name}" for name in sorted(imported - used))
     assert not dead, "imported but unused: " + ", ".join(dead)
 
+
+# Lines of the package's modules; a change that moves it edits this pin.
+SRC_LINES = 1672
+
+
+def test_source_line_count_is_pinned():
+    package = Path(gkquad.__file__).parent
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in package.glob("*.py"))
+    assert lines == SRC_LINES
+
+
+def test_runtime_dependencies_are_numpy_only():
+    # pyproject.toml's [project] dependencies; tomllib is not in Python 3.10.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([^"]*)"', block) == ["numpy>=1.24"]
 
 
 def test_settable_cli_values_are_pinned():

@@ -27,13 +27,15 @@ def _odometer_sum(rule, f):
 
     The weight is the left-to-right product of the factor weights, f is
     called on the node tuple, the terms are summed exactly rounded, and
-    the first non-finite value in odometer order (last index fastest)
-    raises.  It is the reference for where the product path refuses.
+    the first point in odometer order (last index fastest) with a
+    non-finite factor value raises with f there.  It is the reference
+    for where the product path refuses.
     """
     terms = []
     for idx in itertools.product(*(range(len(r)) for r in rule.factors)):
-        value = f(tuple(r.nodes[i] for r, i in zip(rule.factors, idx)))
-        if not math.isfinite(value):
+        x = tuple(r.nodes[i] for r, i in zip(rule.factors, idx))
+        value = f(x)
+        if not all(math.isfinite(g(xi)) for g, xi in zip(f.factors, x)):
             raise EvaluationError(f"integrand returned {value} at grid point {idx}", idx)
         terms.append(math.prod(r.weights[i] for r, i in zip(rule.factors, idx)) * value)
     return math.fsum(terms)
@@ -363,41 +365,72 @@ def _evaluation_error(integrate, rule, f):
 def test_non_finite_integrand_value_is_located():
     # The product path reports the same point and value as the per-point
     # path: for one non-finite factor, for an infinite factor times a
-    # zero one (nan), for finite factors whose product overflows (the
-    # head axis times a slab axis, and two slab axes), and for the test
-    # integrand once x**m overflows.
-    def huge_if_positive(x):
-        return 1e200 if x > 0 else 1.0
-
-    unit = [QuadratureRule(np.arange(n, dtype=float), np.ones(n)) for n in (3, 5, 100, 100)]
-
+    # zero one (nan), for the test integrand once x**m overflows, and for
+    # two axes with a non-finite value, where the later axis's comes
+    # first in odometer order unless the earlier one's is its node 0.
     cases = [
         (ProductIntegrand((lambda x: math.inf if x > 0 else 1.0, lambda x: float(x >= 0))),
          tensor_rule([gh_rule(3), gh_rule(3)]), "nan", (2, 0)),
         (ProductIntegrand((lambda x: 1.0, lambda x: math.inf if x > 0 else x, lambda x: 2.0)),
          tensor_rule([gh_rule(3)] * 3), "inf", (0, 2, 0)),
-        (ProductIntegrand((huge_if_positive, lambda x: 1.0, huge_if_positive)),
-         tensor_rule([gh_rule(3), gh_rule(2), gh_rule(3)]), "inf", (2, 0, 2)),
-        (ProductIntegrand((huge_if_positive, huge_if_positive)),
-         tensor_rule([gh_rule(4), gh_rule(5)]), "inf", (2, 3)),
-        (gaussian_poly_integrand(2, [151, 151], [0.01, 0.01], 4.0)[0],
-         tensor_rule([gh_rule(200)] * 2), "inf", (0, 0)),
         # x**300 overflows at the widest node; the factor receives an
         # np.float64 node, whose power gives inf where a Python float's
         # raises OverflowError.
         (gaussian_poly_integrand(1, [300], [0.5], 10.0)[0],
          tensor_rule([gh_rule(200)]), "inf", (0,)),
-        # Sizes (3, 5, 100, 100): the leading two axes are unravelled four
-        # positions per block, and (1, 1) is the third row of the second.
-        (ProductIntegrand((lambda x: 1e154 if x >= 1 else 1.0, lambda x: 1e154 if x >= 1 else 1.0,
-                           lambda x: 1.5 if x >= 2 else 1.0, lambda x: 1.5 if x >= 3 else 1.0)),
-         tensor_rule(unit), "inf", (1, 1, 2, 3)),
+        (ProductIntegrand((lambda x: math.inf if x > 0 else 1.0, lambda x: -math.inf if x > 0 else 2.0)),
+         tensor_rule([gh_rule(3), gh_rule(4)]), "-inf", (0, 2)),
+        (ProductIntegrand((lambda x: math.nan if x > 0 else 1.0, lambda x: math.inf if x < 0 else 2.0)),
+         tensor_rule([gh_rule(3), gh_rule(4)]), "inf", (0, 0)),
     ]
     with np.errstate(over="ignore"):
         for f, grid, value, idx in cases:
             want = (f"integrand returned {value} at grid point {idx}", idx)
             assert _evaluation_error(tensor_integrate, grid, f) == want
             assert _evaluation_error(_odometer_sum, grid, f) == want
+
+
+def test_overflowing_grid_values_of_finite_factors_are_summed():
+    # Finite factor values whose grid values f(node) overflow: the head
+    # axis times a later axis, two axes, and (1e154)**2 * 1.5**2 on
+    # sizes (3, 5, 100, 100) give integrals beyond the float range; the
+    # odd power 151 gives per-axis sums that are exactly 0.  Each was
+    # refused as "integrand returned inf" while grid values were checked.
+    def huge_if_positive(x):
+        return 1e200 if x > 0 else 1.0
+
+    unit = [QuadratureRule(np.arange(n, dtype=float), np.ones(n)) for n in (3, 5, 100, 100)]
+    beyond = [
+        (ProductIntegrand((huge_if_positive, lambda x: 1.0, huge_if_positive)),
+         tensor_rule([gh_rule(3), gh_rule(2), gh_rule(3)])),
+        (ProductIntegrand((huge_if_positive, huge_if_positive)), tensor_rule([gh_rule(4), gh_rule(5)])),
+        (ProductIntegrand((lambda x: 1e154 if x >= 1 else 1.0, lambda x: 1e154 if x >= 1 else 1.0,
+                           lambda x: 1.5 if x >= 2 else 1.0, lambda x: 1.5 if x >= 3 else 1.0)),
+         tensor_rule(unit)),
+    ]
+    for f, grid in beyond:
+        with pytest.raises(OverflowError):
+            _rational_oracle(grid, f)
+        assert _evaluation_error(tensor_integrate, grid, f) == (
+            "the integral lies beyond the float range", None)
+    f, exact = gaussian_poly_integrand(2, [151, 151], [0.01, 0.01], 4.0)
+    grid = tensor_rule([gh_rule(200)] * 2)
+    assert exact == 0.0
+    assert tensor_integrate(grid, f).hex() == _rational_oracle(grid, f).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("n", [180, 200])
+def test_integral_near_the_top_of_the_float_range(n):
+    # Grid values up to 7.6e430 at the widest nodes, an integral of
+    # 3.38e261: the closed form to 1.5e-14 with Gauss-Hermite and 5.2e-14
+    # with the scaled rule, each the rational oracle bit for bit.
+    f, exact = gaussian_poly_integrand(2, [150, 150], [0.01, 0.01], 4.0)
+    assert 3.38e261 < exact < 3.39e261
+    for rule_1d in (gh_rule(n), approx_rule(basis_from(4.0), n).rule):
+        grid = tensor_rule([rule_1d] * 2)
+        got = tensor_integrate(grid, f)
+        assert got.hex() == _rational_oracle(grid, f).hex()
+        assert abs(got - exact) <= 1e-13 * exact
 
 
 def test_dimension_and_grid_guards():

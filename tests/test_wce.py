@@ -1,6 +1,7 @@
 """Worst-case error evaluation and the geometric bound constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,33 +165,41 @@ _wide_floats = st.one_of(
 )
 
 
-def _fsum_outcome(fsum, *args):
-    try:
-        value = fsum(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-    return "nan" if math.isnan(value) else value.hex()
-
-
-def _chunked(terms, cuts):
-    t = np.array(terms, dtype=float)
-    return np.split(t, sorted(c % (t.size + 1) for c in cuts))
-
-
 @settings(max_examples=500)
-@given(st.lists(_wide_floats, max_size=300), st.lists(st.integers(0, 300), max_size=4))
-def test_exact_sum_is_bit_identical_to_fsum(terms, cuts):
-    assert _exact_sum(_chunked(terms, cuts)).hex() == math.fsum(terms).hex()
+@given(st.lists(_wide_floats, max_size=300))
+def test_exact_sum_is_bit_identical_to_fsum(terms):
+    assert _exact_sum(np.array(terms, dtype=float)).hex() == math.fsum(terms).hex()
 
 
 @given(st.lists(_wide_floats, max_size=60),
        st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=4),
-       st.randoms(use_true_random=False), st.lists(st.integers(0, 70), max_size=3))
-def test_exact_sum_keeps_nan_and_inf_outcomes(terms, special, rnd, cuts):
+       st.randoms(use_true_random=False))
+def test_exact_sum_refuses_nan_and_inf_terms(terms, special, rnd):
+    # math.fsum returns nan or an infinity here, or raises a bare
+    # ValueError for +inf with -inf.
     terms = terms + special
     rnd.shuffle(terms)
-    assert (_fsum_outcome(_exact_sum, _chunked(terms, cuts))
-            == _fsum_outcome(math.fsum, terms))
+    with pytest.raises(NumericalFailureError, match=r"a worst-case error term is (nan|inf|-inf)$"):
+        _exact_sum(np.array(terms))
+
+
+def test_exact_sum_refuses_only_sums_beyond_the_float_range(monkeypatch):
+    big = np.finfo(float).max
+    # max + 2**970 is halfway from max to 2**1024 and rounds to the even 2**1024.
+    for terms in ([big, big], [-big, -big, big, -big], [big, 2.0**970]):
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+        with pytest.raises(NumericalFailureError, match="sum lies beyond the float range"):
+            _exact_sum(np.array(terms))
+    # Sums that round into the range are returned where math.fsum overflows
+    # on the way, in one block and with the terms in blocks of two.
+    for terms, want in (([big, big, -big], big), ([big, 2.0**970, -5e-324], big),
+                        ([-big, -big, big, 2.0**969], -big)):
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+        for block in (wce._BLOCK, 2):
+            monkeypatch.setattr(wce, "_BLOCK", block)
+            assert _exact_sum(np.array(terms)).hex() == want.hex(), (terms, block)
 
 
 def _wide_terms(size, seed):
@@ -207,16 +216,12 @@ def test_exact_sum_fixed_cases():
     terms = _wide_terms(100_000, 3)
     subnormal = (terms != 0.0) & (np.abs(terms) < np.finfo(float).tiny)
     assert subnormal.any() and np.abs(terms).max() > 1e299
-    assert _exact_sum([terms]).hex() == math.fsum(terms).hex()
+    assert _exact_sum(terms).hex() == math.fsum(terms).hex()
     square = terms[:10_000].reshape(100, 100)
-    assert _exact_sum([square]).hex() == math.fsum(square.ravel()).hex()
-    assert _exact_sum([]).hex() == _exact_sum([np.array([])]).hex() == (0.0).hex()
+    assert _exact_sum(square).hex() == math.fsum(square.ravel()).hex()
+    assert _exact_sum(np.array([])).hex() == (0.0).hex()
     big = np.finfo(float).max
-    assert _exact_sum([np.array([big, -big, big])]).hex() == big.hex()
-    with pytest.raises(OverflowError):
-        math.fsum([big, big])
-    with pytest.raises(OverflowError):
-        _exact_sum([np.array([big, big])])
+    assert _exact_sum(np.array([big, -big, big])).hex() == big.hex()
 
 
 def test_exact_sum_at_the_limits_of_the_two_pieces():
@@ -237,7 +242,7 @@ def test_exact_sum_at_the_limits_of_the_two_pieces():
     cancel = np.concatenate([[big, -big, big], subnormal[: block - 3]])
     for terms in (top, spread, subnormal, cancel):
         assert terms.size == block and np.isfinite(terms).all()
-        assert _exact_sum([terms]).hex() == math.fsum(terms).hex()
+        assert _exact_sum(terms).hex() == math.fsum(terms).hex()
 
 
 def test_exact_sum_is_exact_for_any_block_size(monkeypatch):
@@ -245,7 +250,22 @@ def test_exact_sum_is_exact_for_any_block_size(monkeypatch):
     want = math.fsum(terms).hex()
     for block in (7, 1000):
         monkeypatch.setattr(wce, "_BLOCK", block)
-        assert _exact_sum([terms[:3], terms[3:5000], terms[5000:]]).hex() == want, block
+        assert _exact_sum(terms).hex() == want, block
+
+
+@pytest.mark.parametrize("weights, match", [
+    ((1e154, 1e154), "sum lies beyond the float range"),  # the quadratic sum is 2.3e308
+    ((1e200, -1e200), "term is -?inf"),
+    ((1e200, 1e200), "term is inf"),
+])
+def test_weights_beyond_the_float_range_are_a_numerical_failure(weights, match):
+    # A bare OverflowError, a bare ValueError (or numpy's RuntimeWarning
+    # for the overflowing weight products) and wce = inf escaped here.
+    rule = QuadratureRule(np.array([-1.0, 1.0]), np.array(weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match=match):
+            worst_case_error(rule, 1.0)
 
 
 def _odometer_report(rule, ell):
