@@ -16,7 +16,7 @@ from gkquad.approx import (
 )
 from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.exact import exact_weights
-from gkquad.hermite import DEGREE_MAX
+from gkquad.hermite import DEGREE_MAX, normalized_table
 from gkquad.mercer import ALPHA_DEFAULT, eigenfunction_means, eigenfunction_table
 
 
@@ -100,6 +100,11 @@ def test_residual_index_guard():
         eigen_exactness_residual(a, -1)
 
 
+def test_residual_is_a_python_float():
+    a = approx_rule(basis_from(1.0), 10)
+    assert type(eigen_exactness_residual(a, 3)) is float
+
+
 def test_flat_limit_recovers_gauss_hermite_weights():
     b = basis_from(1e4)
     a = approx_rule(b, 20)
@@ -113,15 +118,60 @@ def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
     # states its own summation order: the same bits from a C-ordered and
     # a Fortran-ordered table.  A matmul over the strided even columns
     # goes through BLAS on the Fortran layout, which would change the
-    # weights at 190 of the 200 sizes at length-scale 1.
+    # weights at 190 of the 200 sizes at length-scale 1.  The per-size
+    # cache is cleared before each layout, so every size builds its
+    # table through the patched function once.
     table = approx.normalized_table
+    degrees = []
 
     def weights(order):
-        monkeypatch.setattr(approx, "normalized_table", lambda x, d: order(table(x, d)))
-        return [approx_rule(basis_from(ell), n).rule.weights.tobytes()
-                for ell in (0.05, 1.0, 10.0) for n in range(1, 201)]
+        def patched(x, d):
+            degrees.append(d)
+            return order(table(x, d))
+
+        monkeypatch.setattr(approx, "normalized_table", patched)
+        approx._even_hermite_half.cache_clear()
+        degrees.clear()
+        out = [approx_rule(basis_from(ell), n).rule.weights.tobytes()
+               for ell in (0.05, 1.0, 10.0) for n in range(1, 201)]
+        assert degrees == [2 * ((n - 1) // 2) for n in range(1, 201)]
+        return out
 
     assert weights(np.ascontiguousarray) == weights(np.asfortranarray)
+
+
+def test_cached_weights_match_the_series_on_all_nodes():
+    # approx_rule sums the series on half the nodes from the per-size cache
+    # and mirrors it; the formula summed on every node gives the same bits.
+    for ell in (0.05, 1.0, 10.0):
+        b = basis_from(ell)
+        lead = 1.0 / math.sqrt(1.0 + 2.0 * b.delta_sq)
+        for n in range(1, 201):
+            gh = gh_rule(n)
+            nodes = scaled_nodes(b, n)
+            series = even_hermite_series(b.gamma, n, gh.nodes)
+            expected = lead * gh.weights * np.exp(b.delta_sq * nodes * nodes) * series
+            assert approx_rule(b, n).rule.weights.tobytes() == expected.tobytes(), (ell, n)
+
+
+def test_even_hermite_cache_is_read_only_and_shared():
+    for n in (1, 2, 9, 200):
+        half = approx._even_hermite_half(n)
+        assert half is approx._even_hermite_half(n)
+        assert not half.flags.writeable and half.flags.c_contiguous
+        assert half.shape == ((n + 1) // 2, (n - 1) // 2 + 1)
+        even = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], 2 * ((n - 1) // 2))[:, ::2]
+        assert half.tobytes() == even.tobytes()
+    with pytest.raises(ValueError):
+        half[0, 0] = 0.0
+
+
+def test_even_hermite_values_are_symmetric_at_the_nodes_to_the_bit():
+    # The premise of the cache's mirror: at each shipped rule's nodes the
+    # even columns read the same bits from either end.
+    for n in range(1, 201):
+        even = normalized_table(gh_rule(n).nodes, 2 * ((n - 1) // 2))[:, ::2]
+        assert even.tobytes() == even[::-1].tobytes(), n
 
 
 @pytest.mark.parametrize("ell,n", [(0.2, 20), (1.0, 20), (4.0, 20), (0.2, 80), (1.0, 5)])
