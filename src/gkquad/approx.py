@@ -18,7 +18,8 @@ the first N kernel eigenfunctions exactly.  The values hhat_{2m}(t_n)
 depend on N alone, so each size computes them once and caches them on
 the non-positive half of the nodes (at most 5.4 MB for all 200 sizes);
 the series there is mirrored onto the rest, which is exact because the
-nodes are antisymmetric to the bit.
+nodes are antisymmetric to the bit and each Hermite recurrence step
+flips sign exactly.
 
 The module also provides the QR-based weight family for arbitrary nodes
 and truncation length M >= N.  With Phi the N x M eigenfunction matrix,
@@ -86,26 +87,27 @@ def _series(gamma: float, even_table: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
 
-def even_hermite_series(gamma: float, n: int, t) -> np.ndarray:
+def even_hermite_series(gamma: float, n: int, t=None) -> np.ndarray:
     """The weight series S_N(t) for rule size n, evaluated at t.
 
     Sums g^m r_m hhat_{2m}(t) over m = 0..floor((n-1)/2) in ascending m.
     Each factor is bounded (|g| < 1 in the kernel setting, r_m < 1, hhat
     bounded by 1.087 exp(t^2/4)), which keeps the closed-form weights
-    finite where the naive form overflows.
+    finite where the naive form overflows.  Without t, evaluates at the
+    n Gauss-Hermite nodes from the per-size cache, bit-equal to passing
+    them as t.
     """
     n = check_size(n)
+    if t is None:
+        half = _series(gamma, _even_hermite_half(n))
+        return np.concatenate([half, half[: n // 2][::-1]])
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     return _series(gamma, normalized_table(ts, 2 * ((n - 1) // 2))[:, ::2])
 
 
 @functools.cache
 def _even_hermite_half(n: int) -> np.ndarray:
-    """Read-only C-ordered hhat_0, hhat_2, ... at the non-positive half of gh_rule(n)'s nodes.
-
-    Each recurrence step flips sign exactly, so at the mirrored nodes the
-    even values are these rows reversed, to the bit.
-    """
+    """Read-only C-ordered hhat_0, hhat_2, ... at the non-positive half of gh_rule(n)'s nodes."""
     half = gh_rule(n).nodes[: (n + 1) // 2]
     table = np.ascontiguousarray(normalized_table(half, 2 * ((n - 1) // 2))[:, ::2])
     table.setflags(write=False)
@@ -114,10 +116,6 @@ def _even_hermite_half(n: int) -> np.ndarray:
 
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
     """Build the N-point scaled Gauss-Hermite rule with closed-form weights.
-
-    The even Hermite values at the non-positive half of the Gauss-Hermite
-    nodes are cached per size (at most 5,413,600 bytes for all 200 sizes);
-    the series there is mirrored onto the rest.
 
     Raises
     ------
@@ -130,8 +128,7 @@ def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
     gh = gh_rule(n)
     n = len(gh)
     nodes = scaled_nodes(basis, n)
-    half = _series(basis.gamma, _even_hermite_half(n))
-    series = np.concatenate([half, half[: n // 2][::-1]])
+    series = even_hermite_series(basis.gamma, n)
     lead = 1.0 / math.sqrt(1.0 + 2.0 * basis.delta_sq)
     weights = lead * gh.weights * np.exp(basis.delta_sq * nodes * nodes) * series
     if not np.all(np.isfinite(weights)):

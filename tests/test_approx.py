@@ -150,8 +150,26 @@ def test_cached_weights_match_the_series_on_all_nodes():
             gh = gh_rule(n)
             nodes = scaled_nodes(b, n)
             series = even_hermite_series(b.gamma, n, gh.nodes)
+            assert even_hermite_series(b.gamma, n).tobytes() == series.tobytes(), (ell, n)
             expected = lead * gh.weights * np.exp(b.delta_sq * nodes * nodes) * series
             assert approx_rule(b, n).rule.weights.tobytes() == expected.tobytes(), (ell, n)
+
+
+def test_approx_rule_sums_through_even_hermite_series(monkeypatch):
+    # The series is its own layer, so a profiler wrapping the module's
+    # public name sees it nested in approx_rule, cold or cached.
+    series = approx.even_hermite_series
+    calls = []
+
+    def recorded(gamma, n, *t):
+        calls.append((gamma, n, t))
+        return series(gamma, n, *t)
+
+    monkeypatch.setattr(approx, "even_hermite_series", recorded)
+    b = basis_from(1.0)
+    for n in (1, 6, 6):
+        approx_rule(b, n)
+    assert calls == [(b.gamma, 1, ()), (b.gamma, 6, ()), (b.gamma, 6, ())]
 
 
 def test_even_hermite_cache_is_read_only_and_shared():
