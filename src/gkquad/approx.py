@@ -15,11 +15,11 @@ normalized Hermite values.  Every term in S_N is bounded on the node
 range, so the rule evaluates stably far past the sizes at which the
 kernel linear system becomes numerically singular.  The rule integrates
 the first N kernel eigenfunctions exactly.  The values hhat_{2m}(t_n)
-depend on N alone, so each size computes them once and caches them on
-the non-positive half of the nodes (at most 5.4 MB for all 200 sizes);
-the series there is mirrored onto the rest, which is exact because the
-nodes are antisymmetric to the bit and each Hermite recurrence step
-flips sign exactly.
+depend on N alone, so each size computes them once and caches them as
+rows, one per m, on the non-positive half of the nodes (at most 5.4 MB
+for all 200 sizes).  The series adds the rows in ascending m and is
+mirrored onto the rest, exact as the nodes are antisymmetric to the bit
+and each Hermite recurrence step flips sign exactly.
 
 The module also provides the QR-based weight family for arbitrary nodes
 and truncation length M >= N.  With Phi the N x M eigenfunction matrix,
@@ -79,12 +79,19 @@ def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
     return gh_rule(n).nodes / (math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta)
 
 
-def _series(gamma: float, even_table: np.ndarray) -> np.ndarray:
-    """Per row, the sum of g^m r_m hhat_{2m} over columns hhat_0, hhat_2, ... in ascending m."""
-    m_top = even_table.shape[1] - 1
+def _series(gamma: float, even_rows: np.ndarray) -> np.ndarray:
+    """Per point, the sum of g^m r_m hhat_{2m} over rows hhat_0, hhat_2, ... in ascending m.
+
+    numpy reduces a C-ordered (m, points) array along m row by row, from
+    0.0 (the first term is 1.0, so no bit changes); one point's terms would
+    be summed pairwise, so they are accumulated in order.
+    """
+    m_top = even_rows.shape[0] - 1
     coeffs = gamma ** np.arange(m_top + 1) * even_mean_ratios(m_top)
-    terms = np.multiply(even_table, coeffs, order="C")
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    terms = np.multiply(even_rows, coeffs[:, None], order="C")
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 def even_hermite_series(gamma: float, n: int, t=None) -> np.ndarray:
@@ -101,17 +108,16 @@ def even_hermite_series(gamma: float, n: int, t=None) -> np.ndarray:
     if t is None:
         half = _series(gamma, _even_hermite_half(n))
         return np.concatenate([half, half[: n // 2][::-1]])
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    return _series(gamma, normalized_table(ts, 2 * ((n - 1) // 2))[:, ::2])
+    return _series(gamma, normalized_table(t, 2 * ((n - 1) // 2))[:, ::2].T)
 
 
 @functools.cache
 def _even_hermite_half(n: int) -> np.ndarray:
-    """Read-only C-ordered hhat_0, hhat_2, ... at the non-positive half of gh_rule(n)'s nodes."""
+    """Read-only C-ordered rows hhat_0, hhat_2, ... at the non-positive half of gh_rule(n)'s nodes."""
     half = gh_rule(n).nodes[: (n + 1) // 2]
-    table = np.ascontiguousarray(normalized_table(half, 2 * ((n - 1) // 2))[:, ::2])
-    table.setflags(write=False)
-    return table
+    rows = np.ascontiguousarray(normalized_table(half, 2 * ((n - 1) // 2))[:, ::2].T)
+    rows.setflags(write=False)
+    return rows
 
 
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
@@ -131,11 +137,9 @@ def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
     series = even_hermite_series(basis.gamma, n)
     lead = 1.0 / math.sqrt(1.0 + 2.0 * basis.delta_sq)
     weights = lead * gh.weights * np.exp(basis.delta_sq * nodes * nodes) * series
-    if not np.all(np.isfinite(weights)):
-        raise NumericalFailureError(
-            f"non-finite weight in the {n}-point rule at length scale "
-            f"{basis.length_scale}"
-        )
+    if not np.isfinite(weights).all():
+        raise NumericalFailureError(f"non-finite weight in the {n}-point rule at length scale "
+                                    f"{basis.length_scale}")
     return ApproxRule(rule=QuadratureRule(nodes, weights), basis=basis)
 
 

@@ -57,9 +57,9 @@ class QuadratureRule:
             raise DomainError("nodes and weights must have equal length")
         if nodes.size == 0:
             raise DomainError("a rule needs at least one node")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise DomainError("nodes and weights must be finite")
-        if not np.all(np.diff(nodes) > 0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise DomainError("nodes must be strictly ascending")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

@@ -17,7 +17,12 @@ from gkquad.approx import (
 from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.exact import exact_weights
 from gkquad.hermite import DEGREE_MAX, normalized_table
-from gkquad.mercer import ALPHA_DEFAULT, eigenfunction_means, eigenfunction_table
+from gkquad.mercer import (
+    ALPHA_DEFAULT,
+    eigenfunction_means,
+    eigenfunction_table,
+    even_mean_ratios,
+)
 
 
 def exact_hermite(n: int, x: Fraction) -> Fraction:
@@ -173,15 +178,41 @@ def test_approx_rule_sums_through_even_hermite_series(monkeypatch):
 
 
 def test_even_hermite_cache_is_read_only_and_shared():
+    # One C-ordered row per even degree, one column per node of the half.
     for n in (1, 2, 9, 200):
         half = approx._even_hermite_half(n)
         assert half is approx._even_hermite_half(n)
         assert not half.flags.writeable and half.flags.c_contiguous
-        assert half.shape == ((n + 1) // 2, (n - 1) // 2 + 1)
+        assert half.shape == ((n - 1) // 2 + 1, (n + 1) // 2)
         even = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], 2 * ((n - 1) // 2))[:, ::2]
-        assert half.tobytes() == even.tobytes()
+        assert half.tobytes() == even.T.tobytes()
     with pytest.raises(ValueError):
         half[0, 0] = 0.0
+
+
+def _ascending_series(gamma, n, t):
+    """The even series at the points t, its terms added one m at a time in ascending order."""
+    even = normalized_table(np.atleast_1d(t), 2 * ((n - 1) // 2))[:, ::2]
+    coeffs = gamma ** np.arange(even.shape[1]) * even_mean_ratios(even.shape[1] - 1)
+    total = even[:, 0] * coeffs[0]
+    for m in range(1, even.shape[1]):
+        total = total + even[:, m] * coeffs[m]
+    return total
+
+
+def test_series_is_summed_in_ascending_m_to_the_bit():
+    # The reduce over the cached rows keeps the ascending order of the
+    # accumulate it replaced, at the nodes and at one or two points t;
+    # a single point is the case where numpy would sum pairwise.
+    for ell in (0.05, 1.0, 10.0):
+        gamma = basis_from(ell).gamma
+        for n in range(1, 201):
+            nodes = gh_rule(n).nodes
+            for t in (nodes, nodes[:1], nodes[-2:], 0.7, [0.7, -3.1]):
+                want = _ascending_series(gamma, n, t).tobytes()
+                assert even_hermite_series(gamma, n, t).tobytes() == want, (ell, n, t)
+            want = _ascending_series(gamma, n, nodes).tobytes()
+            assert even_hermite_series(gamma, n).tobytes() == want, (ell, n)
 
 
 def test_even_hermite_values_are_symmetric_at_the_nodes_to_the_bit():

@@ -9,7 +9,9 @@ and every integer argument has one stated range.
 
 import argparse
 import ast
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -101,7 +103,7 @@ def test_every_module_uses_what_it_imports():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1697
+SRC_LINES = 1712
 
 
 def test_source_line_count_is_pinned():
@@ -115,6 +117,26 @@ def test_runtime_dependencies_are_numpy_only():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
     assert re.findall(r'"([^"]*)"', block) == ["numpy>=1.24"]
+
+
+# Prints the top-level names of the modules that importing the CLI loads.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import gkquad.cli
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_import_loads_only_the_standard_library_and_numpy():
+    src = str(Path(gkquad.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"gkquad", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"gkquad", "numpy"}
 
 
 def test_settable_cli_values_are_pinned():

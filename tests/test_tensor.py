@@ -206,16 +206,51 @@ def test_product_path_is_bit_identical_at_benchmark_scale(ell, sizes, m, c):
 
 
 def test_product_integrand_calls_each_factor_once_per_node():
+    # On finite values each factor is called once per node, on Python floats.
     calls = []
 
     def counted(k):
-        return lambda x: calls.append(k) or 1.0 + k * x * x
+        return lambda x: calls.append((k, type(x))) or 1.0 + k * x * x
 
     rule = tensor_rule([gh_rule(4), gh_rule(6), gh_rule(5)])
     f = ProductIntegrand(tuple(counted(k) for k in range(3)))
     value = tensor_integrate(rule, f)
-    assert sorted(calls) == [0] * 4 + [1] * 6 + [2] * 5
+    assert sorted(calls) == [(0, float)] * 4 + [(1, float)] * 6 + [(2, float)] * 5
+    calls.clear()
     assert value == _odometer_sum(rule, f)
+
+
+def _outcome(rule, f):
+    """tensor_integrate's value bits, or its error's type, message and multi-index."""
+    try:
+        return tensor_integrate(rule, f).hex()
+    except (DomainError, EvaluationError) as exc:
+        return type(exc), str(exc), getattr(exc, "multi_index", None)
+
+
+def test_float_pass_falls_back_to_the_float64_outcome():
+    # Where a factor fails on Python floats, tensor_integrate gives what
+    # calling it on np.float64 nodes alone gives: the same value bits or
+    # the same typed error, message and multi-index.  The reference
+    # hands every factor np.float64(x) on both passes.
+    cases = [
+        (lambda x: x**300, [gh_rule(200)]),  # a float's power raises, np.float64's is inf
+        (lambda x: x**301, [gh_rule(5), gh_rule(200)]),  # -inf at the first node
+        (lambda x: x**0.5, [gh_rule(4)]),  # complex on a float, nan on np.float64
+        (lambda x: 1 / x, [gh_rule(3), gh_rule(2)]),  # ZeroDivisionError, inf
+        (lambda x: np.complex128(x), [gh_rule(3)]),  # refused on both passes
+        (lambda x: x.item(), [gh_rule(6), gh_rule(7)]),  # works on np.float64 only
+        (lambda x: math.inf if type(x) is float else 2.0, [gh_rule(3)]),  # inf on floats only
+        (lambda x: math.exp(-x * x) * x**4, [gh_rule(200), gh_rule(30)]),  # finite
+    ]
+    for g, factors in cases:
+        rule = tensor_rule(factors)
+        f = ProductIntegrand((lambda x: 1.0 + x * x,) * (len(factors) - 1) + (g,))
+        reference = ProductIntegrand(tuple((lambda x, h=h: h(np.float64(x))) for h in f.factors))
+        want = _outcome(rule, reference)
+        assert _outcome(rule, f) == want, want
+    assert _outcome(tensor_rule([gh_rule(3)]), ProductIntegrand((lambda x: 1 / x,))) == (
+        EvaluationError, "integrand returned inf at grid point (1,)", (1,))
 
 
 def test_product_integrand_of_another_dimension_is_refused():
@@ -373,20 +408,22 @@ def test_non_finite_integrand_value_is_located():
          tensor_rule([gh_rule(3), gh_rule(3)]), "nan", (2, 0)),
         (ProductIntegrand((lambda x: 1.0, lambda x: math.inf if x > 0 else x, lambda x: 2.0)),
          tensor_rule([gh_rule(3)] * 3), "inf", (0, 2, 0)),
-        # x**300 overflows at the widest node; the factor receives an
-        # np.float64 node, whose power gives inf where a Python float's
-        # raises OverflowError.
+        # x**300 overflows at the widest node: on the Python floats the
+        # factor receives first its power raises OverflowError, so the
+        # axis is evaluated again on np.float64 nodes, whose power is inf.
         (gaussian_poly_integrand(1, [300], [0.5], 10.0)[0],
          tensor_rule([gh_rule(200)]), "inf", (0,)),
         (ProductIntegrand((lambda x: math.inf if x > 0 else 1.0, lambda x: -math.inf if x > 0 else 2.0)),
          tensor_rule([gh_rule(3), gh_rule(4)]), "-inf", (0, 2)),
         (ProductIntegrand((lambda x: math.nan if x > 0 else 1.0, lambda x: math.inf if x < 0 else 2.0)),
          tensor_rule([gh_rule(3), gh_rule(4)]), "inf", (0, 0)),
+        # 1 / x at the middle node 0.0 raises the divide flag, not a warning.
+        (ProductIntegrand((lambda x: 1 / x,)), tensor_rule([gh_rule(3)]), "inf", (1,)),
     ]
-    with np.errstate(over="ignore"):
-        for f, grid, value, idx in cases:
-            want = (f"integrand returned {value} at grid point {idx}", idx)
-            assert _evaluation_error(tensor_integrate, grid, f) == want
+    for f, grid, value, idx in cases:
+        want = (f"integrand returned {value} at grid point {idx}", idx)
+        assert _evaluation_error(tensor_integrate, grid, f) == want
+        with np.errstate(over="ignore", divide="ignore"):
             assert _evaluation_error(_odometer_sum, grid, f) == want
 
 
