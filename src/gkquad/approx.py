@@ -79,36 +79,22 @@ def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
     return gh_rule(n).nodes / (math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta)
 
 
-def _series(gamma: float, even_rows: np.ndarray) -> np.ndarray:
-    """Per point, the sum of g^m r_m hhat_{2m} over rows hhat_0, hhat_2, ... in ascending m.
+def even_hermite_series(gamma: float, n: int) -> np.ndarray:
+    """The weight series S_N at the n Gauss-Hermite nodes of gh_rule(n).
 
-    numpy reduces a C-ordered (m, points) array along m row by row, from
-    0.0 (the first term is 1.0, so no bit changes); one point's terms would
-    be summed pairwise, so they are accumulated in order.
-    """
-    m_top = even_rows.shape[0] - 1
-    coeffs = gamma ** np.arange(m_top + 1) * even_mean_ratios(m_top)
-    terms = np.multiply(even_rows, coeffs[:, None], order="C")
-    if terms.shape[1] == 1:
-        return np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return np.add.reduce(terms, axis=0)
-
-
-def even_hermite_series(gamma: float, n: int, t=None) -> np.ndarray:
-    """The weight series S_N(t) for rule size n, evaluated at t.
-
-    Sums g^m r_m hhat_{2m}(t) over m = 0..floor((n-1)/2) in ascending m.
-    Each factor is bounded (|g| < 1 in the kernel setting, r_m < 1, hhat
-    bounded by 1.087 exp(t^2/4)), which keeps the closed-form weights
-    finite where the naive form overflows.  Without t, evaluates at the
-    n Gauss-Hermite nodes from the per-size cache, bit-equal to passing
-    them as t.
+    Sums g^m r_m hhat_{2m} over m = 0..floor((n-1)/2) in ascending m:
+    numpy reduces the C-ordered (m, node) terms of the per-size cache row
+    by row, from 0.0 (the first term is 1.0, so no bit changes); a single
+    node, which numpy would sum pairwise, comes only with n <= 2 and one
+    row.  Each factor is bounded (|g| < 1 in the kernel setting, r_m < 1,
+    hhat bounded by 1.087 exp(t^2/4)), which keeps the closed-form weights
+    finite where the naive form overflows.
     """
     n = check_size(n)
-    if t is None:
-        half = _series(gamma, _even_hermite_half(n))
-        return np.concatenate([half, half[: n // 2][::-1]])
-    return _series(gamma, normalized_table(t, 2 * ((n - 1) // 2))[:, ::2].T)
+    rows = _even_hermite_half(n)
+    coeffs = gamma ** np.arange(rows.shape[0]) * even_mean_ratios(rows.shape[0] - 1)
+    half = np.add.reduce(np.multiply(rows, coeffs[:, None], order="C"), axis=0)
+    return np.concatenate([half, half[: n // 2][::-1]])
 
 
 @functools.cache
@@ -245,8 +231,8 @@ def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
     m_max = as_index(m_max, "m_max", 0, DEGREE_MAX - 1)
     if x == y:
         raise DomainError("the diagonal x = y is rejected; use the plain sum form")
+    table = normalized_table(np.array([float(x), float(y)]), m_max)
     with np.errstate(over="ignore", invalid="ignore"):  # such values are refused below
-        table = normalized_table(np.array([float(x), float(y)]), m_max)
         products = table[0] * table[1]
     if np.isfinite(products).all():
         try:

@@ -63,12 +63,13 @@ class KernelSystem:
 def kernel(ell: float, x, y):
     """Kernel values k(x, y) for scalar or broadcast array arguments."""
     ell = check_length_scale(ell)
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     try:
         scale = 2.0 * ell**2
     except OverflowError:
         scale = math.inf
-    return np.exp(-(d * d) / scale)
+    with np.errstate(over="ignore"):  # a distance squared past the float range gives k = 0
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return np.exp(-(d * d) / scale)
 
 
 def kernel_mean(ell: float, x):
@@ -80,7 +81,8 @@ def kernel_mean(ell: float, x):
     xs = np.asarray(x, dtype=float)
     ell_sq = ell * ell
     amp = ell / math.sqrt(1.0 + ell_sq) if ell_sq < math.inf else 1.0
-    out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell_sq)))
+    with np.errstate(over="ignore"):  # a square past the float range gives k_mu = 0
+        out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell_sq)))
     if xs.ndim == 0:
         return float(out)
     return out

@@ -54,15 +54,17 @@ def hermite_eval(n: int, x: float) -> float:
     -------
     float
         H_n(x) by the three-term recurrence.  Unnormalized values carry
-        sqrt(n!) growth and overflow to inf once n is in the high
-        hundreds for moderate x; use :func:`normalized_table` for
-        large degrees.
+        sqrt(n!) growth: once a term overflows to inf the next step
+        subtracts two infinities, so the result is nan, as for
+        hermite_eval(400, 30.0) and hermite_eval(200, 1e3); use
+        :func:`normalized_table` for large degrees.
     """
     n = _check_degree(n)
     if n == 0:
         return 1.0
+    x = float(x)  # Python floats overflow without numpy's warning
     h_prev = 1.0
-    h = float(x)
+    h = x
     for k in range(1, n):
         h_prev, h = h, x * h - k * h_prev
     return h
@@ -82,8 +84,9 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
         Column n holds hhat_n(x).  The recurrence runs one degree per
         contiguous row, and the result is a transposed view of that
         buffer: each step is the same four roundings per point as the
-        formula in the module docstring.  No memory layout is promised;
-        a caller that sums over the table states its own order.
+        formula in the module docstring.  Values past the float range
+        turn inf, then nan, without a warning.  No memory layout is
+        promised; a caller that sums over the table states its own order.
     """
     degree_max = _check_degree(degree_max)
     x = np.asarray(x, dtype=float)
@@ -93,10 +96,11 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
         buffer[1] = x
     rows = list(buffer)
     scratch = np.empty(x.size)
-    for n in range(1, degree_max):
-        row = rows[n + 1]  # the ufuncs' third argument is their output
-        np.multiply(x, rows[n], row)
-        np.multiply(_SQRT[n], rows[n - 1], scratch)
-        np.subtract(row, scratch, row)
-        np.divide(row, _SQRT[n + 1], row)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse non-finite values
+        for n in range(1, degree_max):
+            row = rows[n + 1]  # the ufuncs' third argument is their output
+            np.multiply(x, rows[n], row)
+            np.multiply(_SQRT[n], rows[n - 1], scratch)
+            np.subtract(row, scratch, row)
+            np.divide(row, _SQRT[n + 1], row)
     return buffer.T

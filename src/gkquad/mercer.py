@@ -113,12 +113,16 @@ def eigenvalue(basis: MercerBasis, n: int) -> float:
 
 
 def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.ndarray:
-    """Values phi_n(x_i) for n < count, 1 <= count <= DEGREE_MAX + 1; shape (len(x), count)."""
+    """Values phi_n(x_i) for n < count, 1 <= count <= DEGREE_MAX + 1; shape (len(x), count).
+
+    Values past the float range turn inf or nan without a warning.
+    """
     count = as_index(count, "count", 1, DEGREE_MAX + 1)
     x = np.asarray(x, dtype=float)
-    scaled = math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x
-    envelope = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)
-    return np.multiply(envelope[:, None], normalized_table(scaled, count - 1), order="C")
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse non-finite values
+        scaled = math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x
+        envelope = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)
+        return np.multiply(envelope[:, None], normalized_table(scaled, count - 1), order="C")
 
 
 # r_m = r_{m-1} sqrt((2m - 1) / 2m), one rounding a step in order, so

@@ -1,0 +1,29 @@
+"""Reference functions the tests check the package against, one copy each."""
+
+import math
+from fractions import Fraction
+
+
+def gaussian_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def double_factorial(j: int) -> int:
+    out = 1
+    for k in range(j - 1, 0, -2):
+        out *= k
+    return out
+
+
+def exact_hermite(n: int, x: Fraction) -> Fraction:
+    """Exact probabilists' Hermite value via the integer recurrence.
+
+    Computed entirely in rational arithmetic, so this is an oracle with
+    no rounding of its own: H_{k+1} = x H_k - k H_{k-1}.
+    """
+    prev, cur = Fraction(1), x
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        prev, cur = cur, x * cur - k * prev
+    return cur

@@ -39,17 +39,7 @@ from gkquad.hermite import hermite_eval
 from gkquad.mercer import eigenfunction_means, eigenfunction_table
 from gkquad.tensor import gaussian_poly_integrand
 from gkquad.wce import theoretical_constants
-
-
-def gaussian_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def double_factorial(j: int) -> int:
-    out = 1
-    for k in range(j - 1, 0, -2):
-        out *= k
-    return out
+from oracles import double_factorial, gaussian_pdf
 
 
 def test_criterion_01_gauss_hermite_moment_exactness():

@@ -21,10 +21,7 @@ from gkquad.exact import (
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
 from gkquad.mercer import basis_from
 from gkquad.wce import worst_case_error
-
-
-def gaussian_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+from oracles import gaussian_pdf
 
 
 @pytest.mark.parametrize("ell", [0.2, 1.0, 4.0])
@@ -170,6 +167,27 @@ def test_non_finite_node_is_a_domain_error_without_a_warning(bad):
         for call in (lambda x: kernel_system(x, 1.0), lambda x: qr_weights(b, x, 3)):
             with pytest.raises(DomainError, match="nodes must be finite"):
                 call([0.0, bad])
+
+
+def test_far_apart_nodes_are_solved_without_a_warning():
+    # (x - y)^2 and x^2 overflow to inf, so k = 0 and k_mu = 0: the
+    # weights are 0 and the system is the identity, as before, but the
+    # overflow no longer warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights, cond = exact_weights([-1e160, 1e160], 1.0)
+        system = kernel_system([-1e160, 1e160], 1.0)
+    assert weights.tolist() == [0.0, 0.0] and cond == 1.0
+    assert system.kernel_matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert system.embedding_vector.tolist() == [0.0, 0.0]
+
+
+def test_kernel_mean_far_from_the_origin_is_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_mean(1.0, np.array([1e200])).tolist() == [0.0]
+        assert kernel_mean(1.0, -1e200) == 0.0
+        assert kernel(1.0, 1e160, -1e160) == 0.0
 
 
 def test_length_scale_whose_square_has_no_float():

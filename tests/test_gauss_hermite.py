@@ -20,19 +20,13 @@ from gkquad import gauss_hermite
 from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.gauss_hermite import N_MAX
 from gkquad.hermite import normalized_table
+from oracles import double_factorial
 
 _spec = importlib.util.spec_from_file_location(
     "make_gh_rules", Path(__file__).parents[1] / "tools" / "make_gh_rules.py"
 )
 make_gh_rules = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_gh_rules)
-
-
-def double_factorial(j: int) -> int:
-    out = 1
-    for k in range(j - 1, 0, -2):
-        out *= k
-    return out
 
 
 def test_closed_form_rules():

@@ -1,6 +1,7 @@
 """Hermite recurrence against an exact rational oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,20 +12,7 @@ from hypothesis import strategies as st
 from gkquad import DEGREE_MAX, hermite_eval
 from gkquad.errors import DegreeOverflowError, DomainError
 from gkquad.hermite import normalized_table
-
-
-def exact_hermite(n: int, x: Fraction) -> Fraction:
-    """Exact probabilists' Hermite value via the integer recurrence.
-
-    Computed entirely in rational arithmetic, so this is an oracle with
-    no rounding of its own: H_{k+1} = x H_k - k H_{k-1}.
-    """
-    prev, cur = Fraction(1), x
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur
+from oracles import exact_hermite
 
 
 def test_small_degree_values_are_exact_integers():
@@ -132,3 +120,14 @@ def test_degree_guard_is_a_value_error():
 def test_non_finite_input_propagates():
     assert math.isnan(hermite_eval(3, float("nan")))
     assert math.isnan(normalized_table([float("nan")], 5)[0, 3])
+    # Overflow: once two infinite terms meet, the recurrence gives nan.
+    for n, x in ((400, 30.0), (200, 1e3), (400, np.float64(30.0)), (3, math.inf)):
+        got = hermite_eval(n, x)
+        assert type(got) is float and math.isnan(got), (n, x)
+
+
+def test_table_past_the_float_range_comes_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = normalized_table([np.inf], 3)
+    assert table[0, :3].tolist() == [1.0, np.inf, np.inf] and np.isnan(table[0, 3])

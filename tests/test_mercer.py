@@ -17,12 +17,9 @@ from gkquad.mercer import (
     eigenvalue,
     even_mean_ratios,
 )
+from oracles import gaussian_pdf
 
 SCALES = (0.2, 1.0, 4.0)
-
-
-def gaussian_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def phi(b: MercerBasis, n: int, x: float) -> float:

@@ -103,7 +103,7 @@ def test_every_module_uses_what_it_imports():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1712
+SRC_LINES = 1708
 
 
 def test_source_line_count_is_pinned():
@@ -159,7 +159,7 @@ INTEGER_ARGUMENTS = {
     "gh_rule": (gkquad.gh_rule, "rule size", 1, 200, SizeError, SizeError),
     "approx_rule": (lambda n: gkquad.approx_rule(_BASIS, n), "rule size", 1, 200,
                     SizeError, SizeError),
-    "even_hermite_series": (lambda n: gkquad.even_hermite_series(0.4, n, 1.0), "rule size",
+    "even_hermite_series": (lambda n: gkquad.even_hermite_series(0.4, n), "rule size",
                             1, 200, SizeError, SizeError),
     "machine_truncation": (lambda n: gkquad.machine_truncation(_BASIS, n), "rule size",
                            1, 200, SizeError, SizeError),
