@@ -30,11 +30,9 @@ from .errors import (
     SizeError,
 )
 from .exact import (
-    KernelSystem,
     exact_weights,
     kernel_mean,
     kernel_mean_mean,
-    kernel_system,
 )
 from .gauss_hermite import (
     N_MAX,

@@ -6,7 +6,8 @@ Gaussian measure its mean has the closed form
     k_mu(x) = l / sqrt(1 + l^2) * exp(-x^2 / (2 (1 + l^2))),
 
 and the mean of that is mu(k_mu) = l / sqrt(2 + l^2).  Above
-l = 1.34e154, where l^2 has no float, the kernel and both means are 1.
+l = 9.5e153, where 2 l^2 has no float, x - y and x are divided by l
+before they are squared, and mu(k_mu) is 1, the value it rounds to.
 
 Given nodes x_1..x_N, the weights solve K w = k_mu with
 [K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  The system is
@@ -23,7 +24,6 @@ depends on the build, so the Cholesky check is only a backstop.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,9 @@ from .mercer import check_length_scale
 
 __all__ = [
     "CONDITION_MAX",
-    "KernelSystem",
     "kernel",
     "kernel_mean",
     "kernel_mean_mean",
-    "kernel_system",
     "exact_weights",
 ]
 
@@ -47,29 +45,21 @@ __all__ = [
 CONDITION_MAX = 1e15
 
 
-@dataclass(frozen=True)
-class KernelSystem:
-    """Kernel matrix, embedding vector and condition estimate for a node set."""
-
-    kernel_matrix: np.ndarray
-    embedding_vector: np.ndarray
-    condition_estimate: float
-
-    def __post_init__(self):
-        self.kernel_matrix.setflags(write=False)
-        self.embedding_vector.setflags(write=False)
+def _gaussian(u, ell: float, denom: float):
+    """exp(-u^2 / denom), denom = 2 l^2 or 2 (1 + l^2); exp(-(u / l)^2 / 2) if it overflowed."""
+    with np.errstate(over="ignore"):  # a square past the float range gives 0
+        if denom < math.inf:
+            return np.exp(-(u * u) / denom)
+        r = u / ell  # l is above 9.5e153: scale before squaring
+        return np.exp(-(r * r) / 2.0)
 
 
 def kernel(ell: float, x, y):
     """Kernel values k(x, y) for scalar or broadcast array arguments."""
     ell = check_length_scale(ell)
-    try:
-        scale = 2.0 * ell**2
-    except OverflowError:
-        scale = math.inf
-    with np.errstate(over="ignore"):  # a distance squared past the float range gives k = 0
+    with np.errstate(over="ignore"):  # a distance past the float range gives k = 0
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return np.exp(-(d * d) / scale)
+    return _gaussian(d, ell, 2.0 * ell**2 if ell * ell < math.inf else math.inf)
 
 
 def kernel_mean(ell: float, x):
@@ -81,8 +71,7 @@ def kernel_mean(ell: float, x):
     xs = np.asarray(x, dtype=float)
     ell_sq = ell * ell
     amp = ell / math.sqrt(1.0 + ell_sq) if ell_sq < math.inf else 1.0
-    with np.errstate(over="ignore"):  # a square past the float range gives k_mu = 0
-        out = amp * np.exp(-(xs * xs) / (2.0 * (1.0 + ell_sq)))
+    out = amp * _gaussian(xs, ell, 2.0 * (1.0 + ell_sq))
     if xs.ndim == 0:
         return float(out)
     return out
@@ -94,17 +83,14 @@ def kernel_mean_mean(ell: float) -> float:
     return ell / math.sqrt(2.0 + ell * ell) if ell * ell < math.inf else 1.0
 
 
-def _condition_estimate(matrix: np.ndarray) -> float:
-    """Spectral condition estimate max|eig| / min|eig| of a symmetric matrix."""
-    eigs = np.abs(np.linalg.eigvalsh(matrix))
-    smallest = eigs[eigs > 0].min(initial=np.inf)
-    if not np.isfinite(smallest):
-        return np.inf
-    return float(eigs.max() / smallest)
+def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
+    """Solve K w = k_mu for the exact kernel quadrature weights.
 
-
-def kernel_system(nodes, ell: float) -> KernelSystem:
-    """Assemble the kernel matrix and embedding vector for a node set.
+    Returns
+    -------
+    (weights, condition_estimate)
+        The estimate is max|eig| / min|eig| of K from ``eigvalsh``; it
+        is infinite when the smallest |eig| is zero or not finite.
 
     Raises
     ------
@@ -113,33 +99,17 @@ def kernel_system(nodes, ell: float) -> KernelSystem:
     DomainError
         If nodes are non-finite or duplicated, or parameters are out of
         range.
-    """
-    nodes = check_nodes(nodes)
-    matrix = kernel(ell, nodes[:, None], nodes[None, :])
-    return KernelSystem(
-        kernel_matrix=matrix,
-        embedding_vector=kernel_mean(ell, nodes),
-        condition_estimate=_condition_estimate(matrix),
-    )
-
-
-def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
-    """Solve K w = k_mu for the exact kernel quadrature weights.
-
-    Returns
-    -------
-    (weights, condition_estimate)
-
-    Raises
-    ------
     IllConditionedError
         If the condition estimate exceeds CONDITION_MAX (``check`` is
         ``"condition"``), or else if the Cholesky factorization breaks
         down (``check`` is ``"cholesky"``); the error carries the
         condition estimate.  No jitter is applied implicitly.
     """
-    system = kernel_system(nodes, ell)
-    cond = system.condition_estimate
+    nodes = check_nodes(nodes)
+    matrix = kernel(ell, nodes[:, None], nodes[None, :])
+    eigs = np.abs(np.linalg.eigvalsh(matrix))
+    smallest = eigs.min()
+    cond = float(eigs.max() / smallest) if 0.0 < smallest < math.inf else math.inf
     if cond > CONDITION_MAX:
         raise IllConditionedError(
             f"condition estimate {cond:.3e} exceeds CONDITION_MAX = {CONDITION_MAX:.0e}",
@@ -147,7 +117,7 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
             "condition",
         )
     try:
-        lower = np.linalg.cholesky(system.kernel_matrix)
+        lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"kernel matrix is numerically not positive definite "
@@ -155,6 +125,6 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
             cond,
             "cholesky",
         ) from exc
-    half = np.linalg.solve(lower, system.embedding_vector)
+    half = np.linalg.solve(lower, kernel_mean(ell, nodes))
     weights = np.linalg.solve(lower.T, half)
     return weights, cond

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def gaussian_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -27,3 +29,10 @@ def exact_hermite(n: int, x: Fraction) -> Fraction:
     for k in range(1, n):
         prev, cur = cur, x * cur - k * prev
     return cur
+
+
+def kernel_matrix(nodes, ell: float) -> np.ndarray:
+    """The Gaussian kernel matrix [exp(-(x_i - x_j)^2 / (2 l^2))] for finite 2 l^2."""
+    x = np.asarray(nodes, dtype=float)
+    d = x[:, None] - x[None, :]
+    return np.exp(-(d * d) / (2.0 * ell**2))

@@ -32,8 +32,8 @@ from gkquad import (
     worst_case_error,
 )
 from gkquad.approx import christoffel_darboux_sum, eigen_exactness_residual, scaled_nodes
-from gkquad.errors import NumericalFailureError
-from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean, kernel_system
+from gkquad.errors import IllConditionedError, NumericalFailureError
+from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
 from gkquad.hermite import hermite_eval
 from gkquad.mercer import eigenfunction_means, eigenfunction_table
@@ -228,9 +228,15 @@ def test_criterion_07_weight_family_consistency():
                 f"({a:.3e} -> {b:.3e})"
             )
 
-    cond = kernel_system(scaled_nodes(basis_from(4.0), 99), 4.0).condition_estimate
-    if not cond >= 1e15:
-        failures.append(f"condition estimate at (ell=4, N=99) is {cond:.3e} < 1e15")
+    try:
+        exact_weights(scaled_nodes(basis_from(4.0), 99), 4.0)
+        failures.append("the solve at (ell=4, N=99) was not refused")
+    except IllConditionedError as exc:
+        cond = exc.condition_estimate
+        if exc.check != "condition":
+            failures.append(f"the solve at (ell=4, N=99) was refused by {exc.check!r}")
+        if not cond >= 1e15:
+            failures.append(f"condition estimate at (ell=4, N=99) is {cond:.3e} < 1e15")
     assert not failures, "; ".join(failures)
 
 

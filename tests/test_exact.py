@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gkquad import gh_rule
@@ -16,12 +18,13 @@ from gkquad.exact import (
     kernel,
     kernel_mean,
     kernel_mean_mean,
-    kernel_system,
 )
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
 from gkquad.mercer import basis_from
 from gkquad.wce import worst_case_error
-from oracles import gaussian_pdf
+from oracles import gaussian_pdf, kernel_matrix
+
+EPS = float(np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("ell", [0.2, 1.0, 4.0])
@@ -66,8 +69,7 @@ def test_single_node_weight_is_mean_ratio():
 def test_solution_satisfies_the_linear_system(n):
     nodes = gh_rule(n).nodes
     w, _ = exact_weights(nodes, 1.0)
-    system = kernel_system(nodes, 1.0)
-    resid = np.abs(system.kernel_matrix @ w - system.embedding_vector).max()
+    resid = np.abs(kernel_matrix(nodes, 1.0) @ w - kernel_mean(1.0, nodes)).max()
     assert resid <= 1e-14
 
 
@@ -117,27 +119,61 @@ def test_cholesky_breakdown_is_a_refusal(monkeypatch):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     nodes = gh_rule(5).nodes
+    _, cond = exact_weights(nodes, 1.0)
     monkeypatch.setattr(np.linalg, "cholesky", broken)
     with pytest.raises(IllConditionedError) as info:
         exact_weights(nodes, 1.0)
     assert info.value.check == "cholesky"
-    cond = kernel_system(nodes, 1.0).condition_estimate
     assert info.value.condition_estimate == cond <= CONDITION_MAX
+
+
+@pytest.mark.parametrize("nodes, ell", [([0.0, 1e-9], 1.0), ([0.0, 0.1], 1e10)])
+def test_singular_matrix_is_refused_as_infinitely_ill_conditioned(nodes, ell):
+    # K is all ones, so eigvalsh finds an exact zero eigenvalue: the
+    # estimate is inf and the condition check refuses the solve, rather
+    # than an estimate of 1 leaving the refusal to Cholesky.
+    assert kernel_matrix(nodes, ell).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(IllConditionedError) as info:
+        exact_weights(nodes, ell)
+    assert info.value.check == "condition"
+    assert info.value.condition_estimate == math.inf
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40, unique=True),
+       st.floats(0.05, 1e10))
+@example([-1.0, 0.25, 2.0], 0.7)
+def test_every_solve_is_backward_stable_or_refused_by_the_rule(nodes, ell):
+    # The whole refusal rule: a solve either returns weights with a small
+    # backward residual on K, or is refused past CONDITION_MAX, or is
+    # refused by Cholesky with a finite estimate at or below it.
+    try:
+        weights, cond = exact_weights(nodes, ell)
+    except IllConditionedError as exc:
+        if exc.check == "condition":
+            assert exc.condition_estimate > CONDITION_MAX
+        else:
+            assert exc.check == "cholesky"
+            assert 1.0 <= exc.condition_estimate <= CONDITION_MAX
+        return
+    assert 1.0 <= cond <= CONDITION_MAX
+    matrix = kernel_matrix(nodes, ell)
+    rhs = kernel_mean(ell, np.asarray(nodes))
+    resid = np.abs(matrix @ weights - rhs).max()
+    scale = np.abs(matrix).sum(axis=1).max() * np.abs(weights).max() + np.abs(rhs).max()
+    assert resid <= 100 * len(nodes) * EPS * scale
 
 
 def test_system_matrix_structure():
     nodes = np.array([-1.0, 0.25, 2.0])
-    system = kernel_system(nodes, 0.7)
-    K = system.kernel_matrix
+    K = kernel_matrix(nodes, 0.7)
+    assert np.array_equal(kernel(0.7, nodes[:, None], nodes[None, :]), K)
     assert K.shape == (3, 3)
     assert np.array_equal(np.diag(K), np.ones(3))
     assert np.array_equal(K, K.T)
-    assert system.embedding_vector.shape == (3,)
-    assert system.condition_estimate >= 1.0
-    with pytest.raises(Exception):
-        K[0, 0] = 2.0
-    with pytest.raises(Exception):
-        system.embedding_vector[0] = 2.0
+    eigs = np.linalg.eigvalsh(K)
+    _, cond = exact_weights(nodes, 0.7)
+    assert cond == eigs.max() / eigs.min() >= 1.0
 
 
 def test_guards():
@@ -150,7 +186,7 @@ def test_guards():
     with pytest.raises(DomainError):
         exact_weights([0.0, float("nan")], 1.0)
     with pytest.raises(DomainError):
-        kernel_system([0.0, float("inf")], 1.0)
+        exact_weights([0.0, float("inf")], 1.0)
     with pytest.raises(SizeError):
         exact_weights([], 1.0)
     with pytest.raises(SizeError):
@@ -164,7 +200,7 @@ def test_non_finite_node_is_a_domain_error_without_a_warning(bad):
     b = basis_from(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda x: kernel_system(x, 1.0), lambda x: qr_weights(b, x, 3)):
+        for call in (lambda x: exact_weights(x, 1.0), lambda x: qr_weights(b, x, 3)):
             with pytest.raises(DomainError, match="nodes must be finite"):
                 call([0.0, bad])
 
@@ -173,13 +209,15 @@ def test_far_apart_nodes_are_solved_without_a_warning():
     # (x - y)^2 and x^2 overflow to inf, so k = 0 and k_mu = 0: the
     # weights are 0 and the system is the identity, as before, but the
     # overflow no longer warns.
+    nodes = np.array([-1e160, 1e160])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        weights, cond = exact_weights([-1e160, 1e160], 1.0)
-        system = kernel_system([-1e160, 1e160], 1.0)
+        weights, cond = exact_weights(nodes, 1.0)
+        matrix = kernel(1.0, nodes[:, None], nodes[None, :])
+        rhs = kernel_mean(1.0, nodes)
     assert weights.tolist() == [0.0, 0.0] and cond == 1.0
-    assert system.kernel_matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert system.embedding_vector.tolist() == [0.0, 0.0]
+    assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert rhs.tolist() == [0.0, 0.0]
 
 
 def test_kernel_mean_far_from_the_origin_is_zero_without_a_warning():
@@ -202,3 +240,26 @@ def test_length_scale_whose_square_has_no_float():
         assert kernel_mean(ell, 5.0) == kernel_mean_mean(ell) == 1.0
     assert kernel(0.6, 0.0, 1.0) == math.exp(-1.0 / (2.0 * 0.6**2))
     assert kernel_mean_mean(0.6) == 0.6 / math.sqrt(2.0 + 0.6 * 0.6)
+
+
+def test_length_scale_whose_doubled_square_has_no_float():
+    # Above l = 9.5e153, 2 l^2 and 2 (1 + l^2) overflow, so x - y and x
+    # are divided by l before they are squared: a distance of the order
+    # of l keeps its kernel value exp(-(d / l)^2 / 2), with no warning.
+    half = math.exp(-0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel(1e200, 0.0, 1e200) == half
+        assert kernel_mean(1e200, np.array([1e200])).tolist() == [half]
+        assert kernel(1e155, 0.0, 1e154) == pytest.approx(math.exp(-0.005), rel=4 * EPS)
+        # Either side of the switch, 9.48e153, the kernel is continuous.
+        for ell in (9.4e153, 9.5e153, 1.3e154, 1e155):
+            assert kernel(ell, 0.0, ell) == pytest.approx(half, rel=4 * EPS)
+            assert kernel_mean(ell, ell) == pytest.approx(half, rel=4 * EPS)
+        nodes = np.array([0.0, 1e200])
+        weights, cond = exact_weights(nodes, 1e200)
+        wce = worst_case_error(QuadratureRule(nodes, weights), 1e200).wce
+    # K = [[1, a], [a, 1]] and k_mu = [1, a] with a = exp(-1/2).
+    assert weights.tolist() == [1.0, 0.0]
+    assert cond == pytest.approx((1.0 + half) / (1.0 - half), rel=1e-14)
+    assert wce == 0.0

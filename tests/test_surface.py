@@ -34,7 +34,6 @@ ROOT_NAMES = [
     "EvaluationError",
     "GkquadError",
     "IllConditionedError",
-    "KernelSystem",
     "MercerBasis",
     "N_MAX",
     "NumericalFailureError",
@@ -54,7 +53,6 @@ ROOT_NAMES = [
     "hermite_eval",
     "kernel_mean",
     "kernel_mean_mean",
-    "kernel_system",
     "machine_truncation",
     "multivariate_constants",
     "qr_weights",
@@ -71,7 +69,7 @@ def test_root_public_names_are_pinned():
         name for name, value in vars(gkquad).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(ROOT_NAMES) == 39
+    assert len(ROOT_NAMES) == 37
     assert names == ROOT_NAMES
 
 
@@ -103,7 +101,7 @@ def test_every_module_uses_what_it_imports():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1708
+SRC_LINES = 1676
 
 
 def test_source_line_count_is_pinned():
