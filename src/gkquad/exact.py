@@ -6,8 +6,9 @@ Gaussian measure its mean has the closed form
     k_mu(x) = l / sqrt(1 + l^2) * exp(-x^2 / (2 (1 + l^2))),
 
 and the mean of that is mu(k_mu) = l / sqrt(2 + l^2).  Above
-l = 9.5e153, where 2 l^2 has no float, x - y and x are divided by l
-before they are squared, and mu(k_mu) is 1, the value it rounds to.
+l = 9.5e153, where 2 l^2 has no float, x and y are divided by l before
+they are subtracted and squared, and mu(k_mu) is 1, the value it
+rounds to.
 
 Given nodes x_1..x_N, the weights solve K w = k_mu with
 [K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  The system is
@@ -45,21 +46,21 @@ __all__ = [
 CONDITION_MAX = 1e15
 
 
-def _gaussian(u, ell: float, denom: float):
-    """exp(-u^2 / denom), denom = 2 l^2 or 2 (1 + l^2); exp(-(u / l)^2 / 2) if it overflowed."""
-    with np.errstate(over="ignore"):  # a square past the float range gives 0
+def _gaussian(x, y, ell: float, denom: float):
+    """exp(-(x - y)^2 / denom); exp(-(x/l - y/l)^2 / 2) where denom overflowed."""
+    with np.errstate(over="ignore"):  # a square or distance past the float range gives 0
         if denom < math.inf:
-            return np.exp(-(u * u) / denom)
-        r = u / ell  # l is above 9.5e153: scale before squaring
+            d = x - y
+            return np.exp(-(d * d) / denom)
+        r = x / ell - y / ell  # l is above 9.5e153: scale before subtracting
         return np.exp(-(r * r) / 2.0)
 
 
 def kernel(ell: float, x, y):
     """Kernel values k(x, y) for scalar or broadcast array arguments."""
     ell = check_length_scale(ell)
-    with np.errstate(over="ignore"):  # a distance past the float range gives k = 0
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return _gaussian(d, ell, 2.0 * ell**2 if ell * ell < math.inf else math.inf)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return _gaussian(x, y, ell, 2.0 * ell**2 if ell * ell < math.inf else math.inf)
 
 
 def kernel_mean(ell: float, x):
@@ -71,7 +72,7 @@ def kernel_mean(ell: float, x):
     xs = np.asarray(x, dtype=float)
     ell_sq = ell * ell
     amp = ell / math.sqrt(1.0 + ell_sq) if ell_sq < math.inf else 1.0
-    out = amp * _gaussian(xs, ell, 2.0 * (1.0 + ell_sq))
+    out = amp * _gaussian(xs, 0.0, ell, 2.0 * (1.0 + ell_sq))
     if xs.ndim == 0:
         return float(out)
     return out
@@ -81,6 +82,15 @@ def kernel_mean_mean(ell: float) -> float:
     """Initial error mu(k_mu) = l / sqrt(2 + l^2), in (0, 1]."""
     ell = check_length_scale(ell)
     return ell / math.sqrt(2.0 + ell * ell) if ell * ell < math.inf else 1.0
+
+
+def kernel_system(nodes, ell: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Checked nodes, K and its estimate: a step of exact_weights the benchmark times alone."""
+    nodes = check_nodes(nodes)
+    matrix = kernel(ell, nodes[:, None], nodes[None, :])
+    eigs = np.abs(np.linalg.eigvalsh(matrix))
+    cond = eigs.max() / eigs.min() if 0.0 < eigs.min() < math.inf else math.inf
+    return nodes, matrix, float(cond)
 
 
 def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
@@ -105,11 +115,7 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
         down (``check`` is ``"cholesky"``); the error carries the
         condition estimate.  No jitter is applied implicitly.
     """
-    nodes = check_nodes(nodes)
-    matrix = kernel(ell, nodes[:, None], nodes[None, :])
-    eigs = np.abs(np.linalg.eigvalsh(matrix))
-    smallest = eigs.min()
-    cond = float(eigs.max() / smallest) if 0.0 < smallest < math.inf else math.inf
+    nodes, matrix, cond = kernel_system(nodes, ell)
     if cond > CONDITION_MAX:
         raise IllConditionedError(
             f"condition estimate {cond:.3e} exceeds CONDITION_MAX = {CONDITION_MAX:.0e}",

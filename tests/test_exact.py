@@ -229,8 +229,9 @@ def test_kernel_mean_far_from_the_origin_is_zero_without_a_warning():
 
 
 def test_length_scale_whose_square_has_no_float():
-    # Above l = 1.34e154, l^2 overflows; the kernel and both means take
-    # the values they round to just below it, where nothing changes.
+    # Above l = 1.34e154, l^2 overflows and mu(k_mu) is 1, the value it
+    # rounds to.  The kernel and k_mu use the scaled form there, so at
+    # distances this small against l they are 1 as well.
     for ell in (1e200, 10**200, 1.7e308):
         assert kernel(ell, 0.0, 3.0) == 1.0
         assert kernel_mean(ell, np.array([0.0, 5.0])).tolist() == [1.0, 1.0]
@@ -243,15 +244,17 @@ def test_length_scale_whose_square_has_no_float():
 
 
 def test_length_scale_whose_doubled_square_has_no_float():
-    # Above l = 9.5e153, 2 l^2 and 2 (1 + l^2) overflow, so x - y and x
-    # are divided by l before they are squared: a distance of the order
-    # of l keeps its kernel value exp(-(d / l)^2 / 2), with no warning.
+    # Above l = 9.5e153, 2 l^2 and 2 (1 + l^2) overflow, so x and y are
+    # divided by l before they are subtracted and squared: a distance of
+    # the order of l keeps its kernel value exp(-(d / l)^2 / 2), with no
+    # warning, even where x - y itself has no float.
     half = math.exp(-0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kernel(1e200, 0.0, 1e200) == half
         assert kernel_mean(1e200, np.array([1e200])).tolist() == [half]
         assert kernel(1e155, 0.0, 1e154) == pytest.approx(math.exp(-0.005), rel=4 * EPS)
+        assert kernel(1.5e308, 1.5e308, -1.5e308) == math.exp(-2.0)
         # Either side of the switch, 9.48e153, the kernel is continuous.
         for ell in (9.4e153, 9.5e153, 1.3e154, 1e155):
             assert kernel(ell, 0.0, ell) == pytest.approx(half, rel=4 * EPS)

@@ -101,7 +101,7 @@ def test_every_module_uses_what_it_imports():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1676
+SRC_LINES = 1682
 
 
 def test_source_line_count_is_pinned():
