@@ -13,7 +13,6 @@ cubature, and worst-case-error diagnostics.
 from .approx import (
     ApproxRule,
     approx_rule,
-    christoffel_darboux_sum,
     eigen_exactness_residual,
     even_hermite_series,
     machine_truncation,
@@ -39,7 +38,7 @@ from .gauss_hermite import (
     QuadratureRule,
     gh_rule,
 )
-from .hermite import DEGREE_MAX, hermite_eval
+from .hermite import DEGREE_MAX
 from .mercer import (
     ALPHA_DEFAULT,
     MercerBasis,

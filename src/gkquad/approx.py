@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailureError, as_index
+from .errors import NumericalFailureError, as_index
 from .gauss_hermite import QuadratureRule, check_nodes, check_size, gh_rule
 from .hermite import DEGREE_MAX, normalized_table
 from .mercer import (
@@ -59,7 +59,6 @@ __all__ = [
     "eigen_exactness_residual",
     "machine_truncation",
     "qr_weights",
-    "christoffel_darboux_sum",
 ]
 
 
@@ -216,28 +215,4 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     rhs = means[:n] + correction @ means[n:]
     y = np.linalg.solve(lhs, rhs)
     return (q @ y) / row_scale
-
-
-def christoffel_darboux_sum(x: float, y: float, m_max: int) -> float:
-    """Sum of H_m(x) H_m(y) / m! for m = 0..m_max, via normalized values, by math.fsum.
-
-    The equivalent ratio form
-    (H_M(y) H_{M+1}(x) - H_M(x) H_{M+1}(y)) / (M! (x - y)) is the
-    identity this function is tested against; the diagonal x = y is
-    rejected because the ratio form degenerates there, and callers
-    needing the diagonal can sum hhat_m(x)^2 directly.  A value, product
-    or sum that is not a finite float raises NumericalFailureError.
-    """
-    m_max = as_index(m_max, "m_max", 0, DEGREE_MAX - 1)
-    if x == y:
-        raise DomainError("the diagonal x = y is rejected; use the plain sum form")
-    table = normalized_table(np.array([float(x), float(y)]), m_max)
-    with np.errstate(over="ignore", invalid="ignore"):  # such values are refused below
-        products = table[0] * table[1]
-    if np.isfinite(products).all():
-        try:
-            return math.fsum(products)
-        except OverflowError:  # the sum lies beyond the float range
-            pass
-    raise NumericalFailureError(f"the sum to degree {m_max} at ({x}, {y}) is not a finite float")
 

@@ -66,8 +66,10 @@ class EvaluationError(GkquadError, RuntimeError):
 
 
 def as_index(value, what: str, lo: int, hi: int, error=DomainError, range_error=None) -> int:
-    """value as an int in [lo, hi] (2.0 fails); else error, or range_error if out of range."""
+    """value as an int in [lo, hi] (2.0 and True fail); else error, or range_error out of range."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         index = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None

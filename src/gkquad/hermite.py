@@ -1,12 +1,12 @@
-"""Probabilists' Hermite polynomials and their normalized variants.
+"""Normalized probabilists' Hermite polynomials.
 
 The polynomials H_n satisfy
 
     H_0(x) = 1,  H_1(x) = x,  H_{n+1}(x) = x H_n(x) - n H_{n-1}(x),
 
 and are orthogonal with <H_n, H_m> = n! delta_nm under the standard
-Gaussian measure.  Raw values grow like sqrt(n!), so the primary
-evaluation path is the normalized family hhat_n = H_n / sqrt(n!), whose
+Gaussian measure.  Raw values grow like sqrt(n!), so the package
+evaluates only the normalized family hhat_n = H_n / sqrt(n!), whose
 rescaled recurrence
 
     hhat_{n+1}(x) = (x hhat_n(x) - sqrt(n) hhat_{n-1}(x)) / sqrt(n + 1)
@@ -22,7 +22,6 @@ from .errors import DegreeOverflowError, as_index
 
 __all__ = [
     "DEGREE_MAX",
-    "hermite_eval",
     "normalized_table",
 ]
 
@@ -33,41 +32,6 @@ DEGREE_MAX = 400
 # math.sqrt(n) for the recurrence, as 0-d arrays: a ufunc takes those
 # with less dispatch than Python floats, and multiplies by the same bits.
 _SQRT = [np.array(math.sqrt(n)) for n in range(DEGREE_MAX + 1)]
-
-
-def _check_degree(n) -> int:
-    """n as an int; DomainError if not an integer, DegreeOverflowError outside [0, DEGREE_MAX]."""
-    return as_index(n, "degree", 0, DEGREE_MAX, range_error=DegreeOverflowError)
-
-
-def hermite_eval(n: int, x: float) -> float:
-    """Evaluate the probabilists' Hermite polynomial H_n at x.
-
-    Parameters
-    ----------
-    n : int
-        Degree, 0 <= n <= DEGREE_MAX.
-    x : float
-        Evaluation point.
-
-    Returns
-    -------
-    float
-        H_n(x) by the three-term recurrence.  Unnormalized values carry
-        sqrt(n!) growth: once a term overflows to inf the next step
-        subtracts two infinities, so the result is nan, as for
-        hermite_eval(400, 30.0) and hermite_eval(200, 1e3); use
-        :func:`normalized_table` for large degrees.
-    """
-    n = _check_degree(n)
-    if n == 0:
-        return 1.0
-    x = float(x)  # Python floats overflow without numpy's warning
-    h_prev = 1.0
-    h = x
-    for k in range(1, n):
-        h_prev, h = h, x * h - k * h_prev
-    return h
 
 
 def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
@@ -88,7 +52,7 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
         turn inf, then nan, without a warning.  No memory layout is
         promised; a caller that sums over the table states its own order.
     """
-    degree_max = _check_degree(degree_max)
+    degree_max = as_index(degree_max, "degree", 0, DEGREE_MAX, range_error=DegreeOverflowError)
     x = np.asarray(x, dtype=float)
     buffer = np.empty((degree_max + 1, x.size))
     buffer[0] = 1.0

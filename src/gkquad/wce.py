@@ -55,12 +55,9 @@ _NEGATIVE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class WceReport:
-    """Worst-case error and its three accumulation terms."""
+    """Worst-case error of a rule."""
 
     wce: float
-    term_mean_mean: float
-    term_quadratic: float
-    term_cross: float
 
 
 @dataclass(frozen=True)
@@ -95,25 +92,16 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     nodes = rule.nodes
     weights = rule.weights
 
-    term_mean_mean = kernel_mean_mean(ell)
     with np.errstate(over="ignore", invalid="ignore"):  # such terms are refused below
         quadratic = np.multiply.outer(weights, weights) * kernel(ell, nodes[:, None], nodes[None, :])
         cross = weights * kernel_mean(ell, nodes)
-    term_quadratic = _exact_sum(quadratic)
-    term_cross = _exact_sum(cross)
-
-    squared = term_mean_mean + term_quadratic - 2.0 * term_cross
+    squared = kernel_mean_mean(ell) + _exact_sum(quadratic) - 2.0 * _exact_sum(cross)
     if squared < -_NEGATIVE_TOL:
         raise NumericalFailureError(
             f"squared worst-case error {squared:.3e} is negative beyond "
             f"roundoff; inputs are inconsistent"
         )
-    return WceReport(
-        wce=math.sqrt(max(squared, 0.0)),
-        term_mean_mean=term_mean_mean,
-        term_quadratic=term_quadratic,
-        term_cross=term_cross,
-    )
+    return WceReport(wce=math.sqrt(max(squared, 0.0)))
 
 
 # Window j of _exact_sum holds the terms whose leading bit lies in

@@ -9,7 +9,9 @@ and each comment gives the measured margins:
   - 3: the weight-sum error stays under |gamma|^N (ratio 0.20..0.82) and
     crosses 1e-8 wherever that rate gets there within N_MAX;
   - 6: the rate at ell = 1 is the closed form ln(phi) - 1/sqrt(5), and
-    the 0.054 +- 0.003 band applies at ell = 1.2 (0.054329);
+    the 0.054 +- 0.003 band applies at ell = 1.2 (0.054329); the absolute
+    weight sum stays within 1 + max(|gamma|^N, 4 eps) for N <= 200
+    (largest excess 2 eps);
   - 7: the weight error falls strictly within each rule-size parity;
   - 10: the 1e-6 target is reached at n = 14 (9.68e-8), and the
     closed-form rule's error is at most twice the solved one's (largest
@@ -18,6 +20,7 @@ and each comment gives the measured margins:
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,15 +34,15 @@ from gkquad import (
     tensor_rule,
     worst_case_error,
 )
-from gkquad.approx import christoffel_darboux_sum, eigen_exactness_residual, scaled_nodes
+from gkquad.approx import eigen_exactness_residual, scaled_nodes
 from gkquad.errors import IllConditionedError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
-from gkquad.hermite import hermite_eval
+from gkquad.hermite import normalized_table
 from gkquad.mercer import eigenfunction_means, eigenfunction_table
 from gkquad.tensor import gaussian_poly_integrand
 from gkquad.wce import theoretical_constants
-from oracles import double_factorial, gaussian_pdf
+from oracles import double_factorial, exact_hermite, gaussian_pdf
 
 
 def test_criterion_01_gauss_hermite_moment_exactness():
@@ -185,6 +188,21 @@ def test_criterion_06_theoretical_constants():
             bound = (1.0 + consts.c1 * sum_abs) * consts.c2 * consts.eta**n
             if bound < err:
                 failures.append(f"ell={ell} N={n} bound {bound:.3e} below error {err:.3e}")
+    # The bound's W_N: sum |w_n| of the closed-form rules stays within
+    # 1 + max(|gamma|^N, 4 eps) for N = 1..200 at the six acceptance
+    # scales.  The measured sum reaches exactly 1 + 2 eps at ell = 0.4 and
+    # 1, at most 1 + eps at ell = 4, and stays below 1 for ell <= 0.2;
+    # with 1 eps in place of 4 eps the clause would fail at (ell, N) =
+    # (0.4, 118), (1, 163), (1, 167) and (1, 172).  It takes 0.15 s.
+    eps = np.finfo(float).eps
+    for ell in (0.05, 0.1, 0.2, 0.4, 1.0, 4.0):
+        basis = basis_from(ell)
+        gamma = abs(basis.gamma)
+        for n in range(1, N_MAX + 1):
+            sum_abs = math.fsum(np.abs(approx_rule(basis, n).rule.weights))
+            if sum_abs > 1.0 + max(gamma**n, 4.0 * eps):
+                failures.append(f"ell={ell} N={n} sum |w| = {sum_abs!r} above "
+                                f"1 + max(|gamma|^N, 4 eps)")
     assert not failures, "; ".join(failures)
 
 
@@ -311,13 +329,19 @@ def test_criterion_09_quadrature_oracles():
             if abs(oracle - means[n]) > 1e-8:
                 failures.append(f"eigenfunction_means ell={ell} n={n}")
 
+    # Christoffel-Darboux: sum_m H_m(x) H_m(y) / m! from the normalized
+    # table, against the ratio form in exact rationals; the largest
+    # scaled gap over these 78 points is 4.4e-16.
     for m_max in range(26):
         for x, y in ((0.75, -0.625), (1.5, 0.25), (-2.0, 1.0)):
-            ratio_form = (
-                hermite_eval(m_max, y) * hermite_eval(m_max + 1, x)
-                - hermite_eval(m_max, x) * hermite_eval(m_max + 1, y)
-            ) / (math.factorial(m_max) * (x - y))
-            got = christoffel_darboux_sum(x, y, m_max)
+            fx, fy = Fraction(x), Fraction(y)
+            ratio_form = float(
+                (exact_hermite(m_max, fy) * exact_hermite(m_max + 1, fx)
+                 - exact_hermite(m_max, fx) * exact_hermite(m_max + 1, fy))
+                / (math.factorial(m_max) * (fx - fy))
+            )
+            table = normalized_table([x, y], m_max)
+            got = math.fsum(table[0] * table[1])
             if abs(got - ratio_form) > 1e-9 * max(1.0, abs(ratio_form)):
                 failures.append(f"christoffel-darboux M={m_max} ({x},{y})")
     assert not failures, "; ".join(failures)

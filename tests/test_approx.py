@@ -9,7 +9,6 @@ import pytest
 
 from gkquad import approx, approx_rule, basis_from, gh_rule, qr_weights
 from gkquad.approx import (
-    christoffel_darboux_sum,
     eigen_exactness_residual,
     even_hermite_series,
     machine_truncation,
@@ -322,34 +321,17 @@ def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
 
 @pytest.mark.parametrize("m_max", [0, 1, 5, 12, 25])
 def test_christoffel_darboux_sum_matches_ratio_form(m_max):
+    # sum_m H_m(x) H_m(y) / m! from the normalized table, against the
+    # Christoffel-Darboux ratio form in exact rationals.
     x, y = Fraction(3, 4), Fraction(-5, 8)
     hm_x = exact_hermite(m_max, x)
     hm_y = exact_hermite(m_max, y)
     hp_x = exact_hermite(m_max + 1, x)
     hp_y = exact_hermite(m_max + 1, y)
     exact = (hm_y * hp_x - hm_x * hp_y) / (math.factorial(m_max) * (x - y))
-    got = christoffel_darboux_sum(float(x), float(y), m_max)
+    table = normalized_table([float(x), float(y)], m_max)
+    got = math.fsum(table[0] * table[1])
     assert abs(got - float(exact)) <= 1e-11 * max(1.0, abs(float(exact)))
-
-
-def test_christoffel_darboux_diagonal_is_rejected():
-    with pytest.raises(DomainError):
-        christoffel_darboux_sum(1.5, 1.5, 10)
-
-
-@pytest.mark.parametrize("x, y, m_max", [
-    (40.0, -39.0, 399),  # products of both signs overflow: "-inf + inf in fsum"
-    (1e100, -1e100, 4),  # hhat_4 overflows on the table itself
-    (38.0, 37.5, 353),  # finite products whose sum overflows: "intermediate overflow"
-    (1e100, 5e99, 4),  # fsum of inf products returned inf
-])
-def test_christoffel_darboux_sum_beyond_the_float_range_is_a_numerical_failure(x, y, m_max):
-    # Each raised a bare ValueError or OverflowError or returned inf,
-    # after numpy's overflow RuntimeWarning (an error in this suite).
-    with pytest.raises(NumericalFailureError, match=f"degree {m_max} .* not a finite float"):
-        christoffel_darboux_sum(x, y, m_max)
-    # Where every product and the sum fit, the value is returned.
-    assert math.isfinite(christoffel_darboux_sum(30.0, -29.0, 399))
 
 
 def test_guards():
@@ -375,13 +357,9 @@ def test_guards():
         qr_weights(b, [1.0, 1.0], 5)
     with pytest.raises(SizeError):
         qr_weights(b, [], 5)
-    with pytest.raises(DomainError):
-        christoffel_darboux_sum(0.0, 1.0, DEGREE_MAX)
     # Sizes are read through operator.index, as check_size reads them.
     for bad in (10.5, np.float64(12.0)):
         with pytest.raises(DomainError, match="must be an integer"):
             qr_weights(b, [0.0, 1.0], bad)
-    with pytest.raises(DomainError, match="must be an integer"):
-        christoffel_darboux_sum(0.1, 0.2, 2.5)
     assert qr_weights(b, [0.0, 1.0], np.int64(5)).tolist() == qr_weights(
         b, [0.0, 1.0], 5).tolist()

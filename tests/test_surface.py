@@ -21,7 +21,7 @@ import pytest
 import gkquad
 from gkquad import cli
 from gkquad.errors import DegreeOverflowError, DomainError, SizeError
-from gkquad.mercer import eigenfunction_means, even_mean_ratios
+from gkquad.mercer import eigenfunction_means, eigenfunction_table, even_mean_ratios
 
 ROOT_NAMES = [
     "ALPHA_DEFAULT",
@@ -43,14 +43,12 @@ ROOT_NAMES = [
     "WceReport",
     "approx_rule",
     "basis_from",
-    "christoffel_darboux_sum",
     "eigen_exactness_residual",
     "eigenvalue",
     "even_hermite_series",
     "exact_weights",
     "gaussian_poly_integrand",
     "gh_rule",
-    "hermite_eval",
     "kernel_mean",
     "kernel_mean_mean",
     "machine_truncation",
@@ -69,7 +67,7 @@ def test_root_public_names_are_pinned():
         name for name, value in vars(gkquad).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(ROOT_NAMES) == 37
+    assert len(ROOT_NAMES) == 35
     assert names == ROOT_NAMES
 
 
@@ -101,7 +99,7 @@ def test_every_module_uses_what_it_imports():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1682
+SRC_LINES = 1610
 
 
 def test_source_line_count_is_pinned():
@@ -161,8 +159,8 @@ INTEGER_ARGUMENTS = {
                             1, 200, SizeError, SizeError),
     "machine_truncation": (lambda n: gkquad.machine_truncation(_BASIS, n), "rule size",
                            1, 200, SizeError, SizeError),
-    "hermite_eval": (lambda n: gkquad.hermite_eval(n, 0.5), "degree", 0, 400,
-                     DomainError, DegreeOverflowError),
+    "scaled_nodes": (lambda n: gkquad.scaled_nodes(_BASIS, n), "rule size", 1, 200,
+                     SizeError, SizeError),
     "normalized_table": (lambda n: gkquad.hermite.normalized_table([0.5], n), "degree",
                          0, 400, DomainError, DegreeOverflowError),
     "eigenvalue": (lambda n: gkquad.eigenvalue(_BASIS, n), "eigenvalue index",
@@ -170,10 +168,10 @@ INTEGER_ARGUMENTS = {
     "even_mean_ratios": (even_mean_ratios, "m_max", 0, 200, DomainError, DomainError),
     "eigenfunction_means": (lambda n: eigenfunction_means(_BASIS, n), "count", 1, 401,
                             DomainError, DomainError),
+    "eigenfunction_table": (lambda n: eigenfunction_table(_BASIS, [0.5], n), "count", 1, 401,
+                            DomainError, DomainError),
     "qr_weights": (lambda m: gkquad.qr_weights(_BASIS, [0.0, 1.0], m), "truncation length",
                    2, 400, DomainError, DomainError),
-    "christoffel_darboux_sum": (lambda m: gkquad.christoffel_darboux_sum(0.1, 0.2, m),
-                                "m_max", 0, 399, DomainError, DomainError),
     "multivariate_constants": (lambda d: gkquad.multivariate_constants(_BASIS, d),
                                "dimension", 1, sys.maxsize, DomainError, DomainError),
     "gaussian_poly_integrand.d": (
@@ -189,10 +187,10 @@ INTEGER_ARGUMENTS = {
 
 @pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
 def test_every_integer_argument_has_one_range(name):
-    # A float, one step past either end, and an int with no float each
-    # raise the type the argument has always raised, naming the range.
+    # A float, a bool, one step past either end, and an int with no float
+    # each raise the type the argument has always raised, naming the range.
     call, what, lo, hi, type_error, range_error = INTEGER_ARGUMENTS[name]
-    for bad in (2.5, 2.0):
+    for bad in (2.5, 2.0, True):
         with pytest.raises(type_error, match=f"^{what} must be an integer, got") as info:
             call(bad)
         assert info.type is type_error
