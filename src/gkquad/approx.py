@@ -21,17 +21,23 @@ for all 200 sizes).  The series adds the rows in ascending m and is
 mirrored onto the rest, exact as the nodes are antisymmetric to the bit
 and each Hermite recurrence step flips sign exactly.
 
-The module also provides the QR-based weight family for arbitrary nodes
-and truncation length M >= N.  With Phi the N x M eigenfunction matrix,
-Phi = Q [R1 R2], the weights are
+The module also provides the QR-based weights for arbitrary nodes and
+truncation length M >= N: with Phi = Q [R1 R2] the N x M eigenfunction
+matrix and p = (p_1, p_2) the eigenfunction means,
 
-    w = Q (R1^T + D R2^T)^(-1) (p_1 + D p_2),
-    D = L1^(-1) R1^(-1) R2 L2,
+    w = Q (R1^T + D R2^T)^(-1) (p_1 + D p_2),   D = L1^(-1) R1^(-1) R2 L2,
 
-where p = (p_1, p_2) stacks the eigenfunction means and the diagonal
-eigenvalue products L1^(-1) (.) L2 are applied analytically as
-elementwise powers of the eigenvalue ratio, so only decaying factors
-ever appear.
+where the eigenvalue products L1^(-1) (.) L2 are elementwise powers of
+the eigenvalue ratio, so only decaying factors appear.  At the rule's
+own nodes no QR is needed.  With s(x) = sqrt(b) exp(-d^2 x^2) and H the
+normalized Hermite table at t, U = diag(sqrt(v)) H[:, :N] is orthogonal,
+as the rule is exact to degree 2N - 1, so Phi = diag(s / sqrt(v)) U [I B]
+with B = H[:, :N]^T diag(v) H[:, N:M]: R1 = I, R2 = B, and B_jk = 0
+unless j + k >= 2N is even.  So only the even unknowns from j0 =
+max(0, 2N - M + 1), rounded up to even, leave their means mu_j: with z
+their solution (at most (M - N) / 2 + 1 of them, none if M <= N + 1),
+
+    w = w_closed + (v / s) sum_{even j >= j0} hhat_j(t) (z_j - mu_j).
 """
 
 import functools
@@ -173,39 +179,61 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     Returns
     -------
     ndarray
-        Weights in node order.  For M = N at scaled Gauss-Hermite nodes
-        these coincide with the closed-form weights of
-        :func:`approx_rule` up to roundoff; as M grows they approach the
-        exact kernel weights.
+        Weights in node order, which approach the exact kernel weights as M grows.
 
     Notes
     -----
-    The eigenfunction matrix is row-equilibrated before factoring: with
-    Phi = D G for the diagonal of row maxima D, the weights satisfy
-    w = D^(-1) g(G) where g is the displayed formula applied to G.  The
-    scaling commutes through the algebra exactly, and it removes the
+    Nodes equal to ``scaled_nodes(basis, N)`` bit for bit take the closed
+    form of the module docstring: weights symmetric to the bit, and for
+    M <= N + 1 exactly those of :func:`approx_rule`.  Other nodes take a
+    Householder QR of Phi, row-equilibrated first: with Phi = D G for the
+    diagonal of row maxima D, w = D^(-1) g(G) for g the displayed formula.
+    The scaling commutes through the algebra exactly, and it removes the
     exp-scale dynamic range between central and extreme rows that would
     otherwise dominate the factorization error.
     """
     nodes = check_nodes(nodes)
     n = nodes.size
     m_terms = as_index(m_terms, "truncation length", n, DEGREE_MAX)
+    if nodes.tobytes() == scaled_nodes(basis, n).tobytes():
+        return _gauss_hermite_qr_weights(basis, n, m_terms)
+    return _householder_qr_weights(basis, nodes, m_terms)
 
+
+def _gauss_hermite_qr_weights(basis: MercerBasis, n: int, m_terms: int) -> np.ndarray:
+    """qr_weights at scaled_nodes(basis, n): R1 = I, and only the even j >= j0 move."""
+    rule, gh = approx_rule(basis, n).rule, gh_rule(n)
+    js = np.arange(max(0, 2 * (n - (m_terms - 1) // 2)), n, 2)
+    if js.size == 0:
+        return rule.weights.copy()
+    ks = np.arange(n + n % 2, m_terms, 2)
+    table = normalized_table(gh.nodes, m_terms - 1)
+    b = (table[:, js].T * gh.weights) @ table[:, ks]
+    b[js[:, None] + ks < 2 * n] = 0.0  # zero by the rule's exactness
+    b_tilde = b * basis.eigenvalue_ratio ** (ks - js[:, None])
+    means = eigenfunction_means(basis, m_terms)
+    z = np.linalg.solve(np.eye(js.size) + b_tilde @ b.T, means[js] + b_tilde @ means[ks])
+    x = rule.nodes[: (n + 1) // 2]
+    lift = gh.weights[: x.size] * np.exp(basis.delta_sq * x * x) / math.sqrt(basis.beta)
+    shift = lift * (table[: x.size, js] @ (z - means[js]))
+    return rule.weights + np.concatenate([shift, shift[: n // 2][::-1]])
+
+
+def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:
+    """qr_weights at checked nodes and M, by a Householder QR of Phi."""
+    n = nodes.size
     phi = eigenfunction_table(basis, nodes, m_terms)
     means = eigenfunction_means(basis, m_terms)
     row_scale = np.max(np.abs(phi), axis=1)
     if not (np.all(np.isfinite(row_scale)) and row_scale.min() > 0.0):
-        raise NumericalFailureError(
-            "eigenfunction matrix has a zero or non-finite row at these nodes"
-        )
+        raise NumericalFailureError("eigenfunction matrix has a zero or non-finite row at "
+                                    "these nodes")
     q, r = np.linalg.qr(phi / row_scale[:, None], mode="reduced")
     r1 = r[:, :n]
     diag = np.abs(np.diag(r1))
     if diag.min() == 0.0 or not np.all(np.isfinite(diag)):
-        raise NumericalFailureError(
-            "eigenfunction matrix is numerically rank deficient at these nodes"
-        )
-
+        raise NumericalFailureError("eigenfunction matrix is numerically rank deficient at "
+                                    "these nodes")
     r2 = r[:, n:]
     correction = np.linalg.solve(r1, r2)
     ratio = basis.eigenvalue_ratio

@@ -36,3 +36,16 @@ def kernel_matrix(nodes, ell: float) -> np.ndarray:
     x = np.asarray(nodes, dtype=float)
     d = x[:, None] - x[None, :]
     return np.exp(-(d * d) / (2.0 * ell**2))
+
+
+def kernel_weights_mp(nodes, ell: float, dps: int) -> np.ndarray:
+    """Full-kernel quadrature weights at the float nodes, K w = k_mu solved in dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in nodes]
+        ell = mpmath.mpf(ell)
+        kmat = mpmath.matrix([[mpmath.exp(-((a - b) ** 2) / (2 * ell**2)) for b in x] for a in x])
+        s = 1 + ell**2
+        kvec = mpmath.matrix([ell / mpmath.sqrt(s) * mpmath.exp(-a * a / (2 * s)) for a in x])
+        return np.array([float(v) for v in mpmath.lu_solve(kmat, kvec)])

@@ -23,7 +23,7 @@ from gkquad.mercer import (
     eigenfunction_table,
     even_mean_ratios,
 )
-from oracles import exact_hermite
+from oracles import exact_hermite, kernel_weights_mp
 
 
 def test_single_point_rule_closed_form():
@@ -273,6 +273,55 @@ def test_qr_weights_at_machine_truncation_match_exact_solve():
         qw = qr_weights(b, a.rule.nodes, machine_truncation(b, n))
         ew, _ = exact_weights(a.rule.nodes, ell)
         assert np.abs(qw - ew).max() / np.abs(ew).max() <= tol
+
+
+# M9's five points.  The error is max |w_i / o_i - 1| against o, a
+# 120-digit full-kernel solve at the float nodes; measured, Householder ->
+# closed-form factor: (1, 20) 4.3e-14 -> 1.7e-14, (1, 36) 1.8e-11 -> 9.3e-12,
+# (4, 12) 3.5e-14 -> 2.1e-14, (1, 50) 7.8e-9 -> 3.6e-9, (4, 30) 2.1e-7 ->
+# 1.6e-8.  The 1e-13 floor: under the OpenBLAS Prescott kernel Householder
+# reads 6.6e-15 at (1, 20).
+@pytest.mark.parametrize("ell,n", [(1.0, 20), (1.0, 36), (4.0, 12), (1.0, 50), (4.0, 30)])
+def test_qr_weights_at_rule_nodes_are_as_accurate_as_householder(ell, n):
+    pytest.importorskip("mpmath")
+    b = basis_from(ell)
+    nodes, m = scaled_nodes(b, n), machine_truncation(b, n)
+    want = kernel_weights_mp(nodes, ell, 120)
+
+    def error(w):
+        return float(np.max(np.abs(w - want) / np.abs(want)))
+
+    householder = error(approx._householder_qr_weights(b, nodes, m))
+    assert error(qr_weights(b, nodes, m)) <= max(householder, 1e-13)
+
+
+@pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0, 1e200])
+def test_qr_weights_at_rule_nodes_with_at_most_one_extra_term_are_the_closed_form(ell):
+    b = basis_from(ell)
+    for n in (1, 2, 3, 10, 51, 200):
+        rule = approx_rule(b, n).rule
+        for m in (n, n + 1):
+            assert qr_weights(b, rule.nodes, m).tobytes() == rule.weights.tobytes(), (n, m)
+
+
+def test_qr_weights_at_other_nodes_take_the_householder_solve():
+    # Reversed or one-ulp-moved rule nodes are not the rule's own nodes.
+    for ell, n in ((1.0, 5), (1.0, 20), (4.0, 12), (1e200, 3)):
+        b = basis_from(ell)
+        nodes, m = scaled_nodes(b, n), machine_truncation(b, n)
+        moved = nodes.copy()
+        moved[n // 3] = np.nextafter(moved[n // 3], np.inf)
+        for other in (nodes[::-1], moved):
+            want = approx._householder_qr_weights(b, other, m)
+            assert qr_weights(b, other, m).tobytes() == want.tobytes(), (ell, n)
+
+
+def test_qr_weights_at_rule_nodes_are_finite_and_mirror_symmetric():
+    for ell in (1e-3, 0.05, 0.2, 1.0, 4.0, 10.0, 1e200):
+        b = basis_from(ell)
+        for n in range(1, 201):
+            w = qr_weights(b, scaled_nodes(b, n), machine_truncation(b, n))
+            assert np.isfinite(w).all() and w.tobytes() == w[::-1].tobytes(), (ell, n)
 
 
 def test_qr_weights_single_node():
