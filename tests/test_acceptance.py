@@ -29,12 +29,11 @@ from gkquad import (
     approx_rule,
     basis_from,
     gh_rule,
-    qr_weights,
     tensor_integrate,
     tensor_rule,
     worst_case_error,
 )
-from gkquad.approx import eigen_exactness_residual, scaled_nodes
+from gkquad.approx import _householder_qr_weights, eigen_exactness_residual, scaled_nodes
 from gkquad.errors import IllConditionedError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
@@ -212,13 +211,16 @@ def test_criterion_07_weight_family_consistency():
     # the odd eigenfunctions for free.  It is held to a strict decrease
     # within each parity over N = 5..40: odd sizes fall 0.236 -> 2.23e-3
     # and even sizes 0.118 -> 5.94e-4 (largest step ratio 0.79).
+    # The square-truncation clause checks the closed form against an
+    # independent solve: qr_weights at a rule's own nodes is the closed
+    # form itself, so the Householder QR solve is called directly.
     failures = []
     worst = 0.0
     for ell in (0.2, 1.0, 4.0):
         basis = basis_from(ell)
         for n in (5, 20, 40):
             approx = approx_rule(basis, n)
-            qw = qr_weights(basis, approx.rule.nodes, n)
+            qw = _householder_qr_weights(basis, approx.rule.nodes, n)
             dev = np.linalg.norm(qw - approx.rule.weights) / np.linalg.norm(
                 approx.rule.weights
             )
