@@ -34,10 +34,18 @@ normalized Hermite table at t, U = diag(sqrt(v)) H[:, :N] is orthogonal,
 as the rule is exact to degree 2N - 1, so Phi = diag(s / sqrt(v)) U [I B]
 with B = H[:, :N]^T diag(v) H[:, N:M]: R1 = I, R2 = B, and B_jk = 0
 unless j + k >= 2N is even.  So only the even unknowns from j0 =
-max(0, 2N - M + 1), rounded up to even, leave their means mu_j: with z
-their solution (at most (M - N) / 2 + 1 of them, none if M <= N + 1),
+max(0, 2N - M + 1), rounded up to even, leave their means mu_j; with none
+(M <= N + 1, or M = N + 2 at even N) the weights are approx_rule's.  With
+z their solution (at most (M - N) / 2 + 1 of them), the weights are one
+even series over the cached rows,
 
-    w = w_closed + (v / s) sum_{even j >= j0} hhat_j(t) (z_j - mu_j).
+    w = (v / s) sum_{even j < N} c_j hhat_j(t),  c_j = mu_j below j0, z_j from j0.
+
+Every product in B is even in t, so B sums over the cached half of the
+nodes with doubled weights (the centre node once).  The rows hhat_N ..
+hhat_{M-1} continue the recurrence on that half from the top cached even
+row and one more cached row per size, the odd one beside it; no table
+is built per call.
 """
 
 import functools
@@ -47,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError, as_index
-from .gauss_hermite import QuadratureRule, check_nodes, check_size, gh_rule
-from .hermite import DEGREE_MAX, normalized_table
+from .gauss_hermite import N_MAX, QuadratureRule, check_nodes, check_size, gh_rule
+from .hermite import DEGREE_MAX, _continue_recurrence, normalized_table
 from .mercer import (
     ALPHA_DEFAULT,
     MercerBasis,
@@ -109,6 +117,25 @@ def _even_hermite_half(n: int) -> np.ndarray:
     rows = np.ascontiguousarray(normalized_table(half, 2 * ((n - 1) // 2))[:, ::2].T)
     rows.setflags(write=False)
     return rows
+
+
+@functools.cache
+def _odd_hermite_half(n: int) -> np.ndarray:
+    """Read-only row hhat_{2 floor(n/2) - 1} (zero at n = 1), the odd one beside the top even."""
+    half = gh_rule(n).nodes[: (n + 1) // 2]
+    degree = 2 * (n // 2) - 1
+    row = normalized_table(half, degree)[:, degree].copy() if degree > 0 else np.zeros(half.size)
+    row.setflags(write=False)
+    return row
+
+
+def _hermite_half_past(n: int, m_terms: int) -> np.ndarray:
+    """Rows hhat_n .. hhat_{m_terms - 1} at the cached half, continuing the cached rows."""
+    top, odd = _even_hermite_half(n)[-1], _odd_hermite_half(n)
+    buffer = np.empty((m_terms - n + 2, top.size))
+    buffer[0], buffer[1] = (odd, top) if n % 2 else (top, odd)  # hhat_{n-2}, hhat_{n-1}
+    _continue_recurrence(gh_rule(n).nodes[: top.size], buffer, n - 1)
+    return buffer[2:]
 
 
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
@@ -183,40 +210,48 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
 
     Notes
     -----
-    Nodes equal to ``scaled_nodes(basis, N)`` bit for bit take the closed
-    form of the module docstring: weights symmetric to the bit, and for
-    M <= N + 1 exactly those of :func:`approx_rule`.  Other nodes take a
-    Householder QR of Phi, row-equilibrated first: with Phi = D G for the
-    diagonal of row maxima D, w = D^(-1) g(G) for g the displayed formula.
-    The scaling commutes through the algebra exactly, and it removes the
-    exp-scale dynamic range between central and extreme rows that would
-    otherwise dominate the factorization error.
+    Nodes equal to ``scaled_nodes(basis, N)`` bit for bit, tested before
+    any other node check, take the closed form of the module docstring:
+    weights symmetric to the bit, and for M <= N + 1 exactly those of
+    :func:`approx_rule`; once the size's rows are cached, no Hermite
+    table is built.  Other nodes take a Householder QR of Phi,
+    row-equilibrated first: with Phi = D G for the diagonal of row maxima
+    D, w = D^(-1) g(G) for g the displayed formula.  The scaling commutes
+    through the algebra exactly, and it removes the exp-scale dynamic
+    range between central and extreme rows that would otherwise dominate
+    the factorization error.
     """
-    nodes = check_nodes(nodes)
-    n = nodes.size
-    m_terms = as_index(m_terms, "truncation length", n, DEGREE_MAX)
-    if nodes.tobytes() == scaled_nodes(basis, n).tobytes():
-        return _gauss_hermite_qr_weights(basis, n, m_terms)
+    x = np.asarray(nodes, dtype=float).ravel()
+    # Scaled rule nodes are finite and distinct at every basis: equal bits need no check_nodes.
+    own = 1 <= x.size <= N_MAX and x.tobytes() == scaled_nodes(basis, x.size).tobytes()
+    nodes = x if own else check_nodes(x)
+    m_terms = as_index(m_terms, "truncation length", nodes.size, DEGREE_MAX)
+    if own:
+        return _gauss_hermite_qr_weights(basis, nodes, m_terms)
     return _householder_qr_weights(basis, nodes, m_terms)
 
 
-def _gauss_hermite_qr_weights(basis: MercerBasis, n: int, m_terms: int) -> np.ndarray:
-    """qr_weights at scaled_nodes(basis, n): R1 = I, and only the even j >= j0 move."""
-    rule, gh = approx_rule(basis, n).rule, gh_rule(n)
+def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:
+    """qr_weights at nodes == scaled_nodes(basis, n): R1 = I, and only the even j >= j0 move."""
+    n = nodes.size
     js = np.arange(max(0, 2 * (n - (m_terms - 1) // 2)), n, 2)
     if js.size == 0:
-        return rule.weights.copy()
+        return approx_rule(basis, n).rule.weights.copy()
     ks = np.arange(n + n % 2, m_terms, 2)
-    table = normalized_table(gh.nodes, m_terms - 1)
-    b = (table[:, js].T * gh.weights) @ table[:, ks]
+    v, rows = gh_rule(n).weights, _even_hermite_half(n)
+    h = rows.shape[1]
+    doubled = 2.0 * v[:h]
+    doubled[n // 2 :] = v[n // 2 : h]  # the centre node, at odd n, counts once
+    b = (rows[js // 2] * doubled) @ _hermite_half_past(n, m_terms)[ks - n].T
     b[js[:, None] + ks < 2 * n] = 0.0  # zero by the rule's exactness
     b_tilde = b * basis.eigenvalue_ratio ** (ks - js[:, None])
     means = eigenfunction_means(basis, m_terms)
-    z = np.linalg.solve(np.eye(js.size) + b_tilde @ b.T, means[js] + b_tilde @ means[ks])
-    x = rule.nodes[: (n + 1) // 2]
-    lift = gh.weights[: x.size] * np.exp(basis.delta_sq * x * x) / math.sqrt(basis.beta)
-    shift = lift * (table[: x.size, js] @ (z - means[js]))
-    return rule.weights + np.concatenate([shift, shift[: n // 2][::-1]])
+    coeffs = means[:n:2].copy()
+    lhs, rhs = np.eye(js.size) + b_tilde @ b.T, means[js] + b_tilde @ means[ks]
+    coeffs[js // 2] = np.linalg.solve(lhs, rhs)
+    x = nodes[:h]
+    half = v[:h] * np.exp(basis.delta_sq * x * x) / math.sqrt(basis.beta) * (coeffs @ rows)
+    return np.concatenate([half, half[: n // 2][::-1]])
 
 
 def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:

@@ -58,13 +58,23 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
     buffer[0] = 1.0
     if degree_max >= 1:
         buffer[1] = x
+        _continue_recurrence(x, buffer, 1)
+    return buffer.T
+
+
+def _continue_recurrence(x: np.ndarray, buffer: np.ndarray, degree: int) -> None:
+    """Fill buffer[2:] with hhat_{degree + 1}, hhat_{degree + 2}, ... at x.
+
+    buffer[0] and buffer[1] hold hhat_{degree - 1} and hhat_degree (a zero
+    row stands for hhat_{-1}); each row is one contiguous step of the same
+    four roundings per point as the formula in the module docstring.
+    """
     rows = list(buffer)
     scratch = np.empty(x.size)
     with np.errstate(over="ignore", invalid="ignore"):  # callers refuse non-finite values
-        for n in range(1, degree_max):
-            row = rows[n + 1]  # the ufuncs' third argument is their output
-            np.multiply(x, rows[n], row)
-            np.multiply(_SQRT[n], rows[n - 1], scratch)
+        for i in range(1, len(rows) - 1):
+            n, row = degree + i - 1, rows[i + 1]  # rows[i] is hhat_n; row the ufuncs' output
+            np.multiply(x, rows[i], row)
+            np.multiply(_SQRT[n], rows[i - 1], scratch)
             np.subtract(row, scratch, row)
             np.divide(row, _SQRT[n + 1], row)
-    return buffer.T

@@ -279,13 +279,15 @@ def test_qr_weights_at_machine_truncation_match_exact_solve():
             assert np.abs(qw - ew).max() / np.abs(ew).max() <= tol, (solve.__name__, ell, n)
 
 
-# M9's five points.  The error is max |w_i / o_i - 1| against o, a
-# 120-digit full-kernel solve at the float nodes; measured, Householder ->
-# closed-form factor: (1, 20) 4.3e-14 -> 1.7e-14, (1, 36) 1.8e-11 -> 9.3e-12,
-# (4, 12) 3.5e-14 -> 2.1e-14, (1, 50) 7.8e-9 -> 3.6e-9, (4, 30) 2.1e-7 ->
-# 1.6e-8.  The 1e-13 floor: under the OpenBLAS Prescott kernel Householder
-# reads 6.6e-15 at (1, 20).
-@pytest.mark.parametrize("ell,n", [(1.0, 20), (1.0, 36), (4.0, 12), (1.0, 50), (4.0, 30)])
+# M9's points.  The error is max |w_i / o_i - 1| against o, a 120-digit
+# full-kernel solve at the float nodes; measured, Householder -> closed-form
+# factor: (1, 20) 4.3e-14 -> 1.7e-14, (1, 36) 1.8e-11 -> 9.3e-12, (4, 12)
+# 3.5e-14 -> 2.1e-14, (1, 50) 7.8e-9 -> 3.6e-9, (4, 30) 2.1e-7 -> 1.6e-8,
+# (0.5, 50) 2.5e-12 -> 2.5e-14.  The 1e-13 floor: under the OpenBLAS
+# Prescott kernel Householder reads 6.6e-15 at (1, 20).
+@pytest.mark.parametrize(
+    "ell,n", [(1.0, 20), (1.0, 36), (4.0, 12), (1.0, 50), (4.0, 30), (0.5, 50)]
+)
 def test_qr_weights_at_rule_nodes_are_as_accurate_as_householder(ell, n):
     pytest.importorskip("mpmath")
     b = basis_from(ell)
@@ -306,6 +308,40 @@ def test_qr_weights_at_rule_nodes_with_at_most_one_extra_term_are_the_closed_for
         rule = approx_rule(b, n).rule
         for m in (n, n + 1):
             assert qr_weights(b, rule.nodes, m).tobytes() == rule.weights.tobytes(), (n, m)
+
+
+def test_qr_weights_continues_the_cached_hermite_rows_to_the_bit():
+    # At a rule's own nodes the rows past degree n - 1 are the recurrence
+    # continued from the cached even rows and one cached odd row (a zero
+    # row at n = 1), on half the nodes: the table's rows, bit for bit.
+    for n in range(1, 201):
+        half = gh_rule(n).nodes[: (n + 1) // 2]
+        for m in (n + 1, n + 13, min(DEGREE_MAX, n + 181), DEGREE_MAX):
+            table = normalized_table(half, m - 1)
+            rows = approx._hermite_half_past(n, m)
+            assert rows.tobytes() == np.ascontiguousarray(table[:, n:].T).tobytes(), (n, m)
+
+
+def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
+    # Once a size's rows are cached, a solve that moves an unknown (M >= N + 2
+    # at odd N, M >= N + 3 at even N) needs neither a table nor approx_rule.
+    cases = []
+    for ell in (0.2, 1.0, 4.0):
+        b = basis_from(ell)
+        for n in (1, 2, 3, 10, 51, 200):
+            least = n + 3 - n % 2
+            for m in {least, machine_truncation(b, n), DEGREE_MAX}:
+                if least <= m <= DEGREE_MAX:
+                    nodes = scaled_nodes(b, n)
+                    cases.append((b, nodes, m, qr_weights(b, nodes, m)))
+
+    def refuse(*args):
+        raise AssertionError("called on the rule-node path")
+
+    monkeypatch.setattr(approx, "normalized_table", refuse)
+    monkeypatch.setattr(approx, "approx_rule", refuse)
+    for b, nodes, m, want in cases:
+        assert qr_weights(b, nodes, m).tobytes() == want.tobytes(), (b.length_scale, nodes.size, m)
 
 
 def test_qr_weights_at_other_nodes_take_the_householder_solve():
