@@ -188,6 +188,10 @@ def test_even_hermite_cache_is_read_only_and_shared():
         assert half.shape == ((n - 1) // 2 + 1, (n + 1) // 2)
         even = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], 2 * ((n - 1) // 2))[:, ::2]
         assert half.tobytes() == even.T.tobytes()
+        # The odd row beside the top even one: its own buffer, not a view of a table.
+        odd = approx._odd_hermite_half(n)
+        assert odd is approx._odd_hermite_half(n) and odd.shape == (half.shape[1],)
+        assert not odd.flags.writeable and odd.flags.owndata
     with pytest.raises(ValueError):
         half[0, 0] = 0.0
 
