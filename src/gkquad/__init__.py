@@ -38,7 +38,6 @@ from .gauss_hermite import (
     QuadratureRule,
     gh_rule,
 )
-from .hermite import DEGREE_MAX
 from .mercer import (
     ALPHA_DEFAULT,
     MercerBasis,
@@ -46,7 +45,6 @@ from .mercer import (
     eigenvalue,
 )
 from .tensor import (
-    DIM_MAX,
     TensorRule,
     gaussian_poly_integrand,
     tensor_integrate,

@@ -33,19 +33,17 @@ own nodes no QR is needed.  With s(x) = sqrt(b) exp(-d^2 x^2) and H the
 normalized Hermite table at t, U = diag(sqrt(v)) H[:, :N] is orthogonal,
 as the rule is exact to degree 2N - 1, so Phi = diag(s / sqrt(v)) U [I B]
 with B = H[:, :N]^T diag(v) H[:, N:M]: R1 = I, R2 = B, and B_jk = 0
-unless j + k >= 2N is even.  So only the even unknowns from j0 =
-max(0, 2N - M + 1), rounded up to even, leave their means mu_j; with none
-(M <= N + 1, or M = N + 2 at even N) the weights are approx_rule's.  With
-z their solution (at most (M - N) / 2 + 1 of them), the weights are one
-even series over the cached rows,
-
-    w = (v / s) sum_{even j < N} c_j hhat_j(t),  c_j = mu_j below j0, z_j from j0.
-
-Every product in B is even in t, so B sums over the cached half of the
-nodes with doubled weights (the centre node once).  The rows hhat_N ..
-hhat_{M-1} continue the recurrence on that half from the top cached even
-row and one more cached row per size, the odd one beside it; no table
-is built per call.
+unless j + k >= 2N is even.  With mu_2m = sqrt(b) (1 + 2 d^2)^(-1/2) c_m,
+the system divided by that factor reads in the closed-form series
+coefficients c_m = g^m r_m, and w is the closed form with those of
+even j from j0 = max(0, 2N - M + 1), rounded up to even, solved: at
+most (M - N) / 2 + 1 of them.  With none solved (M <= N + 1, or M = N + 2
+at even N) w is the closed form to the bit, as every prefix of the
+coefficients has the same bits at any length.  Every product in B is
+even in t, so B sums over the cached half of the nodes with doubled
+weights (the centre node once).  The rows hhat_N .. hhat_{M-1} continue
+the recurrence on that half from the cached top even row and the odd
+one beside it; no table is built per call.
 """
 
 import functools
@@ -95,46 +93,47 @@ def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
 def even_hermite_series(gamma: float, n: int) -> np.ndarray:
     """The weight series S_N at the n Gauss-Hermite nodes of gh_rule(n).
 
-    Sums g^m r_m hhat_{2m} over m = 0..floor((n-1)/2) in ascending m:
-    numpy reduces the C-ordered (m, node) terms of the per-size cache row
-    by row, from 0.0 (the first term is 1.0, so no bit changes); a single
-    node, which numpy would sum pairwise, comes only with n <= 2 and one
-    row.  Each factor is bounded (|g| < 1 in the kernel setting, r_m < 1,
-    hhat bounded by 1.087 exp(t^2/4)), which keeps the closed-form weights
-    finite where the naive form overflows.
+    Sums g^m r_m hhat_{2m} over m = 0..floor((n-1)/2) in ascending m.  Each factor is
+    bounded (|g| < 1 in the kernel setting, r_m < 1, hhat bounded by 1.087 exp(t^2/4)),
+    which keeps the closed-form weights finite where the naive form overflows.
     """
     n = check_size(n)
-    rows = _even_hermite_half(n)
-    coeffs = gamma ** np.arange(rows.shape[0]) * even_mean_ratios(rows.shape[0] - 1)
+    m_top = (n - 1) // 2
+    return _series(n, gamma ** np.arange(m_top + 1) * even_mean_ratios(m_top))
+
+
+def _series(n: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] hhat_{2m} at gh_rule(n)'s nodes: the cached half, mirrored.
+
+    numpy reduces the C-ordered (m, node) terms row by row, in ascending m
+    from 0.0; one node, which numpy would sum pairwise, comes with one row.
+    """
+    rows = _hermite_half(n)[0]
     half = np.add.reduce(np.multiply(rows, coeffs[:, None], order="C"), axis=0)
     return np.concatenate([half, half[: n // 2][::-1]])
 
 
 @functools.cache
-def _even_hermite_half(n: int) -> np.ndarray:
-    """Read-only C-ordered rows hhat_0, hhat_2, ... at the non-positive half of gh_rule(n)'s nodes."""
+def _hermite_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows from one table of degree n - 1 at the first ceil(n/2) nodes of gh_rule(n).
+
+    The C-ordered even rows hhat_0, hhat_2, ... and the odd row beside the top one (zero at n = 1).
+    """
     half = gh_rule(n).nodes[: (n + 1) // 2]
-    rows = np.ascontiguousarray(normalized_table(half, 2 * ((n - 1) // 2))[:, ::2].T)
+    table = normalized_table(half, n - 1)
+    rows = np.array(table[:, ::2].T, order="C")
+    odd = table[:, 2 * (n // 2) - 1].copy() if n > 1 else np.zeros(half.size)
     rows.setflags(write=False)
-    return rows
-
-
-@functools.cache
-def _odd_hermite_half(n: int) -> np.ndarray:
-    """Read-only row hhat_{2 floor(n/2) - 1} (zero at n = 1), the odd one beside the top even."""
-    half = gh_rule(n).nodes[: (n + 1) // 2]
-    degree = 2 * (n // 2) - 1
-    row = normalized_table(half, degree)[:, degree].copy() if degree > 0 else np.zeros(half.size)
-    row.setflags(write=False)
-    return row
+    odd.setflags(write=False)
+    return rows, odd
 
 
 def _hermite_half_past(n: int, m_terms: int) -> np.ndarray:
     """Rows hhat_n .. hhat_{m_terms - 1} at the cached half, continuing the cached rows."""
-    top, odd = _even_hermite_half(n)[-1], _odd_hermite_half(n)
-    buffer = np.empty((m_terms - n + 2, top.size))
-    buffer[0], buffer[1] = (odd, top) if n % 2 else (top, odd)  # hhat_{n-2}, hhat_{n-1}
-    _continue_recurrence(gh_rule(n).nodes[: top.size], buffer, n - 1)
+    rows, odd = _hermite_half(n)
+    buffer = np.empty((m_terms - n + 2, odd.size))
+    buffer[0], buffer[1] = (odd, rows[-1]) if n % 2 else (rows[-1], odd)  # hhat_{n-2}, hhat_{n-1}
+    _continue_recurrence(gh_rule(n).nodes[: odd.size], buffer, n - 1)
     return buffer[2:]
 
 
@@ -149,16 +148,18 @@ def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
         If any weight evaluates non-finite (not expected anywhere in the
         guarded range N <= 200, l in [0.05, 10]).
     """
-    gh = gh_rule(n)
-    n = len(gh)
     nodes = scaled_nodes(basis, n)
-    series = even_hermite_series(basis.gamma, n)
-    lead = 1.0 / math.sqrt(1.0 + 2.0 * basis.delta_sq)
-    weights = lead * gh.weights * np.exp(basis.delta_sq * nodes * nodes) * series
+    weights = _rule_weights(basis, nodes, even_hermite_series(basis.gamma, nodes.size))
     if not np.isfinite(weights).all():
         raise NumericalFailureError(f"non-finite weight in the {n}-point rule at length scale "
                                     f"{basis.length_scale}")
     return ApproxRule(rule=QuadratureRule(nodes, weights), basis=basis)
+
+
+def _rule_weights(basis: MercerBasis, nodes: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """The closed-form weights at nodes == scaled_nodes(basis, n) for the series S at them."""
+    lead = 1.0 / math.sqrt(1.0 + 2.0 * basis.delta_sq)
+    return lead * gh_rule(nodes.size).weights * np.exp(basis.delta_sq * nodes * nodes) * series
 
 
 def eigen_exactness_residual(approx: ApproxRule, n: int) -> float:
@@ -180,6 +181,9 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     Smallest M with lambda_M / lambda_n < machine epsilon, i.e. n plus
     ceil(ln eps / ln ratio) extra terms; capped at the degree guard.  A ratio
     rounded to 0 (l > 3e161) or 1 (l < 7e-17) takes the limit, 1 or the cap.
+    The cap (DEGREE_MAX = 400) binds from n = 1 at l = 0.05, and at n = 200
+    below l of about 0.19; the neglected tail is then far above machine
+    precision: qr_weights(basis_from(0.0625), [0.0], 400) is 1.6e-12 off k_mu(0).
     """
     n = check_size(n)
     ratio = basis.eigenvalue_ratio
@@ -211,10 +215,11 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     Notes
     -----
     Nodes equal to ``scaled_nodes(basis, N)`` bit for bit, tested before
-    any other node check, take the closed form of the module docstring:
-    weights symmetric to the bit, and for M <= N + 1 exactly those of
-    :func:`approx_rule`; once the size's rows are cached, no Hermite
-    table is built.  Other nodes take a Householder QR of Phi,
+    any other node check, take the module docstring's closed-form rule
+    with at most (M - N) / 2 + 1 of its series coefficients g^m r_m
+    solved: weights symmetric to the bit, and with none solved (M <= N + 1)
+    exactly those of :func:`approx_rule`; once the size's rows are cached,
+    no Hermite table is built.  Other nodes take a Householder QR of Phi,
     row-equilibrated first: with Phi = D G for the diagonal of row maxima
     D, w = D^(-1) g(G) for g the displayed formula.  The scaling commutes
     through the algebra exactly, and it removes the exp-scale dynamic
@@ -235,23 +240,18 @@ def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: in
     """qr_weights at nodes == scaled_nodes(basis, n): R1 = I, and only the even j >= j0 move."""
     n = nodes.size
     js = np.arange(max(0, 2 * (n - (m_terms - 1) // 2)), n, 2)
-    if js.size == 0:
-        return approx_rule(basis, n).rule.weights.copy()
     ks = np.arange(n + n % 2, m_terms, 2)
-    v, rows = gh_rule(n).weights, _even_hermite_half(n)
+    coeffs = basis.gamma ** np.arange((m_terms + 1) // 2) * even_mean_ratios((m_terms - 1) // 2)
+    v, rows = gh_rule(n).weights, _hermite_half(n)[0]
     h = rows.shape[1]
     doubled = 2.0 * v[:h]
     doubled[n // 2 :] = v[n // 2 : h]  # the centre node, at odd n, counts once
     b = (rows[js // 2] * doubled) @ _hermite_half_past(n, m_terms)[ks - n].T
     b[js[:, None] + ks < 2 * n] = 0.0  # zero by the rule's exactness
     b_tilde = b * basis.eigenvalue_ratio ** (ks - js[:, None])
-    means = eigenfunction_means(basis, m_terms)
-    coeffs = means[:n:2].copy()
-    lhs, rhs = np.eye(js.size) + b_tilde @ b.T, means[js] + b_tilde @ means[ks]
+    lhs, rhs = np.eye(js.size) + b_tilde @ b.T, coeffs[js // 2] + b_tilde @ coeffs[ks // 2]
     coeffs[js // 2] = np.linalg.solve(lhs, rhs)
-    x = nodes[:h]
-    half = v[:h] * np.exp(basis.delta_sq * x * x) / math.sqrt(basis.beta) * (coeffs @ rows)
-    return np.concatenate([half, half[: n // 2][::-1]])
+    return _rule_weights(basis, nodes, _series(n, coeffs[: rows.shape[0]]))
 
 
 def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:

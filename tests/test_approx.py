@@ -116,8 +116,8 @@ def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
     # a Fortran-ordered table.  A matmul over the strided even columns
     # goes through BLAS on the Fortran layout, which would change the
     # weights at 190 of the 200 sizes at length-scale 1.  The per-size
-    # cache is cleared before each layout, so every size builds its
-    # table through the patched function once.
+    # cache is cleared before each layout, so every size builds its one
+    # table, of degree n - 1, through the patched function once.
     table = approx.normalized_table
     degrees = []
 
@@ -127,11 +127,11 @@ def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
             return order(table(x, d))
 
         monkeypatch.setattr(approx, "normalized_table", patched)
-        approx._even_hermite_half.cache_clear()
+        approx._hermite_half.cache_clear()
         degrees.clear()
         out = [approx_rule(basis_from(ell), n).rule.weights.tobytes()
                for ell in (0.05, 1.0, 10.0) for n in range(1, 201)]
-        assert degrees == [2 * ((n - 1) // 2) for n in range(1, 201)]
+        assert degrees == [n - 1 for n in range(1, 201)]
         return out
 
     assert weights(np.ascontiguousarray) == weights(np.asfortranarray)
@@ -180,20 +180,48 @@ def test_approx_rule_sums_through_even_hermite_series(monkeypatch):
 
 
 def test_even_hermite_cache_is_read_only_and_shared():
-    # One C-ordered row per even degree, one column per node of the half.
+    # One C-ordered row per even degree, one column per node of the half,
+    # and the odd row beside the top even one (zero at n = 1): each its
+    # own buffer, not a view of the table both come from.
     for n in (1, 2, 9, 200):
-        half = approx._even_hermite_half(n)
-        assert half is approx._even_hermite_half(n)
-        assert not half.flags.writeable and half.flags.c_contiguous
-        assert half.shape == ((n - 1) // 2 + 1, (n + 1) // 2)
-        even = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], 2 * ((n - 1) // 2))[:, ::2]
-        assert half.tobytes() == even.T.tobytes()
-        # The odd row beside the top even one: its own buffer, not a view of a table.
-        odd = approx._odd_hermite_half(n)
-        assert odd is approx._odd_hermite_half(n) and odd.shape == (half.shape[1],)
+        cached = approx._hermite_half(n)
+        assert cached is approx._hermite_half(n)
+        half, odd = cached
+        assert not half.flags.writeable and half.flags.c_contiguous and half.flags.owndata
         assert not odd.flags.writeable and odd.flags.owndata
-    with pytest.raises(ValueError):
-        half[0, 0] = 0.0
+        assert half.shape == ((n - 1) // 2 + 1, (n + 1) // 2) and odd.shape == (half.shape[1],)
+        table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], n - 1)
+        assert half.tobytes() == np.ascontiguousarray(table[:, ::2].T).tobytes()
+        want = table[:, 2 * (n // 2) - 1] if n > 1 else np.zeros(half.shape[1])
+        assert odd.tobytes() == want.tobytes()
+    for row in (half, odd):
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+
+def test_a_cold_size_builds_one_hermite_table(monkeypatch):
+    # A cold qr_weights at a rule's own nodes that continues the rows past
+    # degree n - 1 reads the even rows and the odd row beside the top one
+    # from one table per size.
+    caches = [f for f in vars(approx).values()
+              if hasattr(f, "cache_clear") and f.__module__ == approx.__name__]
+    assert caches
+    table = approx.normalized_table
+    degrees = []
+
+    def counted(x, d):
+        degrees.append(d)
+        return table(x, d)
+
+    monkeypatch.setattr(approx, "normalized_table", counted)
+    b = basis_from(1.0)
+    for n in (1, 2, 3, 10, 51, 200):
+        for m in (n + 3, n + 2, DEGREE_MAX):
+            for cache in caches:
+                cache.cache_clear()
+            degrees.clear()
+            qr_weights(b, scaled_nodes(b, n), m)
+            assert degrees == [n - 1], (n, m)
 
 
 def test_series_is_summed_in_ascending_m_to_the_bit():
@@ -286,7 +314,7 @@ def test_qr_weights_at_machine_truncation_match_exact_solve():
 # M9's points.  The error is max |w_i / o_i - 1| against o, a 120-digit
 # full-kernel solve at the float nodes; measured, Householder -> closed-form
 # factor: (1, 20) 4.3e-14 -> 1.7e-14, (1, 36) 1.8e-11 -> 9.3e-12, (4, 12)
-# 3.5e-14 -> 2.1e-14, (1, 50) 7.8e-9 -> 3.6e-9, (4, 30) 2.1e-7 -> 1.6e-8,
+# 3.5e-14 -> 2.1e-14, (1, 50) 7.8e-9 -> 3.5e-9, (4, 30) 2.1e-7 -> 1.6e-8,
 # (0.5, 50) 2.5e-12 -> 2.5e-14.  The 1e-13 floor: under the OpenBLAS
 # Prescott kernel Householder reads 6.6e-15 at (1, 20).
 @pytest.mark.parametrize(
@@ -327,15 +355,15 @@ def test_qr_weights_continues_the_cached_hermite_rows_to_the_bit():
 
 
 def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
-    # Once a size's rows are cached, a solve that moves an unknown (M >= N + 2
-    # at odd N, M >= N + 3 at even N) needs neither a table nor approx_rule.
+    # Once a size's rows are cached, a solve needs neither a table nor
+    # approx_rule, whether it moves an unknown (M >= N + 2 at odd N,
+    # M >= N + 3 at even N) or none.
     cases = []
     for ell in (0.2, 1.0, 4.0):
         b = basis_from(ell)
         for n in (1, 2, 3, 10, 51, 200):
-            least = n + 3 - n % 2
-            for m in {least, machine_truncation(b, n), DEGREE_MAX}:
-                if least <= m <= DEGREE_MAX:
+            for m in {n, n + 1, n + 2, n + 3, machine_truncation(b, n), DEGREE_MAX}:
+                if m <= DEGREE_MAX:
                     nodes = scaled_nodes(b, n)
                     cases.append((b, nodes, m, qr_weights(b, nodes, m)))
 

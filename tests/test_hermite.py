@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkquad import DEGREE_MAX
 from gkquad.errors import DegreeOverflowError, DomainError
-from gkquad.hermite import normalized_table
+from gkquad.hermite import DEGREE_MAX, normalized_table
 from oracles import exact_hermite
 
 

@@ -27,8 +27,6 @@ ROOT_NAMES = [
     "ALPHA_DEFAULT",
     "ApproxRule",
     "ConvergenceConstants",
-    "DEGREE_MAX",
-    "DIM_MAX",
     "DegreeOverflowError",
     "DomainError",
     "EvaluationError",
@@ -67,7 +65,7 @@ def test_root_public_names_are_pinned():
         name for name, value in vars(gkquad).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(ROOT_NAMES) == 35
+    assert len(ROOT_NAMES) == 33
     assert names == ROOT_NAMES
 
 
@@ -99,7 +97,7 @@ def test_every_module_uses_what_it_imports():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1685
+SRC_LINES = 1683
 
 
 def test_source_line_count_is_pinned():
