@@ -11,10 +11,8 @@ cubature, and worst-case-error diagnostics.
 """
 
 from .approx import (
-    ApproxRule,
     approx_rule,
     eigen_exactness_residual,
-    even_hermite_series,
     machine_truncation,
     qr_weights,
     scaled_nodes,

@@ -98,8 +98,12 @@ def even_hermite_series(gamma: float, n: int) -> np.ndarray:
     which keeps the closed-form weights finite where the naive form overflows.
     """
     n = check_size(n)
-    m_top = (n - 1) // 2
-    return _series(n, gamma ** np.arange(m_top + 1) * even_mean_ratios(m_top))
+    return _series(n, _series_coeffs(gamma, (n - 1) // 2))
+
+
+def _series_coeffs(gamma: float, m_top: int) -> np.ndarray:
+    """The closed-form series coefficients c_m = g^m r_m for m = 0..m_top, a fresh array."""
+    return gamma ** np.arange(m_top + 1) * even_mean_ratios(m_top)
 
 
 def _series(n: int, coeffs: np.ndarray) -> np.ndarray:
@@ -179,21 +183,22 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     """Truncation length M >= n whose neglected tail is below machine precision.
 
     Smallest M with lambda_M / lambda_n < machine epsilon, i.e. n plus
-    ceil(ln eps / ln ratio) extra terms; capped at the degree guard.  A ratio
-    rounded to 0 (l > 3e161) or 1 (l < 7e-17) takes the limit, 1 or the cap.
-    The cap (DEGREE_MAX = 400) binds from n = 1 at l = 0.05, and at n = 200
-    below l of about 0.19; the neglected tail is then far above machine
-    precision: qr_weights(basis_from(0.0625), [0.0], 400) is 1.6e-12 off k_mu(0).
+    ceil(ln eps / ln ratio) extra terms; a ratio rounded to 0 (l > 3e161)
+    takes the limit, n + 1.  DEGREE_MAX = 921 is this M at l = 0.05, n = 200.
+    A larger M, at l <= 0.04 from n = 20 or infinite once the ratio rounds
+    to 1 (l < 7e-17), raises NumericalFailureError with the tail at the guard.
     """
     n = check_size(n)
     ratio = basis.eigenvalue_ratio
     if ratio == 0.0:
-        extra = 1
-    elif ratio == 1.0:
-        extra = DEGREE_MAX
-    else:
-        extra = math.ceil(math.log(np.finfo(float).eps) / math.log(ratio))
-    return min(n + extra, DEGREE_MAX)
+        return n + 1
+    m_terms = n + math.ceil(math.log(math.ulp(1.0)) / math.log(ratio)) if ratio < 1.0 else math.inf
+    if m_terms > DEGREE_MAX:
+        raise NumericalFailureError(
+            f"truncation to machine precision at length scale {basis.length_scale} and N = {n} "
+            f"needs M = {m_terms} terms, past the degree guard {DEGREE_MAX}, where "
+            f"lambda_{DEGREE_MAX} / lambda_{n} is {ratio ** (DEGREE_MAX - n):.3g}")
+    return m_terms
 
 
 def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
@@ -241,7 +246,7 @@ def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: in
     n = nodes.size
     js = np.arange(max(0, 2 * (n - (m_terms - 1) // 2)), n, 2)
     ks = np.arange(n + n % 2, m_terms, 2)
-    coeffs = basis.gamma ** np.arange((m_terms + 1) // 2) * even_mean_ratios((m_terms - 1) // 2)
+    coeffs = _series_coeffs(basis.gamma, (m_terms - 1) // 2)
     v, rows = gh_rule(n).weights, _hermite_half(n)[0]
     h = rows.shape[1]
     doubled = 2.0 * v[:h]
@@ -264,18 +269,14 @@ def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int)
         raise NumericalFailureError("eigenfunction matrix has a zero or non-finite row at "
                                     "these nodes")
     q, r = np.linalg.qr(phi / row_scale[:, None], mode="reduced")
-    r1 = r[:, :n]
+    r1, r2 = r[:, :n], r[:, n:]
     diag = np.abs(np.diag(r1))
     if diag.min() == 0.0 or not np.all(np.isfinite(diag)):
         raise NumericalFailureError("eigenfunction matrix is numerically rank deficient at "
                                     "these nodes")
-    r2 = r[:, n:]
-    correction = np.linalg.solve(r1, r2)
-    ratio = basis.eigenvalue_ratio
     exponents = n + np.arange(m_terms - n)[None, :] - np.arange(n)[:, None]
-    correction = correction * ratio**exponents
+    correction = np.linalg.solve(r1, r2) * basis.eigenvalue_ratio**exponents
     lhs = r1.T + correction @ r2.T
     rhs = means[:n] + correction @ means[n:]
-    y = np.linalg.solve(lhs, rhs)
-    return (q @ y) / row_scale
+    return (q @ np.linalg.solve(lhs, rhs)) / row_scale
 

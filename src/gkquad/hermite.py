@@ -25,9 +25,9 @@ __all__ = [
     "normalized_table",
 ]
 
-# Twice the largest supported rule size, with headroom for truncated
-# kernel expansions that extend past the node count.
-DEGREE_MAX = 400
+# machine_truncation's M at the smallest guarded length scale and the largest
+# rule size, l = 0.05 and N = 200: N + ceil(ln eps / ln ratio) = 200 + ceil(720.95).
+DEGREE_MAX = 921
 
 # math.sqrt(n) for the recurrence, as 0-d arrays: a ufunc takes those
 # with less dispatch than Python floats, and multiplies by the same bits.

@@ -39,13 +39,29 @@ def kernel_matrix(nodes, ell: float) -> np.ndarray:
 
 
 def kernel_weights_mp(nodes, ell: float, dps: int) -> np.ndarray:
-    """Full-kernel quadrature weights at the float nodes, K w = k_mu solved in dps digits."""
+    """Full-kernel quadrature weights at the float nodes, K w = k_mu solved in dps digits.
+
+    Nodes that mirror to the bit (x reversed is -x) make K centrosymmetric
+    and k_mu even, so the weights mirror too: the solve then runs on the
+    first ceil(N/2) unknowns, each column j < N // 2 plus its mirror N - 1 - j.
+    """
     import mpmath
 
+    x = [float(v) for v in nodes]
+    n = len(x)
+    folded = x[::-1] == [-v for v in x]
+    half = range((n + 1) // 2 if folded else n)
     with mpmath.workdps(dps):
-        x = [mpmath.mpf(float(v)) for v in nodes]
+        x = [mpmath.mpf(v) for v in x]
         ell = mpmath.mpf(ell)
-        kmat = mpmath.matrix([[mpmath.exp(-((a - b) ** 2) / (2 * ell**2)) for b in x] for a in x])
+
+        def k(i, j):
+            return mpmath.exp(-((x[i] - x[j]) ** 2) / (2 * ell**2))
+
+        kmat = mpmath.matrix([[k(i, j) + (k(i, n - 1 - j) if folded and 2 * j != n - 1 else 0)
+                               for j in half] for i in half])
         s = 1 + ell**2
-        kvec = mpmath.matrix([ell / mpmath.sqrt(s) * mpmath.exp(-a * a / (2 * s)) for a in x])
-        return np.array([float(v) for v in mpmath.lu_solve(kmat, kvec)])
+        kvec = mpmath.matrix([ell / mpmath.sqrt(s) * mpmath.exp(-x[i] * x[i] / (2 * s))
+                              for i in half])
+        w = [float(v) for v in mpmath.lu_solve(kmat, kvec)]
+    return np.array(w + w[: n // 2][::-1] if folded else w)

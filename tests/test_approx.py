@@ -1,6 +1,7 @@
 """Closed-form approximate weights and the QR weight family."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -333,6 +334,32 @@ def test_qr_weights_at_rule_nodes_are_as_accurate_as_householder(ell, n):
     assert error(qr_weights(b, nodes, m)) <= max(householder, 1e-13)
 
 
+# Small length scales, where machine precision needs M past 400.  The
+# error is max |w_i / o_i - 1| against o, a 40-digit full-kernel solve at
+# the float nodes (the same to the bit at 80 digits).  Measured at
+# machine_truncation's M (578, 741, 771, 461, 441): 6.7e-16, 6.3e-15,
+# 2.1e-14, 1.9e-14 and 7.2e-14, and within 2.3e-16 of those under the
+# OpenBLAS Haswell and Prescott kernels and numpy's AVX2 loops.  Each bound
+# is 2.1 to 2.6 times the largest of these; at M = 400 the errors read
+# 1.6e-12, 3.7e-10, 2.5e-9, 2.3e-13 and 7.1e-14.
+@pytest.mark.parametrize("ell,n,bound", [
+    (0.0625, 1, 1.5e-15), (0.05, 20, 1.5e-14), (0.05, 50, 5e-14), (0.1, 100, 5e-14),
+    (0.15, 200, 1.5e-13),
+])
+def test_qr_weights_at_machine_truncation_match_the_oracle_at_small_length_scales(ell, n, bound):
+    mpmath = pytest.importorskip("mpmath")
+    b = basis_from(ell)
+    nodes = scaled_nodes(b, n)
+    w = qr_weights(b, nodes, machine_truncation(b, n))
+    assert np.max(np.abs(w / kernel_weights_mp(nodes, ell, 40) - 1.0)) <= bound
+    if n == 1:
+        # The single node's weight is k_mu(0) = l / sqrt(1 + l^2): 4.8
+        # ulp off (2.8 under Haswell and Prescott), 1.4e4 ulp at M = 400.
+        with mpmath.workdps(40):
+            want = mpmath.mpf(ell) / mpmath.sqrt(1 + mpmath.mpf(ell) ** 2)
+            assert abs(w[0] - want) <= 8 * np.spacing(float(want))
+
+
 @pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0, 1e200])
 def test_qr_weights_at_rule_nodes_with_at_most_one_extra_term_are_the_closed_form(ell):
     b = basis_from(ell)
@@ -389,10 +416,18 @@ def test_qr_weights_at_other_nodes_take_the_householder_solve():
 
 
 def test_qr_weights_at_rule_nodes_are_finite_and_mirror_symmetric():
+    # At l = 1e-3 machine precision needs M past the guard at every size,
+    # so machine_truncation refuses there; the weights are taken at the guard.
     for ell in (1e-3, 0.05, 0.2, 1.0, 4.0, 10.0, 1e200):
         b = basis_from(ell)
         for n in range(1, 201):
-            w = qr_weights(b, scaled_nodes(b, n), machine_truncation(b, n))
+            if ell == 1e-3:
+                with pytest.raises(NumericalFailureError, match=f"^truncation .* N = {n} needs"):
+                    machine_truncation(b, n)
+                m = DEGREE_MAX
+            else:
+                m = machine_truncation(b, n)
+            w = qr_weights(b, scaled_nodes(b, n), m)
             assert np.isfinite(w).all() and w.tobytes() == w[::-1].tobytes(), (ell, n)
 
 
@@ -414,21 +449,40 @@ def test_qr_weights_at_far_nodes_are_refused_without_a_warning():
 
 
 def test_machine_truncation_values_and_cap():
+    # DEGREE_MAX is the M at the smallest guarded length scale and the
+    # largest size, l = 0.05 and N = 200; one term more is refused, with
+    # the tail lambda_DEGREE_MAX / lambda_N at the guard as evidence.
     assert machine_truncation(basis_from(0.2), 20) == 201
     assert machine_truncation(basis_from(1.0), 20) == 58
-    assert machine_truncation(basis_from(0.05), 1) == DEGREE_MAX
+    assert machine_truncation(basis_from(0.05), 1) == 722
+    assert machine_truncation(basis_from(0.05), 200) == DEGREE_MAX == 921
+    assert machine_truncation(basis_from(0.04), 19) == DEGREE_MAX
+    for ell, n, m, tail in ((0.04, 20, 922, "2.23e-16"), (0.049, 200, 936, "4.55e-16")):
+        want = (f"truncation to machine precision at length scale {ell} and N = {n} needs "
+                f"M = {m} terms, past the degree guard 921, where lambda_921 / lambda_{n} "
+                f"is {tail}")
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(want)}$"):
+            machine_truncation(basis_from(ell), n)
     with pytest.raises(SizeError):
         machine_truncation(basis_from(1.0), 399)
-    for ell in (0.1, 1.0, 7.0):
+    eps = np.finfo(float).eps
+    for ell in (0.04, 0.045, 0.049, 0.05, 0.0625, 0.1, 0.15, 1.0, 7.0):
         b = basis_from(ell)
-        for n in (1, 20, 100):
-            assert machine_truncation(b, n) >= n
+        for n in range(1, 201):
+            refused = b.eigenvalue_ratio ** (DEGREE_MAX - n) >= eps
+            try:
+                m = machine_truncation(b, n)
+            except NumericalFailureError:
+                assert refused, (ell, n)
+                continue
+            assert not refused and n < m <= DEGREE_MAX, (ell, n, m)
+            assert b.eigenvalue_ratio ** (m - n) < eps <= b.eigenvalue_ratio ** (m - n - 1)
 
 
 def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
     # ln(ratio) is ln(0) once eps^2 underflows, from l = 3e161, and 0 once
     # the ratio rounds to 1, below l = 7e-17.  The formula's limits there
-    # are n + 1 and the cap.
+    # are n + 1 and an M past every guard, which is refused.
     assert basis_from(1e160).eigenvalue_ratio > 0.0
     for ell in (1e160, 1e162, 1e200, 1e308):
         b = basis_from(ell)
@@ -437,7 +491,10 @@ def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
     for ell in (1e-17, 1e-100):
         b = basis_from(ell)
         assert b.eigenvalue_ratio == 1.0
-        assert machine_truncation(b, 3) == DEGREE_MAX
+        want = (f"truncation to machine precision at length scale {ell} and N = 3 needs "
+                "M = inf terms, past the degree guard 921, where lambda_921 / lambda_3 is 1")
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(want)}$"):
+            machine_truncation(b, 3)
 
 
 @pytest.mark.parametrize("m_max", [0, 1, 5, 12, 25])

@@ -398,7 +398,9 @@ def test_non_finite_integrand_exits_three(capsys):
 def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
     # 4 / l^2 overflows below l = 1.49e-154, C2 = sqrt(tau) / (1 - sqrt(lam))
     # is infinite once lam rounds to 1, and ln(lam) is ln(0) once eps^2
-    # underflows, where machine_truncation takes its limit, n + 1.  Above
+    # underflows, where machine_truncation takes its limit, n + 1.  Its M
+    # is refused past the degree guard: every M once lam rounds to 1, and
+    # M = 922 at l = 0.04, N = 20 (M = 921 at N = 19 runs).  Above
     # l = 1.34e154 l^2 has no float, and C overflows once d is large.  Each
     # outcome is an exit code with at most one line on stderr, in
     # process and in a fresh interpreter (no traceback).
@@ -413,6 +415,14 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         (["constants", "--ell", "1", "--dims", "1000"], 3,
          "numerical failure: the multivariate bound constant C overflows a float "
          "at dimension 1000\n"),
+        (["weights-compare", "--ell", "1e-17", "--ns", "3"], 3,
+         "numerical failure: truncation to machine precision at length scale 1e-17 and N = 3 "
+         "needs M = inf terms, past the degree guard 921, where lambda_921 / lambda_3 is 1\n"),
+        (["weights-compare", "--ell", "0.04", "--ns", "20"], 3,
+         "numerical failure: truncation to machine precision at length scale 0.04 and N = 20 "
+         "needs M = 922 terms, past the degree guard 921, where lambda_921 / lambda_20 is "
+         "2.23e-16\n"),
+        (["weights-compare", "--ell", "0.04", "--ns", "19"], 0, ""),
         (["weights-compare", "--ell", "1e200", "--ns", "3"], 0, ""),
         (["integrate", "--ell", "1e200", "--ns", "3"], 0, ""),
         (["wce-sweep", "--ell", "1e200", "--ns", "3"], 0, ""),
@@ -424,7 +434,7 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         proc = run_python(["-m", "gkquad.cli", *argv])
         assert (proc.returncode, proc.stderr) == (want_code, want_err.encode())
         assert proc.stdout == out.encode()
-        outs[argv[0]] = out
+        outs[argv[0]] = out  # the last case of each command
     assert run(capsys, ["constants", "--ell", "1", "--dims", "10"])[0] == 0
     _, rows = parse_csv(outs["weights-compare"])
     assert rows == [["1e+200", "3", "4.079219866531554e-16", "0"]]
