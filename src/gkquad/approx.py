@@ -183,15 +183,13 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     """Truncation length M >= n whose neglected tail is below machine precision.
 
     Smallest M with lambda_M / lambda_n < machine epsilon, i.e. n plus
-    ceil(ln eps / ln ratio) extra terms; a ratio rounded to 0 (l > 3e161)
-    takes the limit, n + 1.  DEGREE_MAX = 921 is this M at l = 0.05, n = 200.
-    A larger M, at l <= 0.04 from n = 20 or infinite once the ratio rounds
-    to 1 (l < 7e-17), raises NumericalFailureError with the tail at the guard.
+    ceil(ln eps / ln ratio) extra terms.  DEGREE_MAX = 921 is this M at
+    l = 0.05, n = 200.  A larger M, at l <= 0.04 from n = 20 or infinite
+    once the ratio rounds to 1 (l < 7e-17), raises NumericalFailureError
+    with the tail at the guard.
     """
     n = check_size(n)
     ratio = basis.eigenvalue_ratio
-    if ratio == 0.0:
-        return n + 1
     m_terms = n + math.ceil(math.log(math.ulp(1.0)) / math.log(ratio)) if ratio < 1.0 else math.inf
     if m_terms > DEGREE_MAX:
         raise NumericalFailureError(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the bounded integer reader.
+"""Exception types shared across the package, and the integer and real readers.
 
 Domain / size / degree violations subclass ValueError so that generic
 callers can treat them as bad input; numerical failures subclass
@@ -6,6 +6,8 @@ RuntimeError because the inputs were legal but the computation could not
 be trusted.
 """
 
+import math
+import numbers
 import operator
 
 __all__ = [
@@ -17,6 +19,7 @@ __all__ = [
     "IllConditionedError",
     "EvaluationError",
     "as_index",
+    "as_real",
 ]
 
 
@@ -76,3 +79,14 @@ def as_index(value, what: str, lo: int, hi: int, error=DomainError, range_error=
     if not lo <= index <= hi:
         raise (range_error or error)(f"{what} must be in [{lo}, {hi}], got {index}")
     return index
+
+
+def as_real(value, what: str) -> float:
+    """value as a float (True, 1j, "1.0" and None fail); an int past the float range is +-inf."""
+    # float and int come first: they skip the numbers.Real ABC check, several times slower.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf  # an int or Fraction with no float

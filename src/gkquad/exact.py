@@ -5,10 +5,8 @@ Gaussian measure its mean has the closed form
 
     k_mu(x) = l / sqrt(1 + l^2) * exp(-x^2 / (2 (1 + l^2))),
 
-and the mean of that is mu(k_mu) = l / sqrt(2 + l^2).  Above
-l = 9.5e153, where 2 l^2 has no float, x and y are divided by l before
-they are subtracted and squared, and mu(k_mu) is 1, the value it
-rounds to.
+and the mean of that is mu(k_mu) = l / sqrt(2 + l^2).  Both are taken as
+written: 2 (1 + l^2) is a float at every l that check_length_scale accepts.
 
 Given nodes x_1..x_N, the weights solve K w = k_mu with
 [K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  The system is
@@ -46,21 +44,13 @@ __all__ = [
 CONDITION_MAX = 1e15
 
 
-def _gaussian(x, y, ell: float, denom: float):
-    """exp(-(x - y)^2 / denom); exp(-(x/l - y/l)^2 / 2) where denom overflowed."""
-    with np.errstate(over="ignore"):  # a square or distance past the float range gives 0
-        if denom < math.inf:
-            d = x - y
-            return np.exp(-(d * d) / denom)
-        r = x / ell - y / ell  # l is above 9.5e153: scale before subtracting
-        return np.exp(-(r * r) / 2.0)
-
-
 def kernel(ell: float, x, y):
     """Kernel values k(x, y) for scalar or broadcast array arguments."""
     ell = check_length_scale(ell)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return _gaussian(x, y, ell, 2.0 * ell**2 if ell * ell < math.inf else math.inf)
+    with np.errstate(over="ignore"):  # a distance or square past the float range gives 0
+        d = x - y
+        return np.exp(-(d * d) / (2.0 * ell**2))
 
 
 def kernel_mean(ell: float, x):
@@ -70,9 +60,8 @@ def kernel_mean(ell: float, x):
     """
     ell = check_length_scale(ell)
     xs = np.asarray(x, dtype=float)
-    ell_sq = ell * ell
-    amp = ell / math.sqrt(1.0 + ell_sq) if ell_sq < math.inf else 1.0
-    out = amp * _gaussian(xs, 0.0, ell, 2.0 * (1.0 + ell_sq))
+    with np.errstate(over="ignore"):  # a square past the float range gives 0
+        out = ell / math.sqrt(1.0 + ell * ell) * np.exp(-(xs * xs) / (2.0 * (1.0 + ell * ell)))
     if xs.ndim == 0:
         return float(out)
     return out
@@ -81,7 +70,7 @@ def kernel_mean(ell: float, x):
 def kernel_mean_mean(ell: float) -> float:
     """Initial error mu(k_mu) = l / sqrt(2 + l^2), in (0, 1]."""
     ell = check_length_scale(ell)
-    return ell / math.sqrt(2.0 + ell * ell) if ell * ell < math.inf else 1.0
+    return ell / math.sqrt(2.0 + ell * ell)
 
 
 def kernel_system(nodes, ell: float) -> tuple[np.ndarray, np.ndarray, float]:

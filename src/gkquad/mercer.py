@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_index
+from .errors import DomainError, as_index, as_real
 from .hermite import DEGREE_MAX, normalized_table
 
 __all__ = [
@@ -52,13 +52,18 @@ ALPHA_DEFAULT = math.sqrt(0.5)
 
 
 def check_length_scale(ell) -> float:
-    """ell as a float; DomainError unless it is finite and at least 1.49e-154."""
-    if not 0 < ell <= sys.float_info.max:  # also refuses an int with no float
+    """ell as a float; DomainError unless l^2 and 1 / (2 l^2) are normal floats.
+
+    That is 1.4917e-154 <= l <= 4.7404e153, the largest float 4.740375954054588e153.
+    """
+    x = as_real(ell, "length scale")
+    if not 0.0 < x < math.inf:  # also refuses an int with no float
         raise DomainError(f"length scale must be positive and finite, got {ell}")
-    ell = float(ell)
-    if ell * ell < sys.float_info.min:  # 4 / l^2 in beta would overflow
-        raise DomainError(f"length scale {ell} is too small: its square is subnormal")
-    return ell
+    if x * x < sys.float_info.min:  # 4 / l^2 in beta would overflow
+        raise DomainError(f"length scale {x} is too small: its square is subnormal")
+    if 1.0 / (2.0 * x * x) < sys.float_info.min:  # eps^2, then the eigenvalue ratio, lose digits
+        raise DomainError(f"length scale {x} is too large: 1 / (2 l^2) is subnormal")
+    return x
 
 
 @dataclass(frozen=True)

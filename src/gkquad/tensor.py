@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, SizeError, as_index
+from .errors import DomainError, EvaluationError, SizeError, as_index, as_real
 from .gauss_hermite import QuadratureRule
 from .mercer import check_length_scale
 
@@ -197,7 +197,7 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
     c : sequence of float
         Gaussian sharpness parameters, each in (0, 4).
     ell : float
-        Kernel length scale l > 0 entering the exponent scaling.
+        Kernel length scale in about [1.49e-154, 4.74e153] entering the exponent scaling.
 
     Returns
     -------
@@ -212,7 +212,7 @@ def gaussian_poly_integrand(d: int, m, c, ell: float):
     """
     d = as_index(d, "dimension", 1, DIM_MAX)
     m = tuple(as_index(v, "power", 0, sys.maxsize) for v in m)
-    c = tuple(float(v) for v in c)
+    c = tuple(as_real(v, "each c_i") for v in c)
     if len(m) != d or len(c) != d:
         raise DomainError("m and c must both have length d")
     if any(not 0.0 < v < 4.0 for v in c):

@@ -5,6 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 
+# The largest length scale whose eps^2 = 1 / (2 l^2) is a normal float,
+# checked against the mpmath value in tests/test_mercer.py, and length
+# scales past it that every length-scale argument refuses.
+ELL_MAX = 4.740375954054588e153
+TOO_LARGE = (math.nextafter(ELL_MAX, math.inf), 1e200, 10**200, 1.7e308)
+
 
 def gaussian_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

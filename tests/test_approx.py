@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from gkquad.mercer import (
     eigenfunction_table,
     even_mean_ratios,
 )
-from oracles import exact_hermite, kernel_weights_mp
+from oracles import ELL_MAX, exact_hermite, kernel_weights_mp
 
 
 def test_single_point_rule_closed_form():
@@ -360,7 +361,7 @@ def test_qr_weights_at_machine_truncation_match_the_oracle_at_small_length_scale
             assert abs(w[0] - want) <= 8 * np.spacing(float(want))
 
 
-@pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0, 1e200])
+@pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0, 1e150])
 def test_qr_weights_at_rule_nodes_with_at_most_one_extra_term_are_the_closed_form(ell):
     b = basis_from(ell)
     for n in (1, 2, 3, 10, 51, 200):
@@ -405,7 +406,7 @@ def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
 
 def test_qr_weights_at_other_nodes_take_the_householder_solve():
     # Reversed or one-ulp-moved rule nodes are not the rule's own nodes.
-    for ell, n in ((1.0, 5), (1.0, 20), (4.0, 12), (1e200, 3)):
+    for ell, n in ((1.0, 5), (1.0, 20), (4.0, 12), (1e150, 3)):
         b = basis_from(ell)
         nodes, m = scaled_nodes(b, n), machine_truncation(b, n)
         moved = nodes.copy()
@@ -418,7 +419,7 @@ def test_qr_weights_at_other_nodes_take_the_householder_solve():
 def test_qr_weights_at_rule_nodes_are_finite_and_mirror_symmetric():
     # At l = 1e-3 machine precision needs M past the guard at every size,
     # so machine_truncation refuses there; the weights are taken at the guard.
-    for ell in (1e-3, 0.05, 0.2, 1.0, 4.0, 10.0, 1e200):
+    for ell in (1e-3, 0.05, 0.2, 1.0, 4.0, 10.0, 1e150):
         b = basis_from(ell)
         for n in range(1, 201):
             if ell == 1e-3:
@@ -480,14 +481,16 @@ def test_machine_truncation_values_and_cap():
 
 
 def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
-    # ln(ratio) is ln(0) once eps^2 underflows, from l = 3e161, and 0 once
-    # the ratio rounds to 1, below l = 7e-17.  The formula's limits there
-    # are n + 1 and an M past every guard, which is refused.
-    assert basis_from(1e160).eigenvalue_ratio > 0.0
-    for ell in (1e160, 1e162, 1e200, 1e308):
-        b = basis_from(ell)
-        assert [machine_truncation(b, n) for n in (1, 3, 200)] == [2, 4, 201]
-    assert basis_from(1e200).eigenvalue_ratio == 0.0
+    # At the top of the range, l = 4.74e153, the ratio is the smallest
+    # normal float times 2, so the formula gives n + 1; from l = 3e161 it
+    # would round to 0, but every length scale past the top is refused.
+    # It rounds to 1 below l = 7e-17, where the formula's limit is an M
+    # past every guard, which is refused.
+    b = basis_from(ELL_MAX)
+    assert b.eigenvalue_ratio >= sys.float_info.min
+    assert [machine_truncation(b, n) for n in (1, 3, 200)] == [2, 4, 201]
+    with pytest.raises(DomainError, match="^length scale 1e\\+162 is too large"):
+        basis_from(1e162)
     for ell in (1e-17, 1e-100):
         b = basis_from(ell)
         assert b.eigenvalue_ratio == 1.0

@@ -396,14 +396,15 @@ def test_non_finite_integrand_exits_three(capsys):
 
 
 def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
-    # 4 / l^2 overflows below l = 1.49e-154, C2 = sqrt(tau) / (1 - sqrt(lam))
-    # is infinite once lam rounds to 1, and ln(lam) is ln(0) once eps^2
-    # underflows, where machine_truncation takes its limit, n + 1.  Its M
-    # is refused past the degree guard: every M once lam rounds to 1, and
-    # M = 922 at l = 0.04, N = 20 (M = 921 at N = 19 runs).  Above
-    # l = 1.34e154 l^2 has no float, and C overflows once d is large.  Each
-    # outcome is an exit code with at most one line on stderr, in
-    # process and in a fresh interpreter (no traceback).
+    # 4 / l^2 overflows below l = 1.49e-154, and eps^2 = 1 / (2 l^2) is
+    # subnormal above l = 4.74e153, so both are refused.  C2 =
+    # sqrt(tau) / (1 - sqrt(lam)) is infinite once lam rounds to 1, and
+    # machine_truncation's M is refused past the degree guard: every M once
+    # lam rounds to 1, and M = 922 at l = 0.04, N = 20 (M = 921 at N = 19
+    # runs).  C overflows once d is large.  Each outcome is an exit code
+    # with at most one line on stderr, in process and in a fresh
+    # interpreter (no traceback).
+    too_large = "error: length scale 1e+200 is too large: 1 / (2 l^2) is subnormal\n"
     cases = [
         (["constants", "--ell", "1e-200"], 2,
          "error: length scale 1e-200 is too small: its square is subnormal\n"),
@@ -423,9 +424,15 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
          "needs M = 922 terms, past the degree guard 921, where lambda_921 / lambda_20 is "
          "2.23e-16\n"),
         (["weights-compare", "--ell", "0.04", "--ns", "19"], 0, ""),
-        (["weights-compare", "--ell", "1e200", "--ns", "3"], 0, ""),
-        (["integrate", "--ell", "1e200", "--ns", "3"], 0, ""),
-        (["wce-sweep", "--ell", "1e200", "--ns", "3"], 0, ""),
+        (["constants", "--ell", "1e200"], 2, too_large),
+        (["weights-compare", "--ell", "1e200", "--ns", "3"], 2, too_large),
+        (["integrate", "--ell", "1e200", "--ns", "3"], 2, too_large),
+        (["wce-sweep", "--ell", "1e200", "--ns", "3"], 2, too_large),
+        (["constants", "--ell", "4.740375954054589e153"], 2,
+         "error: length scale 4.740375954054589e+153 is too large: 1 / (2 l^2) is subnormal\n"),
+        (["weights-compare", "--ell", "1e150", "--ns", "3"], 0, ""),
+        (["integrate", "--ell", "1e150", "--ns", "3"], 0, ""),
+        (["wce-sweep", "--ell", "1e150", "--ns", "3"], 0, ""),
     ]
     outs = {}
     for argv, want_code, want_err in cases:
@@ -437,16 +444,16 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         outs[argv[0]] = out  # the last case of each command
     assert run(capsys, ["constants", "--ell", "1", "--dims", "10"])[0] == 0
     _, rows = parse_csv(outs["weights-compare"])
-    assert rows == [["1e+200", "3", "4.079219866531554e-16", "0"]]
-    _, same = parse_csv(run(capsys, ["weights-compare", "--ell", "1e160", "--ns", "3"])[1])
-    assert same[0][1:] == rows[0][1:]
-    # Past l = 1.34e154 the kernel is 1 and its mean 1, as they round at 1e150.
-    for command, ell_column in (("integrate", None), ("wce-sweep", 0)):
+    assert rows == [["1e+150", "3", "4.079219866531554e-16", "0"]]
+    # At the top of the range, l = 4.74e153, the kernel is 1 and its mean
+    # 1, as they round at 1e150, so each row is the same but for l.
+    for command, ell_column in (("weights-compare", 0), ("integrate", None), ("wce-sweep", 0)):
         _, rows = parse_csv(outs[command])
-        _, same = parse_csv(run(capsys, [command, "--ell", "1e150", "--ns", "3"])[1])
+        argv = [command, "--ell", "4.740375954054588e153", "--ns", "3"]
+        _, same = parse_csv(run(capsys, argv)[1])
         if ell_column is not None:
-            assert rows[0].pop(ell_column) == "1e+200"
-            same[0].pop(ell_column)
+            assert rows[0].pop(ell_column) == "1e+150"
+            assert same[0].pop(ell_column) == "4.740375954054588e+153"
         assert rows == same
 
 

@@ -22,7 +22,7 @@ from gkquad.exact import (
 from gkquad.gauss_hermite import N_MAX, QuadratureRule
 from gkquad.mercer import basis_from
 from gkquad.wce import worst_case_error
-from oracles import gaussian_pdf, kernel_matrix
+from oracles import ELL_MAX, TOO_LARGE, gaussian_pdf, kernel_matrix
 
 EPS = float(np.finfo(float).eps)
 
@@ -229,40 +229,44 @@ def test_kernel_mean_far_from_the_origin_is_zero_without_a_warning():
 
 
 def test_length_scale_whose_square_has_no_float():
-    # Above l = 1.34e154, l^2 overflows and mu(k_mu) is 1, the value it
-    # rounds to.  The kernel and k_mu use the scaled form there, so at
-    # distances this small against l they are 1 as well.
-    for ell in (1e200, 10**200, 1.7e308):
+    # From l = 1.34e154, l^2 has no float, and from the nearest float past
+    # ELL_MAX = 4.74e153 every length scale is refused, as eps^2 = 1 / (2 l^2)
+    # is subnormal there.  Up to the top of the range, at distances this
+    # small against l, the kernel, k_mu and mu(k_mu) round to 1.
+    for ell in (1e150, ELL_MAX):
         assert kernel(ell, 0.0, 3.0) == 1.0
         assert kernel_mean(ell, np.array([0.0, 5.0])).tolist() == [1.0, 1.0]
-        assert kernel_mean_mean(ell) == 1.0
-    for ell in (1e150, 1.3e154):
-        assert kernel(ell, 0.0, 3.0) == 1.0
         assert kernel_mean(ell, 5.0) == kernel_mean_mean(ell) == 1.0
+    for ell in TOO_LARGE:
+        for call in (lambda: kernel(ell, 0.0, 3.0), lambda: kernel_mean(ell, 5.0),
+                     lambda: kernel_mean_mean(ell)):
+            with pytest.raises(DomainError, match="too large: 1 / \\(2 l\\^2\\) is subnormal$"):
+                call()
     assert kernel(0.6, 0.0, 1.0) == math.exp(-1.0 / (2.0 * 0.6**2))
     assert kernel_mean_mean(0.6) == 0.6 / math.sqrt(2.0 + 0.6 * 0.6)
 
 
 def test_length_scale_whose_doubled_square_has_no_float():
-    # Above l = 9.5e153, 2 l^2 and 2 (1 + l^2) overflow, so x and y are
-    # divided by l before they are subtracted and squared: a distance of
-    # the order of l keeps its kernel value exp(-(d / l)^2 / 2), with no
-    # warning, even where x - y itself has no float.
+    # Up to ELL_MAX = 4.74e153, 2 l^2 and 2 (1 + l^2) are floats, so a
+    # distance of the order of l keeps its kernel value exp(-(d / l)^2 / 2)
+    # with no warning.  Past it, where 2 l^2 overflows from 9.5e153, the
+    # length scale is refused.
     half = math.exp(-0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert kernel(1e200, 0.0, 1e200) == half
-        assert kernel_mean(1e200, np.array([1e200])).tolist() == [half]
-        assert kernel(1e155, 0.0, 1e154) == pytest.approx(math.exp(-0.005), rel=4 * EPS)
-        assert kernel(1.5e308, 1.5e308, -1.5e308) == math.exp(-2.0)
-        # Either side of the switch, 9.48e153, the kernel is continuous.
-        for ell in (9.4e153, 9.5e153, 1.3e154, 1e155):
+    for ell in (1e150, ELL_MAX):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert kernel(ell, 0.0, ell) == pytest.approx(half, rel=4 * EPS)
-            assert kernel_mean(ell, ell) == pytest.approx(half, rel=4 * EPS)
-        nodes = np.array([0.0, 1e200])
-        weights, cond = exact_weights(nodes, 1e200)
-        wce = worst_case_error(QuadratureRule(nodes, weights), 1e200).wce
-    # K = [[1, a], [a, 1]] and k_mu = [1, a] with a = exp(-1/2).
-    assert weights.tolist() == [1.0, 0.0]
-    assert cond == pytest.approx((1.0 + half) / (1.0 - half), rel=1e-14)
-    assert wce == 0.0
+            assert kernel_mean(ell, np.array([ell])) == pytest.approx([half], rel=4 * EPS)
+            nodes = np.array([0.0, ell])
+            weights, cond = exact_weights(nodes, ell)
+            wce = worst_case_error(QuadratureRule(nodes, weights), ell).wce
+        # K = [[1, a], [a, 1]] and k_mu = [1, a] with a = exp(-1/2).
+        assert weights.tolist() == [1.0, 0.0]
+        assert cond == pytest.approx((1.0 + half) / (1.0 - half), rel=1e-14)
+        assert wce == 0.0
+    rule = QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    for ell in TOO_LARGE:
+        for call in (lambda: kernel(ell, 0.0, ell), lambda: exact_weights([0.0, 1.0], ell),
+                     lambda: worst_case_error(rule, ell)):
+            with pytest.raises(DomainError, match="too large: 1 / \\(2 l\\^2\\) is subnormal$"):
+                call()

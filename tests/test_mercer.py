@@ -1,14 +1,18 @@
 """Eigendecomposition constants and eigenfunctions against quadrature oracles."""
 
 import math
+import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gkquad import basis_from, gaussian_poly_integrand
 from gkquad.errors import DomainError
-from gkquad.exact import kernel, kernel_mean, kernel_mean_mean
+from gkquad.exact import exact_weights, kernel, kernel_mean, kernel_mean_mean
+from gkquad.gauss_hermite import QuadratureRule
 from gkquad.mercer import (
     ALPHA_DEFAULT,
     MercerBasis,
@@ -17,7 +21,8 @@ from gkquad.mercer import (
     eigenvalue,
     even_mean_ratios,
 )
-from oracles import gaussian_pdf
+from gkquad.wce import worst_case_error
+from oracles import ELL_MAX, TOO_LARGE, gaussian_pdf
 
 SCALES = (0.2, 1.0, 4.0)
 
@@ -173,6 +178,17 @@ def test_domain_guards():
         with pytest.raises(DomainError, match="must be an integer"):
             eigenfunction_means(b, bad)
     assert eigenvalue(b, np.int64(3)) == eigenvalue(b, 3)
+    # A length scale is a real number: a bool is refused as an index's is,
+    # and a complex, a string or None raises DomainError, not TypeError.
+    for bad in (True, False, np.bool_(True), 1j, "1.0", None):
+        want = f"^length scale must be a real number, got {re.escape(repr(bad))}$"
+        for call in (basis_from, kernel_mean_mean, lambda ell: kernel(ell, 0.0, 0.0)):
+            with pytest.raises(DomainError, match=want):
+                call(bad)
+    # A numpy float is its float, with no overflow warning from a comparison.
+    for value in (np.float16(0.5), np.float32(1.0), np.longdouble(4.0)):
+        assert kernel_mean_mean(value) == kernel_mean_mean(float(value))
+        assert basis_from(value) == basis_from(float(value))
 
 
 @pytest.mark.parametrize("ell", [1.49e-154, 1e-200, 5e-324])
@@ -186,14 +202,40 @@ def test_length_scale_below_the_float_range_is_a_domain_error(ell):
     assert math.isfinite(basis_from(1.5e-154).beta)
 
 
+@pytest.mark.parametrize("ell", TOO_LARGE, ids=["next", "1e200", "10**200", "1.7e308"])
+def test_length_scale_above_the_float_range_is_a_domain_error(ell):
+    # eps^2 = 1 / (2 l^2) is subnormal past ELL_MAX, the largest float
+    # below sqrt(2^1021), so the eigenvalue ratio would lose digits and
+    # from l = 3e161 round to 0.  Every entry point refuses it alike.
+    with mpmath.workprec(200):
+        top = mpmath.sqrt(mpmath.mpf(2) ** 1021)
+        assert mpmath.mpf(ELL_MAX) < top < mpmath.mpf(math.nextafter(ELL_MAX, math.inf))
+    b = basis_from(ELL_MAX)
+    assert b.epsilon**2 >= sys.float_info.min and b.eigenvalue_ratio >= sys.float_info.min
+    rule = QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    entry_points = (basis_from, lambda ell: kernel(ell, 0.0, 0.0),
+                    lambda ell: kernel_mean(ell, 0.0), kernel_mean_mean,
+                    lambda ell: exact_weights([0.0, 1.0], ell),
+                    lambda ell: worst_case_error(rule, ell),
+                    lambda ell: gaussian_poly_integrand(1, [2], [1.0], ell))
+    want = re.escape(f"length scale {float(ell)} is too large: 1 / (2 l^2) is subnormal")
+    for call in entry_points:
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            call(ell)
+
+
 def test_integer_length_scale_is_read_as_a_float():
     # 10**400 has no float, so it is refused like inf rather than raising
     # OverflowError; a smaller int is the float it equals, even where its
-    # square, kept as an int, has none.
+    # square, kept as an int, has none, and past the top of the range it
+    # is refused as that float is.
     entry_points = (basis_from, lambda ell: kernel(ell, 0.0, 0.0),
                     lambda ell: kernel_mean(ell, 0.0), kernel_mean_mean)
     for call in entry_points:
         with pytest.raises(DomainError, match="positive and finite"):
             call(10**400)
-    _, exact = gaussian_poly_integrand(1, [2], [1.0], 10**200)
-    assert exact == gaussian_poly_integrand(1, [2], [1.0], 1e200)[1] == 1.0
+        with pytest.raises(DomainError, match="^length scale 1e\\+200 is too large"):
+            call(10**200)
+    _, exact = gaussian_poly_integrand(1, [2], [1.0], 10**150)
+    assert exact == gaussian_poly_integrand(1, [2], [1.0], 1e150)[1] == 1.0
+    assert basis_from(10**150) == basis_from(1e150)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -152,6 +153,17 @@ def test_integrand_guards():
         gaussian_poly_integrand(1.0, [2], [1.0], 1.0)
     _, exact = gaussian_poly_integrand(np.int64(1), [np.int64(2)], [1.0], 1.0)
     assert exact == gaussian_poly_integrand(1, [2], [1.0], 1.0)[1]
+    # c_i and l are real numbers: a bool is not read as 1, and a string,
+    # a complex or None raises DomainError, not a bare TypeError.
+    for bad in (True, None, 1j, "1.5"):
+        want = f"^each c_i must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=want):
+            gaussian_poly_integrand(1, [2], [bad], 1.0)
+        with pytest.raises(DomainError, match="^length scale must be a real number"):
+            gaussian_poly_integrand(1, [2], [1.0], bad)
+    for value in (np.float32(1.5), 3, np.int64(3)):
+        _, exact = gaussian_poly_integrand(1, [2], [value], 1.0)
+        assert exact == gaussian_poly_integrand(1, [2], [float(value)], 1.0)[1]
 
 
 def test_product_path_is_bit_identical_to_the_per_point_path():

@@ -14,13 +14,13 @@ from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
 from gkquad.wce import (
     HERMITE_SUP_CONSTANT,
-    RATE_CAP,
     ConvergenceConstants,
     WceReport,
     _exact_sum,
     multivariate_constants,
     theoretical_constants,
 )
+from oracles import ELL_MAX
 
 # Constants for the two headline length scales, frozen from a 50-digit
 # recomputation of the defining formulas.
@@ -107,10 +107,14 @@ def test_constant_identities():
         assert isinstance(c, ConvergenceConstants)
 
 
-def test_rate_is_capped_in_the_flat_limit():
-    c = theoretical_constants(basis_from(1e200))
-    assert c.eta == 0.0
-    assert c.rate == RATE_CAP
+def test_rate_is_minus_log_eta_up_to_the_top_of_the_range():
+    # eta is smallest at the largest length scale, where -ln(eta) is 352.85;
+    # past it the length scale is refused, so eta never rounds to 0.
+    c = theoretical_constants(basis_from(ELL_MAX))
+    assert c.eta > 0.0
+    assert c.rate == -math.log(c.eta) == pytest.approx(352.85, abs=0.005)
+    with pytest.raises(DomainError, match="too large"):
+        basis_from(1e200)
     c8 = theoretical_constants(basis_from(1e8))
     assert 0.0 < c8.eta < 1e-7
     assert c8.rate == -math.log(c8.eta)
