@@ -249,8 +249,8 @@ def test_length_scale_whose_square_has_no_float():
 def test_length_scale_whose_doubled_square_has_no_float():
     # Up to ELL_MAX = 4.74e153, 2 l^2 and 2 (1 + l^2) are floats, so a
     # distance of the order of l keeps its kernel value exp(-(d / l)^2 / 2)
-    # with no warning.  Past it, where 2 l^2 overflows from 9.5e153, the
-    # length scale is refused.
+    # with no warning.  Past it the length scale is refused, so no l whose
+    # 2 l^2 overflows (from 9.5e153) reaches the kernel.
     half = math.exp(-0.5)
     for ell in (1e150, ELL_MAX):
         with warnings.catch_warnings():
