@@ -13,13 +13,15 @@ quadratic sum runs over the full N x N matrix of terms.
 
 The geometric convergence constants for the scaled-node rules are
 
-    tau = sqrt(a^2 / (a^2 + d^2 + e^2)),   lam = e^2 / (a^2 + d^2 + e^2),
-    eta = sqrt(lam) exp(1 / b^2),          C1 = 1.087 sqrt(b),
-    C2 = sqrt(tau) / (1 - sqrt(lam)),
+    tau = sqrt(a^2 / (a^2 + d^2 + e^2)) = 1 - lam,   lam = e^2 / (a^2 + d^2 + e^2),
+    eta = sqrt(lam) exp(u), u = 1 / b^2,   C1 = 1.087 sqrt(b),
+    C2 = sqrt(tau) / (1 - sqrt(lam)) = (1 + sqrt(lam)) / sqrt(tau),
 
 with a = 1/sqrt(2) fixed by the standard Gaussian measure.  The rule's
 error obeys e(Q_N) <= (1 + C1 W_N) C2 eta^N, where W_N bounds the
-absolute weight sum.  eta < 1 for every length scale.
+absolute weight sum.  The rate -ln(eta) = artanh(u) - u is summed as
+u^k / k over odd k >= 3 where u < 1/2 (l < 1.15), with eta = exp(-rate),
+so no digits cancel as l -> 0: eta <= 1, and eta < 1 wherever -ln(eta) > eps / 2.
 """
 
 import math
@@ -57,18 +59,15 @@ class WceReport:
 
 @dataclass(frozen=True)
 class ConvergenceConstants:
-    """Constants of the geometric error bound for one length scale."""
+    """Bound constants for one length scale: tau = 1 - lam, and the rate -ln(eta), at most
+    352.85 (at l = 4.74e153), is artanh(u) - u = sum of u^k / k over odd k >= 3, u = 1 / beta^2."""
 
     tau: float
     lam: float
     eta: float
+    rate: float
     c1: float
     c2: float
-
-    @property
-    def rate(self) -> float:
-        """Theoretical decay rate -ln(eta), at most 352.85 (at l = 4.74e153)."""
-        return -math.log(self.eta)
 
 
 def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
@@ -158,18 +157,18 @@ def _window_bins(t: np.ndarray) -> np.ndarray:
 
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
-    """Constants (tau, lam, eta, C1, C2) of the error bound for this basis."""
+    """Constants (tau, lam, eta, rate, C1, C2) of the error bound for this basis."""
     tau = eigenvalue(basis, 0)
     lam = basis.eigenvalue_ratio
-    if lam == 1.0:  # l below about 7e-17
-        raise NumericalFailureError(
-            f"the eigenvalue ratio rounds to 1 at length scale {basis.length_scale}; "
-            "the bound constant C2 is infinite"
-        )
-    eta = math.sqrt(lam) * math.exp(1.0 / basis.beta**2)
+    u = 1.0 / basis.beta**2
+    eta = math.sqrt(lam) * math.exp(u)
+    rate = -math.log(eta)
+    if u < 0.5:  # the series keeps the digits these cancel; u^57 / 57 < 3e-18 of its sum
+        rate = math.fsum(u**k / k for k in range(3, 57, 2))
+        eta = math.exp(-rate)
     c1 = HERMITE_SUP_CONSTANT * math.sqrt(basis.beta)
-    c2 = math.sqrt(tau) / (1.0 - math.sqrt(lam))
-    return ConvergenceConstants(tau=tau, lam=lam, eta=eta, c1=c1, c2=c2)
+    c2 = (1.0 + math.sqrt(lam)) / math.sqrt(tau)
+    return ConvergenceConstants(tau=tau, lam=lam, eta=eta, rate=rate, c1=c1, c2=c2)
 
 
 def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
@@ -181,10 +180,10 @@ def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
     """
     d = as_index(d, "dimension", 1, sys.maxsize)
     consts = theoretical_constants(basis)
-    eta = consts.eta
-    if eta >= 1.0:
-        raise NumericalFailureError("eta >= 1; the multivariate bound degenerates")
-    factor = HERMITE_SUP_CONSTANT * math.sqrt(consts.tau * basis.beta) / (1.0 - eta)
+    if consts.rate < sys.float_info.min:  # then so is 1 - eta = -expm1(-rate): l < 8.1e-103
+        raise NumericalFailureError(f"1 - eta is below the smallest normal float at length scale "
+                                    f"{basis.length_scale}; the multivariate bound degenerates")
+    factor = HERMITE_SUP_CONSTANT * math.sqrt(consts.tau * basis.beta) / -math.expm1(-consts.rate)
     try:
         big_c = 2.0 * d * factor**d
     except OverflowError:
@@ -192,4 +191,4 @@ def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
     if big_c == math.inf:
         raise NumericalFailureError(
             f"the multivariate bound constant C overflows a float at dimension {d}")
-    return big_c, eta
+    return big_c, consts.eta

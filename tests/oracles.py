@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 
-# The largest length scale whose eps^2 = 1 / (2 l^2) is a normal float,
-# checked against the mpmath value in tests/test_mercer.py, and length
-# scales past it that every length-scale argument refuses.
+# The smallest length scale whose l^2 is a normal float, the largest
+# whose eps^2 = 1 / (2 l^2) is (checked against the mpmath value in
+# tests/test_mercer.py), and length scales past it that every
+# length-scale argument refuses.
+ELL_MIN = 1.4916681462400413e-154
 ELL_MAX = 4.740375954054588e153
 TOO_LARGE = (math.nextafter(ELL_MAX, math.inf), 1e200, 10**200, 1.7e308)
 
@@ -71,3 +73,31 @@ def kernel_weights_mp(nodes, ell: float, dps: int) -> np.ndarray:
                               for i in half])
         w = [float(v) for v in mpmath.lu_solve(kmat, kvec)]
     return np.array(w + w[: n // 2][::-1] if folded else w)
+
+
+def convergence_constants_mp(ell: float, dims=()) -> dict:
+    """The bound constants of gkquad.wce at the float length scale, as mpmath numbers.
+
+    The defining formulas, with beta from the float l and the float
+    a = gkquad.ALPHA_DEFAULT: tau, lam, eta, rate = -ln(eta), c1, c2,
+    gap = 1 - eta and big_c[d] = 2 d (C1 sqrt(tau) / gap)^d for each d in
+    dims.  1 - sqrt(lam) and -ln(eta) cancel about 3 |log10 l| digits as
+    l -> 0, so they are computed in 50 digits more than that.
+    """
+    import mpmath
+
+    from gkquad import ALPHA_DEFAULT
+
+    with mpmath.workdps(50 + 3 * math.ceil(abs(math.log10(ell)))):
+        a2 = mpmath.mpf(ALPHA_DEFAULT) ** 2
+        eps_sq = 1 / (2 * mpmath.mpf(ell) ** 2)
+        beta = (1 + 4 * eps_sq / a2) ** mpmath.mpf(0.25)
+        denom = a2 + a2 / 2 * (beta**2 - 1) + eps_sq
+        tau = mpmath.sqrt(a2 / denom)
+        lam = eps_sq / denom
+        eta = mpmath.sqrt(lam) * mpmath.exp(1 / beta**2)
+        c1 = mpmath.mpf(1.087) * mpmath.sqrt(beta)
+        out = dict(tau=tau, lam=lam, eta=eta, rate=-mpmath.log(eta), c1=c1,
+                   c2=mpmath.sqrt(tau) / (1 - mpmath.sqrt(lam)), gap=1 - eta)
+        out["big_c"] = {d: 2 * d * (c1 * mpmath.sqrt(tau) / (1 - eta)) ** d for d in dims}
+    return out

@@ -203,8 +203,8 @@ def test_positivity_sweep_matches_library(capsys):
     b = basis_from(1.0)
     lead = 1.0 / math.sqrt(1.0 + 2.0 * b.delta_sq)
     first = rows[0]
-    assert float(first[2]) == pytest.approx(lead, rel=1e-15)
-    assert float(first[3]) == pytest.approx(lead, rel=1e-15)
+    assert float(first[2]) == pytest.approx(lead, rel=1e-15, abs=0)
+    assert float(first[3]) == pytest.approx(lead, rel=1e-15, abs=0)
     for row in rows:
         n = int(row[1])
         w = approx_rule(b, n).rule.weights
@@ -326,7 +326,7 @@ def test_constants_row_matches_library(capsys):
     assert float(row["gamma"]) == b.gamma
     assert float(row["eta"]) == c.eta
     assert float(row["c_theory"]) == c.rate
-    assert float(row["c_theory"]) == pytest.approx(3.3035987820864976e-4, rel=1e-12)
+    assert float(row["c_theory"]) == pytest.approx(3.3035987820864976e-4, rel=1e-12, abs=0)
 
 
 def test_constants_small_scale_and_multivariate(capsys):
@@ -335,7 +335,7 @@ def test_constants_small_scale_and_multivariate(capsys):
     header, rows = parse_csv(out)
     assert header[-3:] == ["dims", "multi_c", "multi_eta"]
     row = dict(zip(header, rows[0]))
-    assert float(row["gamma"]) == pytest.approx(0.9512343774406435, rel=1e-14)
+    assert float(row["gamma"]) == pytest.approx(0.9512343774406435, rel=1e-14, abs=0)
     assert row["dims"] == "3"
     assert float(row["multi_eta"]) == float(row["eta"])
     assert float(row["multi_c"]) > 1.0
@@ -397,22 +397,24 @@ def test_non_finite_integrand_exits_three(capsys):
 
 def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
     # 4 / l^2 overflows below l = 1.49e-154, and eps^2 = 1 / (2 l^2) is
-    # subnormal above l = 4.74e153, so both are refused.  C2 =
-    # sqrt(tau) / (1 - sqrt(lam)) is infinite once lam rounds to 1, and
-    # machine_truncation's M is refused past the degree guard: every M once
-    # lam rounds to 1, and M = 922 at l = 0.04, N = 20 (M = 921 at N = 19
-    # runs).  C overflows once d is large.  Each outcome is an exit code
-    # with at most one line on stderr, in process and in a fresh
-    # interpreter (no traceback).
+    # subnormal above l = 4.74e153, so both are refused.  The constants
+    # hold once lam rounds to 1, but machine_truncation's M is refused past
+    # the degree guard: every M once lam rounds to 1, and M = 922 at
+    # l = 0.04, N = 20 (M = 921 at N = 19 runs).  C is refused once d is
+    # large or 1 - eta is below the smallest normal float.  Each outcome is
+    # an exit code with at most one line on stderr, in process and in a
+    # fresh interpreter (no traceback).
     too_large = "error: length scale 1e+200 is too large: 1 / (2 l^2) is subnormal\n"
     cases = [
         (["constants", "--ell", "1e-200"], 2,
          "error: length scale 1e-200 is too small: its square is subnormal\n"),
         (["integrate", "--ell", "1e-200", "--ns", "3"], 2,
          "error: length scale 1e-200 is too small: its square is subnormal\n"),
-        (["constants", "--ell", "1e-17"], 3,
-         "numerical failure: the eigenvalue ratio rounds to 1 at length scale 1e-17; "
-         "the bound constant C2 is infinite\n"),
+        (["constants", "--ell", "1e-17"], 0, ""),
+        (["constants", "--ell", "1e-6", "--dims", "2"], 0, ""),
+        (["constants", "--ell", "1e-120", "--dims", "1"], 3,
+         "numerical failure: 1 - eta is below the smallest normal float at length scale "
+         "1e-120; the multivariate bound degenerates\n"),
         (["constants", "--ell", "1", "--dims", "1000"], 3,
          "numerical failure: the multivariate bound constant C overflows a float "
          "at dimension 1000\n"),

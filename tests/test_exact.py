@@ -255,14 +255,14 @@ def test_length_scale_whose_doubled_square_has_no_float():
     for ell in (1e150, ELL_MAX):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert kernel(ell, 0.0, ell) == pytest.approx(half, rel=4 * EPS)
-            assert kernel_mean(ell, np.array([ell])) == pytest.approx([half], rel=4 * EPS)
+            assert kernel(ell, 0.0, ell) == pytest.approx(half, rel=4 * EPS, abs=0)
+            assert kernel_mean(ell, np.array([ell])) == pytest.approx([half], rel=4 * EPS, abs=0)
             nodes = np.array([0.0, ell])
             weights, cond = exact_weights(nodes, ell)
             wce = worst_case_error(QuadratureRule(nodes, weights), ell).wce
         # K = [[1, a], [a, 1]] and k_mu = [1, a] with a = exp(-1/2).
         assert weights.tolist() == [1.0, 0.0]
-        assert cond == pytest.approx((1.0 + half) / (1.0 - half), rel=1e-14)
+        assert cond == pytest.approx((1.0 + half) / (1.0 - half), rel=1e-14, abs=0)
         assert wce == 0.0
     rule = QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     for ell in TOO_LARGE:

@@ -94,8 +94,30 @@ def test_every_module_uses_what_it_imports():
     assert not dead, "imported but unused: " + ", ".join(dead)
 
 
+def _approx_without_abs(tree: ast.Module) -> list[int]:
+    """Lines of the pytest.approx calls that pass no abs=."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "approx" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "pytest"
+            and "abs" not in {keyword.arg for keyword in node.keywords}]
+
+
+def test_every_approx_states_its_abs_tolerance():
+    # With no abs=, pytest.approx also accepts anything within 1e-12 of
+    # the value: 2000 times looser than rel=5e-16 on a value near 1.
+    tree = ast.parse("pytest.approx(1.0, rel=1e-15)\npytest.approx(\n    1.0, rel=1e-15, abs=0)\n")
+    assert _approx_without_abs(tree) == [1]
+
+    loose = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        lines = _approx_without_abs(ast.parse(path.read_text(encoding="utf-8")))
+        loose.extend(f"{path.name}:{line}" for line in lines)
+    assert not loose, "pytest.approx without abs=: " + ", ".join(loose)
+
+
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1681
+SRC_LINES = 1680
 
 
 def test_source_line_count_is_pinned():

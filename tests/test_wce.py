@@ -1,6 +1,8 @@
 """Worst-case error evaluation and the geometric bound constants."""
 
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +22,7 @@ from gkquad.wce import (
     multivariate_constants,
     theoretical_constants,
 )
-from oracles import ELL_MAX
+from oracles import ELL_MAX, ELL_MIN, convergence_constants_mp
 
 # Constants for the two headline length scales, frozen from a 50-digit
 # recomputation of the defining formulas.
@@ -86,12 +88,12 @@ def test_weight_family_ordering(ell, n):
 def test_frozen_convergence_constants(ell):
     c = theoretical_constants(basis_from(ell))
     want = FROZEN[ell]
-    assert c.tau == pytest.approx(want["tau"], rel=5e-16)
-    assert c.lam == pytest.approx(want["lam"], rel=5e-16)
-    assert c.eta == pytest.approx(want["eta"], rel=5e-16)
-    assert c.c1 == pytest.approx(want["c1"], rel=5e-16)
-    assert c.c2 == pytest.approx(want["c2"], rel=5e-16)
-    assert c.rate == pytest.approx(want["rate"], rel=5e-15)
+    assert c.tau == pytest.approx(want["tau"], rel=5e-16, abs=0)
+    assert c.lam == pytest.approx(want["lam"], rel=5e-16, abs=0)
+    assert c.eta == pytest.approx(want["eta"], rel=5e-16, abs=0)
+    assert c.c1 == pytest.approx(want["c1"], rel=5e-16, abs=0)
+    assert c.c2 == pytest.approx(want["c2"], rel=5e-16, abs=0)
+    assert c.rate == pytest.approx(want["rate"], rel=5e-15, abs=0)
 
 
 def test_constant_identities():
@@ -103,7 +105,7 @@ def test_constant_identities():
         assert abs(c.tau - (1.0 - c.lam)) <= 2e-16
         assert 0.0 < c.eta < 1.0
         assert c.c1 == HERMITE_SUP_CONSTANT * math.sqrt(b.beta)
-        assert c.c2 == math.sqrt(c.tau) / (1.0 - math.sqrt(c.lam))
+        assert c.c2 == (1.0 + math.sqrt(c.lam)) / math.sqrt(c.tau)
         assert isinstance(c, ConvergenceConstants)
 
 
@@ -135,17 +137,73 @@ def test_multivariate_constants_properties():
         multivariate_constants(b, 2.5)  # not 2 * 2.5 * factor**2.5
 
 
-def test_eigenvalue_ratio_rounded_to_one_is_a_numerical_failure():
-    # Below l = 7e-17 lam rounds to 1 and C2 = sqrt(tau) / (1 - sqrt(lam))
-    # is infinite; l = 1e-16 still has lam < 1.
+# Largest error of each constant, in ulp of its oracle value, over
+# _DOMAIN: tau 2.40, lam 3.32, eta 2.44, rate 6.53, c1 1.13 and c2 1.40,
+# and the multivariate C 7.84, 13.1, 17.2 and 31.3 at d = 1, 2, 3 and 6.
+# Each bound is 1.5 to 1.8 times its maximum; C's is 4 + 8 d.  Most of
+# the error is beta's own rounding, which the rate, u^3 / 3 for small
+# u = 1 / beta^2, triples.  The bounds hold on this grid only: just past
+# u = 1/2 (l = 1.15), where rate = -ln(eta), a denser grid finds more.
+_ULP_BOUNDS = dict(tau=4.0, lam=5.0, eta=4.0, rate=10.0, c1=2.0, c2=2.5)
+_DIMS = (1, 2, 3, 6)
+_DOMAIN = sorted({*np.geomspace(ELL_MIN, ELL_MAX, 100).tolist(), 1e-6, 0.2, 1.0, 1.2, 4.0})
+
+
+def _ulps(value: float, ref) -> float:
+    return float(abs(value - ref) / math.ulp(float(ref)))
+
+
+def test_constants_match_the_oracle_over_the_length_scale_domain():
+    # eta <= 1 and rate >= 0 at every length scale, and eta < 1 wherever
+    # -ln(eta) > eps / 2.  C is refused only where 1 - eta is below the
+    # smallest normal float (l below 8.1e-103) or C is beyond the float
+    # range.  The 105 length scales take about 0.3 s.
+    bounds = {**_ULP_BOUNDS, **{d: 4.0 + 8.0 * d for d in _DIMS}}
+    worst = dict.fromkeys(bounds, 0.0)
+    for ell in _DOMAIN:
+        b = basis_from(ell)
+        c = theoretical_constants(b)
+        ref = convergence_constants_mp(ell, _DIMS)
+        for name in _ULP_BOUNDS:
+            worst[name] = max(worst[name], _ulps(getattr(c, name), ref[name]))
+        assert 0.0 <= c.rate and c.eta <= 1.0
+        assert c.eta < 1.0 or ref["rate"] <= sys.float_info.epsilon / 2
+        for d in _DIMS:
+            try:
+                big_c, eta = multivariate_constants(b, d)
+            except NumericalFailureError as exc:
+                if ref["gap"] < sys.float_info.min:
+                    assert str(exc).startswith("1 - eta is below the smallest normal float")
+                else:
+                    assert ref["big_c"][d] > sys.float_info.max
+                    assert str(exc).startswith("the multivariate bound constant C overflows")
+                continue
+            assert eta == c.eta
+            worst[d] = max(worst[d], _ulps(big_c, ref["big_c"][d]))
+    assert all(worst[k] <= bounds[k] for k in bounds), worst
+
+
+def test_constants_are_finite_where_the_eigenvalue_ratio_rounds_to_one():
+    # Below l = 7e-17 lam rounds to 1, yet C2 = (1 + sqrt(lam)) / sqrt(tau)
+    # and the rate's series need no 1 - sqrt(lam); l = 1e-16 still has
+    # lam < 1.  At 1.5e-154 the rate, and so 1 - eta, underflows to 0, and
+    # the multivariate bound is refused.
     for ell in (1e-17, 1e-100, 1.5e-154):
         b = basis_from(ell)
         assert b.eigenvalue_ratio == 1.0
-        with pytest.raises(NumericalFailureError, match="rounds to 1"):
-            theoretical_constants(b)
-        with pytest.raises(NumericalFailureError, match="rounds to 1"):
-            multivariate_constants(b, 2)
-    assert math.isfinite(theoretical_constants(basis_from(1e-16)).c2)
+        c = theoretical_constants(b)
+        ref = convergence_constants_mp(ell)
+        for name, bound in _ULP_BOUNDS.items():
+            assert math.isfinite(getattr(c, name))
+            assert _ulps(getattr(c, name), ref[name]) <= bound
+    assert basis_from(1e-16).eigenvalue_ratio < 1.0
+    b = basis_from(1.5e-154)
+    c = theoretical_constants(b)
+    assert c.rate == 0.0 and c.eta == 1.0
+    want = ("1 - eta is below the smallest normal float at length scale 1.5e-154; "
+            "the multivariate bound degenerates")
+    with pytest.raises(NumericalFailureError, match=f"^{re.escape(want)}$"):
+        multivariate_constants(b, 2)
 
 
 # Finite terms with exponents from the subnormal range up to 2^996, so
