@@ -212,7 +212,7 @@ def _cmd_constants(args):
         "tau", "lambda", "eta", "c_theory", "c1", "c2",
     ]
     row = [
-        args.ell, basis.epsilon, basis.beta, basis.delta_sq, basis.gamma,
+        args.ell, basis.epsilon, basis.beta, basis.delta_sq, basis.eigenvalue_ratio,
         consts.tau, consts.lam, consts.eta, consts.rate, consts.c1, consts.c2,
     ]
     if args.dims is not None:

@@ -3,26 +3,30 @@
 For the kernel k(x, y) = exp(-(x - y)^2 / (2 l^2)) and the measure with
 density (a / sqrt(pi)) exp(-a^2 x^2), the eigenpairs are known in closed
 form.  The measure is fixed at the standard Gaussian, a = 1/sqrt(2)
-(``ALPHA_DEFAULT``).  With
+(``ALPHA_DEFAULT``).  There every constant is a function of
 
-    eps = 1 / (sqrt(2) l),
-    beta = (1 + (2 eps / a)^2)^(1/4),
-    delta^2 = (a^2 / 2) (beta^2 - 1),
+    r = 2 / l,   s = sqrt(1 + r^2) = beta^2,
 
-the eigenvalues and L2-normalized eigenfunctions are
+with beta = (1 + (2 eps / a)^2)^(1/4) and eps = 1 / (sqrt(2) l):
 
-    lambda_n = sqrt(a^2 / (a^2 + delta^2 + eps^2))
-               * (eps^2 / (a^2 + delta^2 + eps^2))^n,
+    delta^2 = (s - 1) / 4 = (r / (s + 1)) r / 4,
+    lambda = (s - 1) / (s + 1) = (r / (s + 1))^2,
+    tau = 2 / (s + 1) = 1 - lambda,   u = 1 / s = 1 / beta^2.
+
+The right-hand forms are the ones computed: they never subtract, and s
+is ``math.hypot(1, r)``, as r^2 overflows at the bottom of the length
+scale domain.  The eigenvalues and L2-normalized eigenfunctions are
+
+    lambda_n = tau lambda^n,
     phi_n(x) = sqrt(beta / n!) * exp(-delta^2 x^2) * H_n(sqrt(2) a beta x).
 
 The means of the eigenfunctions under the standard Gaussian vanish for
 odd n and for n = 2m equal
 
-    mu(phi_2m) = sqrt(beta / (1 + 2 delta^2)) * r_m * g^m,
+    mu(phi_2m) = sqrt(beta tau) * r_m * lambda^m,
 
-with g = 2 a^2 beta^2 / (1 + 2 delta^2) - 1 and the square-root central
-binomial ratio r_m = sqrt(C(2m, m) / 4^m), computed by the recurrence
-r_m = r_{m-1} sqrt((2m - 1) / (2m)).
+with the square-root central binomial ratio r_m = sqrt(C(2m, m) / 4^m),
+computed by the recurrence r_m = r_{m-1} sqrt((2m - 1) / (2m)).
 """
 
 import math
@@ -45,9 +49,11 @@ __all__ = [
     "even_mean_ratios",
 ]
 
-# The measure parameter a.  Formulas use it as written: in floating point
-# a**2 is 0.5000000000000001 and sqrt(2) * a is 1.0000000000000002, so
-# folding it into 0.5 or 1 would change the printed tables.
+# The measure parameter a.  It enters only beta's formula, the node scaling
+# t / (sqrt(2) a beta) and eigenfunction_table, as written: in floating
+# point a**2 is 0.5000000000000001 and sqrt(2) * a is 1.0000000000000002,
+# so folding it into 0.5 or 1 would move beta and every node.  lambda,
+# delta^2, tau and u take a = 1/sqrt(2) exactly, through r and s.
 ALPHA_DEFAULT = math.sqrt(0.5)
 
 
@@ -61,31 +67,33 @@ def check_length_scale(ell) -> float:
         raise DomainError(f"length scale must be positive and finite, got {ell}")
     if x * x < sys.float_info.min:  # 4 / l^2 in beta would overflow
         raise DomainError(f"length scale {x} is too small: its square is subnormal")
-    if 1.0 / (2.0 * x * x) < sys.float_info.min:  # eps^2, then the eigenvalue ratio, lose digits
+    if 1.0 / (2.0 * x * x) < sys.float_info.min:  # delta^2 and lambda / 2, near it, lose digits
         raise DomainError(f"length scale {x} is too large: 1 / (2 l^2) is subnormal")
     return x
 
 
 @dataclass(frozen=True)
 class MercerBasis:
-    """Derived constants of the eigendecomposition for one length scale l."""
+    """Derived constants of the eigendecomposition for one length scale l.
+
+    eigenvalue_ratio is lambda = lambda_{n+1} / lambda_n, also the ratio of the
+    even eigenfunction means; tau = lambda_0 and u = 1 / beta^2.  epsilon and
+    beta are derived from l on each read.
+    """
 
     length_scale: float
-    epsilon: float
-    beta: float
     delta_sq: float
+    eigenvalue_ratio: float
+    tau: float
+    u: float
 
     @property
-    def gamma(self) -> float:
-        """Geometric ratio of the even eigenfunction means."""
-        a2 = ALPHA_DEFAULT**2
-        return 2.0 * a2 * self.beta**2 / (1.0 + 2.0 * self.delta_sq) - 1.0
+    def epsilon(self) -> float:
+        return 1.0 / (math.sqrt(2.0) * self.length_scale)
 
     @property
-    def eigenvalue_ratio(self) -> float:
-        """lambda_{n+1} / lambda_n, constant in n."""
-        e2 = self.epsilon**2
-        return e2 / (ALPHA_DEFAULT**2 + self.delta_sq + e2)
+    def beta(self) -> float:
+        return (1.0 + (2.0 * self.epsilon / ALPHA_DEFAULT) ** 2) ** 0.25
 
 
 def basis_from(length_scale: float) -> MercerBasis:
@@ -94,27 +102,17 @@ def basis_from(length_scale: float) -> MercerBasis:
     The measure is the standard Gaussian, a = 1/sqrt(2), for every basis.
     """
     length_scale = check_length_scale(length_scale)
-    epsilon = 1.0 / (math.sqrt(2.0) * length_scale)
-    beta = (1.0 + (2.0 * epsilon / ALPHA_DEFAULT) ** 2) ** 0.25
-    delta_sq = 0.5 * ALPHA_DEFAULT**2 * (beta**2 - 1.0)
-    return MercerBasis(
-        length_scale=length_scale,
-        epsilon=epsilon,
-        beta=beta,
-        delta_sq=delta_sq,
-    )
+    r = 2.0 / length_scale
+    s = math.hypot(1.0, r)
+    root = r / (s + 1.0)  # sqrt(lambda)
+    return MercerBasis(length_scale=length_scale, delta_sq=root * r / 4.0,
+                       eigenvalue_ratio=root * root, tau=2.0 / (s + 1.0), u=1.0 / s)
 
 
 def eigenvalue(basis: MercerBasis, n: int) -> float:
-    """n-th kernel eigenvalue lambda_n, a geometric sequence in n.
-
-    lambda_0 = sqrt(a^2 / (a^2 + delta^2 + eps^2)) doubles as the
-    constant tau of the convergence bound.
-    """
+    """n-th kernel eigenvalue lambda_n = tau lambda^n, a geometric sequence in n."""
     n = as_index(n, "eigenvalue index", 0, sys.maxsize)
-    a2 = ALPHA_DEFAULT**2
-    denom = a2 + basis.delta_sq + basis.epsilon**2
-    return math.sqrt(a2 / denom) * basis.eigenvalue_ratio**n
+    return basis.tau * basis.eigenvalue_ratio**n
 
 
 def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.ndarray:
@@ -148,8 +146,8 @@ def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:
     out = np.zeros(count)
     m_top = (count - 1) // 2
     ratios = even_mean_ratios(m_top)
-    lead = math.sqrt(basis.beta / (1.0 + 2.0 * basis.delta_sq))
-    powers = basis.gamma ** np.arange(m_top + 1)
+    lead = math.sqrt(basis.beta * basis.tau)
+    powers = basis.eigenvalue_ratio ** np.arange(m_top + 1)
     out[0 : 2 * m_top + 1 : 2] = lead * ratios * powers
     return out
 

@@ -11,17 +11,17 @@ clamped, anything below -1e-14 signals broken inputs and raises.  So
 does a term that is not finite, or a sum beyond the float range.  The
 quadratic sum runs over the full N x N matrix of terms.
 
-The geometric convergence constants for the scaled-node rules are
+The geometric convergence constants for the scaled-node rules are, in
+the terms r = 2 / l and s = sqrt(1 + r^2) of ``gkquad.mercer``,
 
-    tau = sqrt(a^2 / (a^2 + d^2 + e^2)) = 1 - lam,   lam = e^2 / (a^2 + d^2 + e^2),
-    eta = sqrt(lam) exp(u), u = 1 / b^2,   C1 = 1.087 sqrt(b),
-    C2 = sqrt(tau) / (1 - sqrt(lam)) = (1 + sqrt(lam)) / sqrt(tau),
+    tau = 2 / (s + 1),   lam = (r / (s + 1))^2,   u = 1 / s,
+    eta = sqrt(lam) exp(u),   C1 = 1.087 sqrt(beta),   C2 = (1 + sqrt(lam)) / sqrt(tau),
 
-with a = 1/sqrt(2) fixed by the standard Gaussian measure.  The rule's
-error obeys e(Q_N) <= (1 + C1 W_N) C2 eta^N, where W_N bounds the
-absolute weight sum.  The rate -ln(eta) = artanh(u) - u is summed as
-u^k / k over odd k >= 3 where u < 1/2 (l < 1.15), with eta = exp(-rate),
-so no digits cancel as l -> 0: eta <= 1, and eta < 1 wherever -ln(eta) > eps / 2.
+read from the basis, where each is formed once.  The rule's error obeys
+e(Q_N) <= (1 + C1 W_N) C2 eta^N, where W_N bounds the absolute weight
+sum.  The rate -ln(eta) = artanh(u) - u is summed as u^k / k over odd
+k >= 3 where u < 0.875 (l < 3.61), with eta = exp(-rate), so no digits
+cancel as l -> 0: eta <= 1, and eta < 1 wherever -ln(eta) > eps / 2.
 """
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericalFailureError, as_index
 from .exact import kernel, kernel_mean, kernel_mean_mean
 from .gauss_hermite import QuadratureRule
-from .mercer import MercerBasis, eigenvalue
+from .mercer import MercerBasis
 
 __all__ = [
     "HERMITE_SUP_CONSTANT",
@@ -60,7 +60,7 @@ class WceReport:
 @dataclass(frozen=True)
 class ConvergenceConstants:
     """Bound constants for one length scale: tau = 1 - lam, and the rate -ln(eta), at most
-    352.85 (at l = 4.74e153), is artanh(u) - u = sum of u^k / k over odd k >= 3, u = 1 / beta^2."""
+    352.85 (at l = 4.74e153), is artanh(u) - u = sum of u^k / k over odd k >= 3."""
 
     tau: float
     lam: float
@@ -158,14 +158,13 @@ def _window_bins(t: np.ndarray) -> np.ndarray:
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
     """Constants (tau, lam, eta, rate, C1, C2) of the error bound for this basis."""
-    tau = eigenvalue(basis, 0)
-    lam = basis.eigenvalue_ratio
-    u = 1.0 / basis.beta**2
-    eta = math.sqrt(lam) * math.exp(u)
-    rate = -math.log(eta)
-    if u < 0.5:  # the series keeps the digits these cancel; u^57 / 57 < 3e-18 of its sum
-        rate = math.fsum(u**k / k for k in range(3, 57, 2))
+    tau, lam, u = basis.tau, basis.eigenvalue_ratio, basis.u
+    if u < 0.875:  # the series keeps the digits -ln(eta) loses; its tail from k = 267 is < 0.1 ulp
+        rate = math.fsum(u**k / k for k in range(3, 267, 2))
         eta = math.exp(-rate)
+    else:
+        eta = math.sqrt(lam) * math.exp(u)
+        rate = -math.log(eta)
     c1 = HERMITE_SUP_CONSTANT * math.sqrt(basis.beta)
     c2 = (1.0 + math.sqrt(lam)) / math.sqrt(tau)
     return ConvergenceConstants(tau=tau, lam=lam, eta=eta, rate=rate, c1=c1, c2=c2)

@@ -6,12 +6,12 @@ clock around the computational body.  Criteria 3, 6, 7 and 10 hold the
 method to what it promises, positive weights and geometric convergence,
 and each comment gives the measured margins:
 
-  - 3: the weight-sum error stays under |gamma|^N (ratio 0.20..0.82) and
+  - 3: the weight-sum error stays under lambda^N (ratio 0.20..0.82) and
     crosses 1e-8 wherever that rate gets there within N_MAX;
   - 6: the rate at ell = 1 is the closed form ln(phi) - 1/sqrt(5), and
     the 0.054 +- 0.003 band applies at ell = 1.2 (0.054329); the absolute
-    weight sum stays within 1 + max(|gamma|^N, 4 eps) for N <= 200
-    (largest excess 2 eps);
+    weight sum stays within 1 + max(lambda^N, 4 eps) for N <= 200
+    (largest excess 3 eps);
   - 7: the weight error falls strictly within each rule-size parity;
   - 10: the 1e-6 target is reached at n = 14 (9.68e-8), and the
     closed-form rule's error is at most twice the solved one's (largest
@@ -83,20 +83,20 @@ def test_criterion_02_eigenfunction_exactness():
 
 
 def test_criterion_03_positivity_and_weight_sum():
-    # The weight-sum error e_N decays like |gamma|^N (README), so it is
-    # held to that rate: e_N <= |gamma|^N for every N before the 1e-8
-    # crossing (measured e_N / |gamma|^N lies in 0.20..0.82 at all six
+    # The weight-sum error e_N decays like lambda^N (README), so it is
+    # held to that rate: e_N <= lambda^N for every N before the 1e-8
+    # crossing (measured e_N / lambda^N lies in 0.20..0.82 at all six
     # scales).  The 1e-8 crossing is required wherever the rate reaches
-    # 1e-8 within N_MAX, i.e. ceil(ln 1e-8 / ln|gamma|) <= N_MAX: bounds
+    # 1e-8 within N_MAX, i.e. ceil(ln 1e-8 / ln lambda) <= N_MAX: bounds
     # 185, 93, 47, 20, 7 against measured crossings 169, 86, 44, 19, 7.
-    # At ell = 0.05 (gamma = 0.95123) the bound is 369 and e_200 = 9.8e-6
-    # sits under gamma^200 = 4.5e-5.  Positivity, monotonicity and the
+    # At ell = 0.05 (lambda = 0.95123) the bound is 369 and e_200 = 9.8e-6
+    # sits under lambda^200 = 4.5e-5.  Positivity, monotonicity and the
     # negative slope hold at every scale.
     start = time.perf_counter()
     failures = []
     for ell in (0.05, 0.1, 0.2, 0.4, 1.0, 4.0):
         basis = basis_from(ell)
-        gamma = abs(basis.gamma)
+        lam = basis.eigenvalue_ratio
         errors = []
         for n in range(1, N_MAX + 1):
             weights = approx_rule(basis, n).rule.weights
@@ -104,19 +104,19 @@ def test_criterion_03_positivity_and_weight_sum():
                 failures.append(f"ell={ell} N={n} nonpositive weight")
             errors.append(abs(math.fsum(weights) - 1.0))
         crossing = next((i + 1 for i, e in enumerate(errors) if e < 1e-8), None)
-        reachable = math.ceil(math.log(1e-8) / math.log(gamma)) <= N_MAX
+        reachable = math.ceil(math.log(1e-8) / math.log(lam)) <= N_MAX
         if crossing is None and reachable:
             failures.append(
                 f"ell={ell} weight-sum error never reaches 1e-8 "
                 f"(final {errors[-1]:.3e} at N={N_MAX})"
             )
         prefix = errors[: crossing or len(errors)]
-        above = [n for n, e in enumerate(prefix, start=1) if e > gamma**n]
+        above = [n for n, e in enumerate(prefix, start=1) if e > lam**n]
         if above:
             n = above[0]
             failures.append(
-                f"ell={ell} weight-sum error above |gamma|^N at {len(above)} sizes, "
-                f"first N={n} ({prefix[n - 1]:.3e} > {gamma**n:.3e})"
+                f"ell={ell} weight-sum error above lambda^N at {len(above)} sizes, "
+                f"first N={n} ({prefix[n - 1]:.3e} > {lam**n:.3e})"
             )
         if any(b > a for a, b in zip(prefix, prefix[1:])):
             failures.append(f"ell={ell} weight-sum error not monotone before crossing")
@@ -188,20 +188,20 @@ def test_criterion_06_theoretical_constants():
             if bound < err:
                 failures.append(f"ell={ell} N={n} bound {bound:.3e} below error {err:.3e}")
     # The bound's W_N: sum |w_n| of the closed-form rules stays within
-    # 1 + max(|gamma|^N, 4 eps) for N = 1..200 at the six acceptance
-    # scales.  The measured sum reaches exactly 1 + 2 eps at ell = 0.4 and
-    # 1, at most 1 + eps at ell = 4, and stays below 1 for ell <= 0.2;
-    # with 1 eps in place of 4 eps the clause would fail at (ell, N) =
-    # (0.4, 118), (1, 163), (1, 167) and (1, 172).  It takes 0.15 s.
+    # 1 + max(lambda^N, 4 eps) for N = 1..200 at the six acceptance
+    # scales.  The measured sum reaches exactly 1 + 3 eps at (ell, N) =
+    # (0.4, 118), 1 + 2 eps at ell = 1 and 4, and stays below 1 for
+    # ell <= 0.2; with 2 eps in place of 4 eps the clause would fail at
+    # (0.4, 118), and with 1 eps at 11 more sizes.  It takes 0.15 s.
     eps = np.finfo(float).eps
     for ell in (0.05, 0.1, 0.2, 0.4, 1.0, 4.0):
         basis = basis_from(ell)
-        gamma = abs(basis.gamma)
+        lam = basis.eigenvalue_ratio
         for n in range(1, N_MAX + 1):
             sum_abs = math.fsum(np.abs(approx_rule(basis, n).rule.weights))
-            if sum_abs > 1.0 + max(gamma**n, 4.0 * eps):
+            if sum_abs > 1.0 + max(lam**n, 4.0 * eps):
                 failures.append(f"ell={ell} N={n} sum |w| = {sum_abs!r} above "
-                                f"1 + max(|gamma|^N, 4 eps)")
+                                f"1 + max(lambda^N, 4 eps)")
     assert not failures, "; ".join(failures)
 
 

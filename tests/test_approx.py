@@ -6,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,14 +26,23 @@ from gkquad.mercer import (
     eigenfunction_table,
     even_mean_ratios,
 )
-from oracles import ELL_MAX, exact_hermite, kernel_weights_mp
+from oracles import (
+    ELL_MAX,
+    ELL_MIN,
+    closed_form_weights_mp,
+    convergence_constants_mp,
+    exact_hermite,
+    kernel_weights_mp,
+)
 
 
 def test_single_point_rule_closed_form():
+    # The one weight is (1 + 2 delta^2)^(-1/2) = sqrt(tau), here in 50
+    # digits; the weight is 1.2e-17 from it.
     b = basis_from(1.3)
     a = approx_rule(b, 1)
     assert a.rule.nodes.tolist() == [0.0]
-    lead = 1.0 / math.sqrt(1.0 + 2.0 * b.delta_sq)
+    lead = mpmath.sqrt(convergence_constants_mp(1.3)["tau"])
     assert abs(a.rule.weights[0] - lead) <= 1e-16
     assert len(a) == 1
 
@@ -154,14 +164,45 @@ def test_cached_weights_match_the_series_on_all_nodes():
     # and mirrors it; the formula summed on every node gives the same bits.
     for ell in (0.05, 1.0, 10.0):
         b = basis_from(ell)
-        lead = 1.0 / math.sqrt(1.0 + 2.0 * b.delta_sq)
+        lead, lam = math.sqrt(b.tau), b.eigenvalue_ratio
         for n in range(1, 201):
             gh = gh_rule(n)
             nodes = scaled_nodes(b, n)
-            series = _ascending_series(b.gamma, n, gh.nodes)
-            assert even_hermite_series(b.gamma, n).tobytes() == series.tobytes(), (ell, n)
+            series = _ascending_series(lam, n, gh.nodes)
+            assert even_hermite_series(lam, n).tobytes() == series.tobytes(), (ell, n)
             expected = lead * gh.weights * np.exp(b.delta_sq * nodes * nodes) * series
             assert approx_rule(b, n).rule.weights.tobytes() == expected.tobytes(), (ell, n)
+
+
+def test_weights_are_finite_and_positive_over_the_length_scale_domain():
+    # approx_rule's non-finite refusal is reached at no scale tried: at
+    # N = 1, 20 and 200 every weight is finite and positive at 1000
+    # log-spaced l across the domain (and at 3000).  The smallest weight
+    # is 1.3e-163, at N = 200 and the smallest l.
+    for ell in np.geomspace(ELL_MIN, ELL_MAX, 1000):
+        b = basis_from(ell)
+        for n in (1, 20, 200):
+            w = approx_rule(b, n).rule.weights
+            assert np.isfinite(w).all() and (w > 0.0).all(), (ell, n)
+
+
+# The largest relative error of the closed-form weights against the same
+# closed form in 60 digits at the float nodes, over 200 log-spaced l across
+# the domain and the scales below: 5.4e-15 at N = 20 and 6.8e-14 at N = 200,
+# both at l = 3.3e-6; over this test's scales, 2.9e-15 and 5.7e-14, both
+# at l = 0.05.  Each bound is twice the 200-scale maximum.
+WEIGHT_ORACLE_BOUND = {20: 1.1e-14, 200: 1.4e-13}
+
+
+@pytest.mark.parametrize("n", sorted(WEIGHT_ORACLE_BOUND))
+def test_closed_form_weights_match_a_60_digit_closed_form(n):
+    scales = {*np.geomspace(ELL_MIN, ELL_MAX, 30).tolist(), 0.05, 0.5, 1.0, 4.0, 1e4, 1e8, 1e150}
+    worst = 0.0
+    for ell in scales:
+        got = approx_rule(basis_from(ell), n).rule.weights
+        want = closed_form_weights_mp(ell, n)
+        worst = max(worst, max(float(abs(g - w) / w) for g, w in zip(got, want)))
+    assert worst <= WEIGHT_ORACLE_BOUND[n], worst
 
 
 def test_approx_rule_sums_through_even_hermite_series(monkeypatch):
@@ -170,15 +211,16 @@ def test_approx_rule_sums_through_even_hermite_series(monkeypatch):
     series = approx.even_hermite_series
     calls = []
 
-    def recorded(gamma, n):
-        calls.append((gamma, n))
-        return series(gamma, n)
+    def recorded(ratio, n):
+        calls.append((ratio, n))
+        return series(ratio, n)
 
     monkeypatch.setattr(approx, "even_hermite_series", recorded)
     b = basis_from(1.0)
     for n in (1, 6, 6):
         approx_rule(b, n)
-    assert calls == [(b.gamma, 1), (b.gamma, 6), (b.gamma, 6)]
+    lam = b.eigenvalue_ratio
+    assert calls == [(lam, 1), (lam, 6), (lam, 6)]
 
 
 def test_even_hermite_cache_is_read_only_and_shared():
@@ -251,7 +293,7 @@ def test_series_keeps_its_sign_margin_at_the_acceptance_scales():
         even = normalized_table(gh_rule(n).nodes, 2 * ((n - 1) // 2))[:, ::2]
         m = np.arange(even.shape[1])
         for ell in SIGN_MARGIN:
-            gamma = basis_from(ell).gamma
+            gamma = basis_from(ell).eigenvalue_ratio
             absolute = np.abs(even * (gamma**m * even_mean_ratios(m[-1]))).sum(axis=1)
             ratio = (even_hermite_series(gamma, n) / absolute).min()
             smallest[ell] = min(smallest[ell], ratio)
@@ -263,12 +305,11 @@ def test_series_matches_a_40_digit_recurrence():
     # The rules with the smallest sign margin at four scales.  The float
     # series agrees to 3.3e-15 relative at most (N = 199, l = 0.05); the
     # value is even in t and mirrored to the bit, so half the nodes suffice.
-    mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     with mpmath.workdps(40):
         root = [mp.sqrt(k) for k in range(DEGREE_MAX)]
         for ell, n in ((0.05, 199), (0.4, 171), (1.0, 71), (4.0, 25)):
-            gamma = basis_from(ell).gamma
+            gamma = basis_from(ell).eigenvalue_ratio
             coeffs = [mp.mpf(1)]  # g^m r_m, r_m = r_{m-1} sqrt((2m - 1) / 2m)
             for m in range(1, (n - 1) // 2 + 1):
                 coeffs.append(coeffs[-1] * mp.mpf(gamma) * root[2 * m - 1] / root[2 * m])
@@ -323,7 +364,6 @@ def test_qr_weights_at_machine_truncation_match_exact_solve():
     "ell,n", [(1.0, 20), (1.0, 36), (4.0, 12), (1.0, 50), (4.0, 30), (0.5, 50)]
 )
 def test_qr_weights_at_rule_nodes_are_as_accurate_as_householder(ell, n):
-    pytest.importorskip("mpmath")
     b = basis_from(ell)
     nodes, m = scaled_nodes(b, n), machine_truncation(b, n)
     want = kernel_weights_mp(nodes, ell, 120)
@@ -338,17 +378,16 @@ def test_qr_weights_at_rule_nodes_are_as_accurate_as_householder(ell, n):
 # Small length scales, where machine precision needs M past 400.  The
 # error is max |w_i / o_i - 1| against o, a 40-digit full-kernel solve at
 # the float nodes (the same to the bit at 80 digits).  Measured at
-# machine_truncation's M (578, 741, 771, 461, 441): 6.7e-16, 6.3e-15,
-# 2.1e-14, 1.9e-14 and 7.2e-14, and within 2.3e-16 of those under the
+# machine_truncation's M (578, 741, 771, 461, 441): 6.7e-16, 5.3e-15,
+# 1.0e-14, 2.7e-14 and 7.2e-14, and within 2.3e-16 of those under the
 # OpenBLAS Haswell and Prescott kernels and numpy's AVX2 loops.  Each bound
-# is 2.1 to 2.6 times the largest of these; at M = 400 the errors read
-# 1.6e-12, 3.7e-10, 2.5e-9, 2.3e-13 and 7.1e-14.
+# is 1.8 to 5 times the largest of these; at M = 400 the errors read
+# 1.6e-12, 3.7e-10, 2.5e-9, 2.2e-13 and 7.2e-14.
 @pytest.mark.parametrize("ell,n,bound", [
     (0.0625, 1, 1.5e-15), (0.05, 20, 1.5e-14), (0.05, 50, 5e-14), (0.1, 100, 5e-14),
     (0.15, 200, 1.5e-13),
 ])
 def test_qr_weights_at_machine_truncation_match_the_oracle_at_small_length_scales(ell, n, bound):
-    mpmath = pytest.importorskip("mpmath")
     b = basis_from(ell)
     nodes = scaled_nodes(b, n)
     w = qr_weights(b, nodes, machine_truncation(b, n))
@@ -484,8 +523,8 @@ def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
     # At the top of the range, l = 4.74e153, the ratio is the smallest
     # normal float times 2, so the formula gives n + 1; from l = 3e161 it
     # would round to 0, but every length scale past the top is refused.
-    # It rounds to 1 below l = 7e-17, where the formula's limit is an M
-    # past every guard, which is refused.
+    # It rounds to 1 at every l <= 1.1e-16 (and at some l up to 2.2e-16),
+    # where the formula's limit is an M past every guard, which is refused.
     b = basis_from(ELL_MAX)
     assert b.eigenvalue_ratio >= sys.float_info.min
     assert [machine_truncation(b, n) for n in (1, 3, 200)] == [2, 4, 201]

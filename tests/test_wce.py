@@ -1,5 +1,6 @@
 """Worst-case error evaluation and the geometric bound constants."""
 
+import argparse
 import math
 import re
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkquad import approx_rule, basis_from, gh_rule, wce, worst_case_error
+from gkquad import approx_rule, basis_from, cli, gh_rule, wce, worst_case_error
 from gkquad.errors import DomainError, IllConditionedError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
@@ -22,7 +23,7 @@ from gkquad.wce import (
     multivariate_constants,
     theoretical_constants,
 )
-from oracles import ELL_MAX, ELL_MIN, convergence_constants_mp
+from oracles import ELL_MAX, ELL_MIN, convergence_constants_mp, ulps
 
 # Constants for the two headline length scales, frozen from a 50-digit
 # recomputation of the defining formulas.
@@ -101,8 +102,7 @@ def test_constant_identities():
     for ell in (0.05, 0.2, 1.0, 4.0, 100.0, *np.logspace(-2, 2, 41)):
         b = basis_from(ell)
         c = theoretical_constants(b)
-        assert abs(c.lam - b.eigenvalue_ratio) <= 1e-16
-        assert abs(c.tau - (1.0 - c.lam)) <= 2e-16
+        assert (c.tau, c.lam) == (b.tau, b.eigenvalue_ratio)
         assert 0.0 < c.eta < 1.0
         assert c.c1 == HERMITE_SUP_CONSTANT * math.sqrt(b.beta)
         assert c.c2 == (1.0 + math.sqrt(c.lam)) / math.sqrt(c.tau)
@@ -137,37 +137,50 @@ def test_multivariate_constants_properties():
         multivariate_constants(b, 2.5)  # not 2 * 2.5 * factor**2.5
 
 
-# Largest error of each constant, in ulp of its oracle value, over
-# _DOMAIN: tau 2.40, lam 3.32, eta 2.44, rate 6.53, c1 1.13 and c2 1.40,
-# and the multivariate C 7.84, 13.1, 17.2 and 31.3 at d = 1, 2, 3 and 6.
-# Each bound is 1.5 to 1.8 times its maximum; C's is 4 + 8 d.  Most of
-# the error is beta's own rounding, which the rate, u^3 / 3 for small
-# u = 1 / beta^2, triples.  The bounds hold on this grid only: just past
-# u = 1/2 (l = 1.15), where rate = -ln(eta), a denser grid finds more.
-_ULP_BOUNDS = dict(tau=4.0, lam=5.0, eta=4.0, rate=10.0, c1=2.0, c2=2.5)
+# Largest error of each printed `constants` cell, in ulp of its oracle
+# value, over _DOMAIN (400 log-spaced l, 150 more around the rate's split
+# at u = 0.875, l = 3.61, and single scales): epsilon 1.77, beta 1.33,
+# delta_sq 2.53, gamma and lambda 3.33, tau 1.77, eta 2.51, c_theory
+# 6.96, c1 1.71 and c2 1.49, and the multivariate C 5.07, 10.0, 13.6 and
+# 28.0 at d = 1, 2, 3 and 6.  Each bound is 1.2 to 2.3 times its maximum;
+# C's is 4 + 8 d.  The rate's error is mostly u's rounding times the
+# rate's condition number in u, 3 for small u and 6 at the split.  At
+# l = 1e8 and 1e150 the differences (a^2 / 2)(beta^2 - 1) and
+# 2 a^2 beta^2 / (1 + 2 delta^2) - 1 would lose every digit of delta_sq
+# and gamma.
+_ULP_BOUNDS = {"epsilon": 3.0, "beta": 2.5, "delta_sq": 5.0, "gamma": 5.0, "tau": 4.0,
+               "lambda": 5.0, "eta": 4.0, "c_theory": 10.0, "c1": 2.0, "c2": 2.5}
+_ORACLE_NAME = {"gamma": "lam", "lambda": "lam", "c_theory": "rate"}
 _DIMS = (1, 2, 3, 6)
-_DOMAIN = sorted({*np.geomspace(ELL_MIN, ELL_MAX, 100).tolist(), 1e-6, 0.2, 1.0, 1.2, 4.0})
+_DOMAIN = sorted({*np.geomspace(ELL_MIN, ELL_MAX, 400).tolist(),
+                  *np.geomspace(2.5, 5.5, 150).tolist(), 1e-6, 0.2, 1.0, 1.198, 4.0, 1e8, 1e150})
 
 
-def _ulps(value: float, ref) -> float:
-    return float(abs(value - ref) / math.ulp(float(ref)))
+def _printed(ell: float) -> dict:
+    """The cells `gkquad constants --ell <ell>` prints, by column."""
+    columns, [row] = cli._cmd_constants(argparse.Namespace(ell=ell, dims=None))
+    return dict(zip(columns, row))
+
+
+def _cell_ulps(cells: dict, ref: dict) -> dict:
+    return {name: ulps(cells[name], ref[_ORACLE_NAME.get(name, name)]) for name in _ULP_BOUNDS}
 
 
 def test_constants_match_the_oracle_over_the_length_scale_domain():
     # eta <= 1 and rate >= 0 at every length scale, and eta < 1 wherever
     # -ln(eta) > eps / 2.  C is refused only where 1 - eta is below the
     # smallest normal float (l below 8.1e-103) or C is beyond the float
-    # range.  The 105 length scales take about 0.3 s.
+    # range.  The 557 length scales take about 0.6 s.
     bounds = {**_ULP_BOUNDS, **{d: 4.0 + 8.0 * d for d in _DIMS}}
     worst = dict.fromkeys(bounds, 0.0)
     for ell in _DOMAIN:
-        b = basis_from(ell)
-        c = theoretical_constants(b)
+        cells = _printed(ell)
         ref = convergence_constants_mp(ell, _DIMS)
-        for name in _ULP_BOUNDS:
-            worst[name] = max(worst[name], _ulps(getattr(c, name), ref[name]))
-        assert 0.0 <= c.rate and c.eta <= 1.0
-        assert c.eta < 1.0 or ref["rate"] <= sys.float_info.epsilon / 2
+        for name, err in _cell_ulps(cells, ref).items():
+            worst[name] = max(worst[name], err)
+        assert 0.0 <= cells["c_theory"] and cells["eta"] <= 1.0
+        assert cells["eta"] < 1.0 or ref["rate"] <= sys.float_info.epsilon / 2
+        b = basis_from(ell)
         for d in _DIMS:
             try:
                 big_c, eta = multivariate_constants(b, d)
@@ -178,25 +191,23 @@ def test_constants_match_the_oracle_over_the_length_scale_domain():
                     assert ref["big_c"][d] > sys.float_info.max
                     assert str(exc).startswith("the multivariate bound constant C overflows")
                 continue
-            assert eta == c.eta
-            worst[d] = max(worst[d], _ulps(big_c, ref["big_c"][d]))
+            assert eta == cells["eta"]
+            worst[d] = max(worst[d], ulps(big_c, ref["big_c"][d]))
     assert all(worst[k] <= bounds[k] for k in bounds), worst
 
 
 def test_constants_are_finite_where_the_eigenvalue_ratio_rounds_to_one():
-    # Below l = 7e-17 lam rounds to 1, yet C2 = (1 + sqrt(lam)) / sqrt(tau)
-    # and the rate's series need no 1 - sqrt(lam); l = 1e-16 still has
-    # lam < 1.  At 1.5e-154 the rate, and so 1 - eta, underflows to 0, and
-    # the multivariate bound is refused.
-    for ell in (1e-17, 1e-100, 1.5e-154):
+    # lam rounds to 1 at every l <= 1.1e-16 and at some l up to 2.2e-16
+    # (l = 1e-16 and 2e-16 among them), yet C2 = (1 + sqrt(lam)) / sqrt(tau)
+    # and the rate's series need no 1 - sqrt(lam); above 2.2e-16 lam < 1.
+    # At 1.5e-154 the rate, and so 1 - eta, underflows to 0, and the
+    # multivariate bound is refused.
+    for ell in (1e-16, 1e-17, 1e-100, 1.5e-154):
         b = basis_from(ell)
         assert b.eigenvalue_ratio == 1.0
-        c = theoretical_constants(b)
-        ref = convergence_constants_mp(ell)
-        for name, bound in _ULP_BOUNDS.items():
-            assert math.isfinite(getattr(c, name))
-            assert _ulps(getattr(c, name), ref[name]) <= bound
-    assert basis_from(1e-16).eigenvalue_ratio < 1.0
+        errors = _cell_ulps(_printed(ell), convergence_constants_mp(ell))
+        assert all(errors[name] <= bound for name, bound in _ULP_BOUNDS.items()), (ell, errors)
+    assert basis_from(2e-16).eigenvalue_ratio == 1.0 > basis_from(2.3e-16).eigenvalue_ratio
     b = basis_from(1.5e-154)
     c = theoretical_constants(b)
     assert c.rate == 0.0 and c.eta == 1.0
