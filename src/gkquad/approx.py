@@ -187,8 +187,8 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     Smallest M with lambda_M / lambda_n < machine epsilon, i.e. n plus
     ceil(ln eps / ln ratio) extra terms.  DEGREE_MAX = 921 is this M at
     l = 0.05, n = 200.  A larger M, at l <= 0.04 from n = 20 or infinite
-    once the ratio rounds to 1 (at every l <= 1.1e-16 and at some l up to
-    2.2e-16), raises NumericalFailureError with the tail at the guard.
+    once the ratio rounds to 1 (at every l <= 2^-54 = 5.55e-17 and at none
+    above), raises NumericalFailureError with the tail at the guard.
     """
     n = check_size(n)
     ratio = basis.eigenvalue_ratio

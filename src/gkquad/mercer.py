@@ -9,13 +9,15 @@ form.  The measure is fixed at the standard Gaussian, a = 1/sqrt(2)
 
 with beta = (1 + (2 eps / a)^2)^(1/4) and eps = 1 / (sqrt(2) l):
 
-    delta^2 = (s - 1) / 4 = (r / (s + 1)) r / 4,
-    lambda = (s - 1) / (s + 1) = (r / (s + 1))^2,
-    tau = 2 / (s + 1) = 1 - lambda,   u = 1 / s = 1 / beta^2.
+    delta^2 = (s - 1) / 4 = (r / (s + 1)) r / 4,   u = 1 / s = 1 / beta^2,
+    tau = 2 / (s + 1) = 1 / (1 + 2 delta^2),
+    lambda = (s - 1) / (s + 1) = 1 - tau = q / (2 + q + 2 s),   q = r^2.
 
-The right-hand forms are the ones computed: they never subtract, and s
-is ``math.hypot(1, r)``, as r^2 overflows at the bottom of the length
-scale domain.  The eigenvalues and L2-normalized eigenfunctions are
+No computed form cancels: s is ``math.hypot(1, r)``, as r^2 overflows at
+the bottom of the length scale domain, and for s >= 3 (l <= 0.71), where
+tau <= 1/2, tau is 2 / (s + 1) and lambda = 1 - tau; above, tau is
+1 / (1 + 2 delta^2) and lambda the quotient, q = 4 / l^2.  The
+eigenvalues and L2-normalized eigenfunctions are
 
     lambda_n = tau lambda^n,
     phi_n(x) = sqrt(beta / n!) * exp(-delta^2 x^2) * H_n(sqrt(2) a beta x).
@@ -74,26 +76,16 @@ def check_length_scale(ell) -> float:
 
 @dataclass(frozen=True)
 class MercerBasis:
-    """Derived constants of the eigendecomposition for one length scale l.
-
-    eigenvalue_ratio is lambda = lambda_{n+1} / lambda_n, also the ratio of the
-    even eigenfunction means; tau = lambda_0 and u = 1 / beta^2.  epsilon and
-    beta are derived from l on each read.
-    """
+    """Derived constants for one length scale l: eigenvalue_ratio is lambda = lambda_{n+1} /
+    lambda_n, also the ratio of the even eigenfunction means; tau = lambda_0, u = 1 / beta^2."""
 
     length_scale: float
+    epsilon: float
+    beta: float
     delta_sq: float
     eigenvalue_ratio: float
     tau: float
     u: float
-
-    @property
-    def epsilon(self) -> float:
-        return 1.0 / (math.sqrt(2.0) * self.length_scale)
-
-    @property
-    def beta(self) -> float:
-        return (1.0 + (2.0 * self.epsilon / ALPHA_DEFAULT) ** 2) ** 0.25
 
 
 def basis_from(length_scale: float) -> MercerBasis:
@@ -102,11 +94,18 @@ def basis_from(length_scale: float) -> MercerBasis:
     The measure is the standard Gaussian, a = 1/sqrt(2), for every basis.
     """
     length_scale = check_length_scale(length_scale)
+    epsilon = 1.0 / (math.sqrt(2.0) * length_scale)
+    beta = (1.0 + (2.0 * epsilon / ALPHA_DEFAULT) ** 2) ** 0.25
     r = 2.0 / length_scale
     s = math.hypot(1.0, r)
-    root = r / (s + 1.0)  # sqrt(lambda)
-    return MercerBasis(length_scale=length_scale, delta_sq=root * r / 4.0,
-                       eigenvalue_ratio=root * root, tau=2.0 / (s + 1.0), u=1.0 / s)
+    delta_sq = r / (s + 1.0) * r / 4.0
+    if s >= 3.0:  # tau <= 1/2 <= lambda
+        tau = 2.0 / (s + 1.0)
+        lam = 1.0 - tau
+    else:  # lambda < 1/2 < tau, with (s + 1) / 2 = 1 + 2 delta^2 and (s + 1)^2 = 2 + q + 2 s
+        q = 4.0 / (length_scale * length_scale)
+        tau, lam = 1.0 / (1.0 + 2.0 * delta_sq), q / (2.0 + q + 2.0 * s)
+    return MercerBasis(length_scale, epsilon, beta, delta_sq, lam, tau, 1.0 / s)
 
 
 def eigenvalue(basis: MercerBasis, n: int) -> float:

@@ -14,7 +14,7 @@ quadratic sum runs over the full N x N matrix of terms.
 The geometric convergence constants for the scaled-node rules are, in
 the terms r = 2 / l and s = sqrt(1 + r^2) of ``gkquad.mercer``,
 
-    tau = 2 / (s + 1),   lam = (r / (s + 1))^2,   u = 1 / s,
+    tau = 2 / (s + 1),   lam = (s - 1) / (s + 1),   u = 1 / s,
     eta = sqrt(lam) exp(u),   C1 = 1.087 sqrt(beta),   C2 = (1 + sqrt(lam)) / sqrt(tau),
 
 read from the basis, where each is formed once.  The rule's error obeys

@@ -188,10 +188,10 @@ def test_weights_are_finite_and_positive_over_the_length_scale_domain():
 
 # The largest relative error of the closed-form weights against the same
 # closed form in 60 digits at the float nodes, over 200 log-spaced l across
-# the domain and the scales below: 5.4e-15 at N = 20 and 6.8e-14 at N = 200,
-# both at l = 3.3e-6; over this test's scales, 2.9e-15 and 5.7e-14, both
-# at l = 0.05.  Each bound is twice the 200-scale maximum.
-WEIGHT_ORACLE_BOUND = {20: 1.1e-14, 200: 1.4e-13}
+# the domain and the scales below: 4.4e-15 at N = 20 and 5.9e-14 at N = 200,
+# both at l = 3.3e-6; over this test's scales, 2.2e-15 (l = 2.4e-133) and
+# 4.0e-14 (l = 2.5e-80).  Each bound is twice the 200-scale maximum.
+WEIGHT_ORACLE_BOUND = {20: 9e-15, 200: 1.2e-13}
 
 
 @pytest.mark.parametrize("n", sorted(WEIGHT_ORACLE_BOUND))
@@ -378,10 +378,12 @@ def test_qr_weights_at_rule_nodes_are_as_accurate_as_householder(ell, n):
 # Small length scales, where machine precision needs M past 400.  The
 # error is max |w_i / o_i - 1| against o, a 40-digit full-kernel solve at
 # the float nodes (the same to the bit at 80 digits).  Measured at
-# machine_truncation's M (578, 741, 771, 461, 441): 6.7e-16, 5.3e-15,
-# 1.0e-14, 2.7e-14 and 7.2e-14, and within 2.3e-16 of those under the
+# machine_truncation's M (578, 741, 771, 461, 441): 6.7e-16, 4.6e-15,
+# 1.3e-14, 3.8e-14 and 7.2e-14, and within 2.3e-16 of those under the
 # OpenBLAS Haswell and Prescott kernels and numpy's AVX2 loops.  Each bound
-# is 1.8 to 5 times the largest of these; at M = 400 the errors read
+# is 1.3 to 3.8 times the largest of these.  With lambda, delta^2 and tau
+# each correctly rounded, (0.1, 100) still reads 3.8e-14, and each ulp of
+# lambda moves it by 5.3e-15.  At M = 400 the errors read
 # 1.6e-12, 3.7e-10, 2.5e-9, 2.2e-13 and 7.2e-14.
 @pytest.mark.parametrize("ell,n,bound", [
     (0.0625, 1, 1.5e-15), (0.05, 20, 1.5e-14), (0.05, 50, 5e-14), (0.1, 100, 5e-14),
@@ -523,7 +525,7 @@ def test_machine_truncation_takes_the_limits_where_the_ratio_rounds():
     # At the top of the range, l = 4.74e153, the ratio is the smallest
     # normal float times 2, so the formula gives n + 1; from l = 3e161 it
     # would round to 0, but every length scale past the top is refused.
-    # It rounds to 1 at every l <= 1.1e-16 (and at some l up to 2.2e-16),
+    # It rounds to 1 at every l <= 2^-54 = 5.55e-17 and at none above,
     # where the formula's limit is an M past every guard, which is refused.
     b = basis_from(ELL_MAX)
     assert b.eigenvalue_ratio >= sys.float_info.min
