@@ -145,20 +145,17 @@ def _hermite_half_past(n: int, m_terms: int) -> np.ndarray:
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
     """Build the N-point scaled Gauss-Hermite rule with closed-form weights.
 
+    Every weight is finite: at a Gauss-Hermite node t, t^2 <= 4(N - 1) <= 796 and
+    delta^2 x^2 <= t^2 / 4, so with |hhat_m(t)| <= 1.087 exp(t^2 / 4) and c_m <= 1 each
+    |w| < 1e175.  QuadratureRule's finite check (DomainError) is the backstop.
+
     Raises
     ------
     SizeError
         If n is not an integer in [1, N_MAX].
-    NumericalFailureError
-        If any weight evaluates non-finite.  None does at N = 1, 20 or 200
-        at 3000 log-spaced l across the length-scale domain, where every
-        weight is finite and positive.
     """
     nodes = scaled_nodes(basis, n)
     weights = _rule_weights(basis, nodes, even_hermite_series(basis.eigenvalue_ratio, nodes.size))
-    if not np.isfinite(weights).all():
-        raise NumericalFailureError(f"non-finite weight in the {n}-point rule at length scale "
-                                    f"{basis.length_scale}")
     return ApproxRule(rule=QuadratureRule(nodes, weights), basis=basis)
 
 

@@ -1,13 +1,11 @@
 """Command-line interface for building rules and reproducing the sweeps.
 
-Every command writes a table (CSV by default, JSON on request) to stdout
-or to --out, with deterministic row order and shortest round-trip float
-formatting, so repeated runs are byte-identical.  Exit codes: 0 on
-success, 2 on validation errors, 3 on numerical failure.
+Every command writes a CSV table of shortest round-trip floats in a fixed
+row order, to stdout or to --out, so repeated runs are byte-identical.
+Exit codes: 0 on success, 2 on validation errors, 3 on numerical failure.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -65,24 +63,13 @@ def _parse_ns(text: str) -> list[int] | range:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+    # Every row cell is a Python int or a float (np.float64 included).
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def _emit(columns: list[str], rows: list[list], args) -> None:
-    if args.format == "json":
-        # RFC 8259 has no NaN or Infinity: a refused cell is null.
-        payload = [
-            {c: None if isinstance(v, float) and not math.isfinite(v) else v
-             for c, v in zip(columns, row)}
-            for row in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+    lines = [columns, *([_format_cell(v) for v in row] for row in rows)]
+    text = "".join(",".join(line) + "\n" for line in lines)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -236,7 +223,6 @@ def _add_values(sub, name: str, parse_one, parse_many, default=None) -> None:
 
 def _add_common(sub, sweep=False):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if sweep:
         _add_values(sub, "ell", float, _comma_list(float, distinct=True))
         _add_values(sub, "n", int, _parse_ns)

@@ -175,15 +175,24 @@ def test_cached_weights_match_the_series_on_all_nodes():
 
 
 def test_weights_are_finite_and_positive_over_the_length_scale_domain():
-    # approx_rule's non-finite refusal is reached at no scale tried: at
-    # N = 1, 20 and 200 every weight is finite and positive at 1000
-    # log-spaced l across the domain (and at 3000).  The smallest weight
-    # is 1.3e-163, at N = 200 and the smallest l.
-    for ell in np.geomspace(ELL_MIN, ELL_MAX, 1000):
-        b = basis_from(ell)
-        for n in (1, 20, 200):
-            w = approx_rule(b, n).rule.weights
-            assert np.isfinite(w).all() and (w > 0.0).all(), (ell, n)
+    # approx_rule has no finite check of its own: its docstring bounds every
+    # weight below 1e175 through t^2 <= 4(N - 1) and delta^2 x^2 <= t^2 / 4
+    # at each Gauss-Hermite node t.  At every N, at the domain ends and 98
+    # log-spaced l between, that bound holds and every weight is finite and
+    # positive.  delta^2 / beta^2 tends to 1/4 as l falls, so the float
+    # delta^2 x^2 reaches t^2 / 4 to 2 ulp there.  The largest delta^2 x^2
+    # is 187.0 and the weights lie in [1.26e-163, 1.0], the smallest at
+    # N = 200 and the smallest l.
+    bases = [basis_from(ell) for ell in np.geomspace(ELL_MIN, ELL_MAX, 100)]
+    for n in range(1, 201):
+        t_sq = gh_rule(n).nodes ** 2
+        assert (t_sq <= 4.0 * (n - 1)).all(), n
+        for b in bases:
+            rule = approx_rule(b, n).rule
+            bound = t_sq / 4.0 * (1.0 + 1e-15)
+            assert (b.delta_sq * rule.nodes ** 2 <= bound).all(), (b.length_scale, n)
+            w = rule.weights
+            assert np.isfinite(w).all() and (w > 0.0).all(), (b.length_scale, n)
 
 
 # The largest relative error of the closed-form weights against the same

@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line interface."""
 
-import json
 import math
 import os
 import subprocess
@@ -116,39 +115,6 @@ def test_rule_flat_limit_collapses_to_gauss_hermite(capsys):
         assert abs(float(row[2]) - float(row[4])) <= 1e-6
 
 
-def test_json_format_round_trips_the_csv_values(capsys):
-    _, csv_out, _ = run(capsys, ["rule", "--ell", "2", "--n", "4"])
-    code, json_out, _ = run(capsys, ["rule", "--ell", "2", "--n", "4", "--format", "json"])
-    assert code == 0
-    header, rows = parse_csv(csv_out)
-    payload = json.loads(json_out)
-    assert len(payload) == 4
-    for row, entry in zip(rows, payload):
-        assert list(entry) == header
-        assert entry["n"] == int(row[0])
-        for col, cell in zip(header[1:], row[1:]):
-            assert entry[col] == float(cell)
-
-
-def test_json_writes_null_for_refused_cells(capsys):
-    # RFC 8259 has no NaN: a refused solve is null in JSON, nan in CSV.
-    def no_constants(token):
-        raise AssertionError(f"not JSON: {token}")
-
-    argv = ["integrate", "--ell", "4", "--ns", "13:15"]
-    code, out, _ = run(capsys, [*argv, "--format", "json"])
-    assert code == 0
-    payload = json.loads(out, parse_constant=no_constants)
-    assert [(e["kq_flag"], e["ukq_flag"]) for e in payload] == [(0, 0), (1, 1), (1, 1)]
-    for entry in payload:
-        for cell, flag in (("err_kq", "kq_flag"), ("err_ukq", "ukq_flag")):
-            assert (entry[cell] is None) == (entry[flag] == 1)
-        assert all(entry[c] is not None for c in ("err_sghkq", "err_gh"))
-    _, csv_out, _ = run(capsys, argv)
-    _, rows = parse_csv(csv_out)
-    assert [r[2:4] for r in rows[1:]] == [["nan", "nan"]] * 2
-
-
 def test_weights_compare_well_vs_ill_scaled(capsys):
     code, out, _ = run(capsys, ["weights-compare", "--ells", "0.05,4", "--ns", "10,20"])
     assert code == 0
@@ -183,9 +149,9 @@ def test_one_value_and_a_one_value_list_print_the_same(capsys):
 
 
 def test_rule_size_ranges_are_never_expanded(capsys):
-    # The sweeps stop at a flag or at the first refused size, so the
-    # upper end of an a:b range costs nothing: a billion is no slower
-    # than the sizes the sweep reaches.
+    # A sweep stops at its flag, and a refused size ends the command with
+    # no table, so the upper end of an a:b range costs nothing: a billion
+    # is no slower than the sizes the sweep reaches.
     start = time.perf_counter()
     wide = run(capsys, ["weights-compare", "--ell", "4", "--ns", "1:1000000000"])
     assert time.perf_counter() - start < 1.0
@@ -246,7 +212,8 @@ def test_integrate_defaults(capsys):
 
 def test_solve_flags_follow_the_refusal_rule(capsys):
     # At ell = 4 the scaled-node solve crosses CONDITION_MAX between n = 13
-    # and 14: a flagged comparator is refused (nan), never measured.
+    # and 14: a flagged comparator is refused (nan), never measured, and
+    # the sweep goes on with the closed-form columns finite.
     code, out, _ = run(capsys, ["integrate", "--ell", "4", "--ns", "11:16"])
     assert code == 0
     _, rows = parse_csv(out)
@@ -257,8 +224,9 @@ def test_solve_flags_follow_the_refusal_rule(capsys):
         cond = eigs.max() / eigs.min()
         assert row[5] == str(int(cond > CONDITION_MAX))
         for err, flag in ((row[2], row[5]), (row[3], row[6])):
-            assert math.isnan(float(err)) == (flag == "1")
-    assert [r[5] for r in rows] == ["0", "0", "0", "1", "1", "1"]
+            assert (err == "nan") == (flag == "1")
+        assert math.isfinite(float(row[1])) and math.isfinite(float(row[4]))
+    assert [(r[5], r[6]) for r in rows] == [("0", "0")] * 3 + [("1", "1")] * 3
 
 
 def test_integrate_odd_power_cancels_exactly(capsys):
@@ -352,6 +320,7 @@ def test_validation_failures_exit_two(capsys, tmp_path):
     assert run(capsys, ["integrate", "--n", "3", "--ns", "4"])[0] == 2
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, ["rule", "--ell", "1", "--n", "3", "--alpha", "1"])[0] == 2
+    assert run(capsys, ["rule", "--ell", "1", "--n", "3", "--format", "csv"])[0] == 2
     # (301)!! does not fit in a float, so m = 302 has no closed form.
     code, out, err = run(capsys, ["integrate", "--m", "302"])
     assert (code, out) == (2, "")

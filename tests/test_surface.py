@@ -117,7 +117,7 @@ def test_every_approx_states_its_abs_tolerance():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1678
+SRC_LINES = 1661
 
 
 def test_source_line_count_is_pinned():
@@ -161,8 +161,8 @@ def test_settable_cli_values_are_pinned():
     assert len(subs.choices) == 7
     dests = {name: {a.dest for a in sub._actions if a.dest != "help"}
              for name, sub in subs.choices.items()}
-    assert dests["tensor-integrate"] == {"ell", "m", "c", "ns", "out", "format"}
-    assert sum(len(d) for d in dests.values()) == 32
+    assert dests["tensor-integrate"] == {"ell", "m", "c", "ns", "out"}
+    assert sum(len(d) for d in dests.values()) == 25
 
 
 _BASIS = gkquad.basis_from(1.0)
