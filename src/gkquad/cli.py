@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .approx import _householder_qr_weights, approx_rule, machine_truncation
+from .approx import approx_rule, machine_truncation, qr_weights
 from .errors import EvaluationError, NumericalFailureError
 from .exact import exact_weights
 from .gauss_hermite import QuadratureRule, gh_rule
@@ -24,9 +24,6 @@ __all__ = ["main"]
 # Display cutoff used by the sweep commands: square root of the
 # floating-point relative accuracy.
 WCE_CUTOFF = math.sqrt(float(np.finfo(float).eps))
-
-# Weight-symmetry breakdown proxy threshold for weights-compare.
-SYMMETRY_TOL = 1e-6
 
 
 def _comma_list(cast, distinct: bool = False):
@@ -96,17 +93,14 @@ def _cmd_weights_compare(args):
         basis = basis_from(ell)
         for n in args.ns:
             rule = approx_rule(basis, n).rule
-            w_approx = rule.weights
-            # The Householder solve: its mirror asymmetry is the cutoff, and
-            # qr_weights' path at these nodes is symmetric to the bit.
-            w_ref = _householder_qr_weights(basis, rule.nodes, machine_truncation(basis, n))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                proxy = float(abs(1.0 - np.float64(w_ref[-1]) / np.float64(w_ref[0])))
-                rel_err = float(np.sqrt(np.sum(((w_ref - w_approx) / w_ref) ** 2)))
-            broke = not math.isfinite(proxy) or proxy > SYMMETRY_TOL
-            rows.append([ell, n, rel_err, int(broke)])
-            if broke:
+            # The reference is the kernel rule at the same nodes, so it takes
+            # qr_weights' closed-form path; a refused solve ends the sweep.
+            try:
+                w_ref = qr_weights(basis, rule.nodes, machine_truncation(basis, n))
+            except NumericalFailureError:
+                rows.append([ell, n, float("nan"), 1])
                 break
+            rows.append([ell, n, math.hypot(*(w_ref - rule.weights)) / math.hypot(*w_ref), 0])
     return columns, rows
 
 
@@ -200,7 +194,7 @@ def _cmd_constants(args):
     ]
     row = [
         args.ell, basis.epsilon, basis.beta, basis.delta_sq, basis.eigenvalue_ratio,
-        consts.tau, consts.lam, consts.eta, consts.rate, consts.c1, consts.c2,
+        basis.tau, basis.eigenvalue_ratio, consts.eta, consts.rate, consts.c1, consts.c2,
     ]
     if args.dims is not None:
         big_c, eta = multivariate_constants(basis, args.dims)
@@ -241,8 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_rule)
 
-    p = subs.add_parser("weights-compare",
-                        help="closed-form weights vs converged reference weights")
+    text = ("closed-form weights w vs the kernel weights w* at the same nodes: "
+            "rel_err = ||w* - w||_2 / ||w*||_2, at float resolution below about 1e-15")
+    p = subs.add_parser("weights-compare", help=text, description=text)
     _add_common(p, sweep=True)
     p.set_defaults(handler=_cmd_weights_compare)
 

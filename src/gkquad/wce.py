@@ -59,11 +59,9 @@ class WceReport:
 
 @dataclass(frozen=True)
 class ConvergenceConstants:
-    """Bound constants for one length scale: tau = 1 - lam, and the rate -ln(eta), at most
-    352.85 (at l = 4.74e153), is artanh(u) - u = sum of u^k / k over odd k >= 3."""
+    """Bound constants for one length scale, beside the basis's tau and lam: the rate -ln(eta),
+    at most 352.85 (at l = 4.74e153), is artanh(u) - u = sum of u^k / k over odd k >= 3."""
 
-    tau: float
-    lam: float
     eta: float
     rate: float
     c1: float
@@ -157,7 +155,7 @@ def _window_bins(t: np.ndarray) -> np.ndarray:
 
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
-    """Constants (tau, lam, eta, rate, C1, C2) of the error bound for this basis."""
+    """Constants (eta, rate, C1, C2) of the error bound for this basis."""
     tau, lam, u = basis.tau, basis.eigenvalue_ratio, basis.u
     if u < 0.875:  # the series keeps the digits -ln(eta) loses; its tail from k = 267 is < 0.1 ulp
         rate = math.fsum(u**k / k for k in range(3, 267, 2))
@@ -167,7 +165,7 @@ def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:
         rate = -math.log(eta)
     c1 = HERMITE_SUP_CONSTANT * math.sqrt(basis.beta)
     c2 = (1.0 + math.sqrt(lam)) / math.sqrt(tau)
-    return ConvergenceConstants(tau=tau, lam=lam, eta=eta, rate=rate, c1=c1, c2=c2)
+    return ConvergenceConstants(eta=eta, rate=rate, c1=c1, c2=c2)
 
 
 def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
@@ -182,7 +180,7 @@ def multivariate_constants(basis: MercerBasis, d: int) -> tuple[float, float]:
     if consts.rate < sys.float_info.min:  # then so is 1 - eta = -expm1(-rate): l < 8.1e-103
         raise NumericalFailureError(f"1 - eta is below the smallest normal float at length scale "
                                     f"{basis.length_scale}; the multivariate bound degenerates")
-    factor = HERMITE_SUP_CONSTANT * math.sqrt(consts.tau * basis.beta) / -math.expm1(-consts.rate)
+    factor = HERMITE_SUP_CONSTANT * math.sqrt(basis.tau * basis.beta) / -math.expm1(-consts.rate)
     try:
         big_c = 2.0 * d * factor**d
     except OverflowError:

@@ -14,7 +14,7 @@ import gkquad.cli as cli
 from gkquad import basis_from, approx_rule
 from gkquad.errors import NumericalFailureError
 from gkquad.exact import CONDITION_MAX
-from oracles import kernel_matrix
+from oracles import kernel_matrix, kernel_weights_mp
 
 
 def run(capsys, argv):
@@ -127,12 +127,42 @@ def test_weights_compare_well_vs_ill_scaled(capsys):
 
 
 def test_weights_compare_stops_after_flagging(capsys):
-    code, out, _ = run(capsys, ["weights-compare", "--ell", "4", "--ns", "1:40"])
-    assert code == 0
+    # The reference solve is refused at l = 0.04 from N = 20 (M = 922 is
+    # past the degree guard): that row reads nan with flag 1, and the sweep
+    # stops there.
+    code, out, err = run(capsys, ["weights-compare", "--ell", "0.04", "--ns", "18:21"])
+    assert (code, err) == (0, "")
     _, rows = parse_csv(out)
-    assert len(rows) < 40
-    assert [r[3] for r in rows[:-1]] == ["0"] * (len(rows) - 1)
-    assert rows[-1][3] == "1"
+    assert [r[:2] for r in rows] == [["0.04", "18"], ["0.04", "19"], ["0.04", "20"]]
+    assert [r[3] for r in rows[:2]] == ["0", "0"]
+    assert all(math.isfinite(float(r[2])) for r in rows[:2])
+    assert rows[-1] == ["0.04", "20", "nan", "1"]
+
+
+# (l, N, digits) of the oracle solves: each gives the same float weights
+# at 50 more digits.
+WEIGHTS_COMPARE_ORACLE_POINTS = [
+    (0.2, 2, 40), (0.2, 10, 40), (0.2, 30, 40), (0.2, 60, 40),
+    (1.0, 5, 40), (1.0, 20, 40), (1.0, 40, 60), (1.0, 50, 80), (1.0, 60, 80),
+    (4.0, 10, 40), (4.0, 20, 80), (4.0, 30, 80), (4.0, 40, 100), (4.0, 50, 120), (4.0, 60, 140),
+]
+
+
+def test_weights_compare_cells_match_the_oracle_norm(capsys):
+    # Each cell against ||w* - w|| / ||w*||, w* the full-kernel weights
+    # at the float nodes.  Measured worst: 6.9e-16 at (4, 40), where the
+    # cell reads 0.0; at (4, 30) it reads 3.6e-31 against 3.4e-16.  Below
+    # about 1e-15 a cell is at float resolution.  About 1 s.
+    code, out, err = run(capsys, ["weights-compare", "--ells", "0.2,1,4", "--ns", "1:60"])
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert len(rows) == 180 and all(r[3] == "0" for r in rows)
+    cells = {(float(r[0]), int(r[1])): float(r[2]) for r in rows}
+    for ell, n, dps in WEIGHTS_COMPARE_ORACLE_POINTS:
+        rule = approx_rule(basis_from(ell), n).rule
+        want = kernel_weights_mp(rule.nodes, ell, dps)
+        oracle = math.hypot(*(want - rule.weights)) / math.hypot(*want)
+        assert abs(cells[(ell, n)] - oracle) <= 1e-15, (ell, n, cells[(ell, n)], oracle)
 
 
 def test_one_value_and_a_one_value_list_print_the_same(capsys):
@@ -149,17 +179,14 @@ def test_one_value_and_a_one_value_list_print_the_same(capsys):
 
 
 def test_rule_size_ranges_are_never_expanded(capsys):
-    # A sweep stops at its flag, and a refused size ends the command with
-    # no table, so the upper end of an a:b range costs nothing: a billion
-    # is no slower than the sizes the sweep reaches.
-    start = time.perf_counter()
-    wide = run(capsys, ["weights-compare", "--ell", "4", "--ns", "1:1000000000"])
-    assert time.perf_counter() - start < 1.0
-    assert wide == run(capsys, ["weights-compare", "--ell", "4", "--ns", "1:60"])
-    start = time.perf_counter()
-    refused = run(capsys, ["positivity-sweep", "--ell", "1", "--ns", "1:1000000000"])
-    assert time.perf_counter() - start < 1.0
-    assert refused == (2, "", "error: rule size must be in [1, 200], got 201\n")
+    # A refused size ends the command with no table, so the upper end of
+    # an a:b range costs nothing: a billion is no slower than the sizes
+    # the sweep reaches before N = 201.
+    for argv in (["weights-compare", "--ell", "4"], ["positivity-sweep", "--ell", "1"]):
+        start = time.perf_counter()
+        refused = run(capsys, [*argv, "--ns", "1:1000000000"])
+        assert time.perf_counter() - start < 1.0, argv
+        assert refused == (2, "", "error: rule size must be in [1, 200], got 201\n"), argv
 
 
 def test_positivity_sweep_matches_library(capsys):
@@ -368,8 +395,9 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
     # 4 / l^2 overflows below l = 1.49e-154, and eps^2 = 1 / (2 l^2) is
     # subnormal above l = 4.74e153, so both are refused.  The constants
     # hold once lam rounds to 1, but machine_truncation's M is refused past
-    # the degree guard: every M once lam rounds to 1, and M = 922 at
-    # l = 0.04, N = 20 (M = 921 at N = 19 runs).  C is refused once d is
+    # the degree guard, which weights-compare prints as a flagged row: every
+    # M once lam rounds to 1, and M = 922 at l = 0.04, N = 20 (M = 921 at
+    # N = 19 runs).  C is refused once d is
     # large or 1 - eta is below the smallest normal float.  Each outcome is
     # an exit code with at most one line on stderr, in process and in a
     # fresh interpreter (no traceback).
@@ -387,13 +415,8 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         (["constants", "--ell", "1", "--dims", "1000"], 3,
          "numerical failure: the multivariate bound constant C overflows a float "
          "at dimension 1000\n"),
-        (["weights-compare", "--ell", "1e-17", "--ns", "3"], 3,
-         "numerical failure: truncation to machine precision at length scale 1e-17 and N = 3 "
-         "needs M = inf terms, past the degree guard 921, where lambda_921 / lambda_3 is 1\n"),
-        (["weights-compare", "--ell", "0.04", "--ns", "20"], 3,
-         "numerical failure: truncation to machine precision at length scale 0.04 and N = 20 "
-         "needs M = 922 terms, past the degree guard 921, where lambda_921 / lambda_20 is "
-         "2.23e-16\n"),
+        (["weights-compare", "--ell", "1e-17", "--ns", "3"], 0, ""),
+        (["weights-compare", "--ell", "0.04", "--ns", "20"], 0, ""),
         (["weights-compare", "--ell", "0.04", "--ns", "19"], 0, ""),
         (["constants", "--ell", "1e200"], 2, too_large),
         (["weights-compare", "--ell", "1e200", "--ns", "3"], 2, too_large),
@@ -412,16 +435,19 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         proc = run_python(["-m", "gkquad.cli", *argv])
         assert (proc.returncode, proc.stderr) == (want_code, want_err.encode())
         assert proc.stdout == out.encode()
-        outs[argv[0]] = out  # the last case of each command
+        outs[" ".join(argv)] = out
+    for ell, n in (("1e-17", "3"), ("0.04", "20")):
+        _, rows = parse_csv(outs[f"weights-compare --ell {ell} --ns {n}"])
+        assert rows == [[ell, n, "nan", "1"]]
     assert run(capsys, ["constants", "--ell", "1", "--dims", "10"])[0] == 0
-    # The rel_err cell reads the same under the OpenBLAS SkylakeX, Haswell
-    # and Prescott kernels.
-    _, rows = parse_csv(outs["weights-compare"])
-    assert rows == [["1e+150", "3", "2.884444029575346e-16", "0"]]
+    # At l = 1e150, N = 3 machine precision needs M = N + 1, where
+    # qr_weights is the closed form to the bit: no BLAS call, and no error.
+    _, rows = parse_csv(outs["weights-compare --ell 1e150 --ns 3"])
+    assert rows == [["1e+150", "3", "0.0", "0"]]
     # At the top of the range, l = 4.74e153, the kernel is 1 and its mean
     # 1, as they round at 1e150, so each row is the same but for l.
     for command, ell_column in (("weights-compare", 0), ("integrate", None), ("wce-sweep", 0)):
-        _, rows = parse_csv(outs[command])
+        _, rows = parse_csv(outs[f"{command} --ell 1e150 --ns 3"])
         argv = [command, "--ell", "4.740375954054588e153", "--ns", "3"]
         _, same = parse_csv(run(capsys, argv)[1])
         if ell_column is not None:

@@ -117,7 +117,7 @@ def test_every_approx_states_its_abs_tolerance():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1661
+SRC_LINES = 1654
 
 
 def test_source_line_count_is_pinned():

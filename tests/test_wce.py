@@ -87,10 +87,11 @@ def test_weight_family_ordering(ell, n):
 
 @pytest.mark.parametrize("ell", sorted(FROZEN))
 def test_frozen_convergence_constants(ell):
-    c = theoretical_constants(basis_from(ell))
+    b = basis_from(ell)
+    c = theoretical_constants(b)
     want = FROZEN[ell]
-    assert c.tau == pytest.approx(want["tau"], rel=5e-16, abs=0)
-    assert c.lam == pytest.approx(want["lam"], rel=5e-16, abs=0)
+    assert b.tau == pytest.approx(want["tau"], rel=5e-16, abs=0)
+    assert b.eigenvalue_ratio == pytest.approx(want["lam"], rel=5e-16, abs=0)
     assert c.eta == pytest.approx(want["eta"], rel=5e-16, abs=0)
     assert c.c1 == pytest.approx(want["c1"], rel=5e-16, abs=0)
     assert c.c2 == pytest.approx(want["c2"], rel=5e-16, abs=0)
@@ -102,11 +103,10 @@ def test_constant_identities():
     for ell in (0.05, 0.2, 1.0, 4.0, 100.0, *np.logspace(-2, 2, 41)):
         b = basis_from(ell)
         c = theoretical_constants(b)
-        assert abs(c.lam - b.eigenvalue_ratio) <= 1e-16
-        assert abs(c.tau - (1.0 - c.lam)) <= 2e-16
+        assert abs(b.tau - (1.0 - b.eigenvalue_ratio)) <= 2e-16
         assert 0.0 < c.eta < 1.0
         assert c.c1 == HERMITE_SUP_CONSTANT * math.sqrt(b.beta)
-        assert c.c2 == (1.0 + math.sqrt(c.lam)) / math.sqrt(c.tau)
+        assert c.c2 == (1.0 + math.sqrt(b.eigenvalue_ratio)) / math.sqrt(b.tau)
         assert isinstance(c, ConvergenceConstants)
 
 
