@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     GkquadError,
-    IllConditionedError,
     NumericalFailureError,
     SizeError,
 )

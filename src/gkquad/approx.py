@@ -44,7 +44,9 @@ coefficients has the same bits at any length.  Every product in B is
 even in t, so B sums over the cached half of the nodes with doubled
 weights (the centre node once).  The rows hhat_N .. hhat_{M-1} continue
 the recurrence on that half from the cached top even row and the odd
-one beside it; no table is built per call.
+one beside it; no table is built per call.  The same rows give the
+Mercer residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
+``worst_case_error`` and ``eigen_exactness_residual`` read.
 """
 
 import functools
@@ -74,6 +76,10 @@ __all__ = [
     "qr_weights",
 ]
 
+# Largest 1-norm condition estimate of the Householder factor R1 at which
+# qr_weights at other nodes returns weights (see its Notes).
+FACTOR_CONDITION_MAX = 1e8
+
 
 @dataclass(frozen=True)
 class ApproxRule:
@@ -89,6 +95,11 @@ class ApproxRule:
 def scaled_nodes(basis: MercerBasis, n: int) -> np.ndarray:
     """Gauss-Hermite nodes divided by sqrt(2) a beta, with a = 1/sqrt(2)."""
     return gh_rule(n).nodes / (math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta)
+
+
+def _at_scaled_nodes(basis: MercerBasis, x: np.ndarray) -> bool:
+    """Whether the flat float array x is scaled_nodes(basis, N) to the bit, for some N."""
+    return 1 <= x.size <= N_MAX and x.tobytes() == scaled_nodes(basis, x.size).tobytes()
 
 
 def even_hermite_series(ratio: float, n: int) -> np.ndarray:
@@ -133,13 +144,50 @@ def _hermite_half(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, odd
 
 
+@functools.lru_cache(maxsize=1)
 def _hermite_half_past(n: int, m_terms: int) -> np.ndarray:
-    """Rows hhat_n .. hhat_{m_terms - 1} at the cached half, continuing the cached rows."""
+    """Read-only rows hhat_n .. hhat_{m_terms - 1} at the cached half, continuing the cached rows.
+
+    They depend on n and m_terms alone, so the last pair is kept: a rule's WCE and its solve
+    at the same M read one recurrence.
+    """
     rows, odd = _hermite_half(n)
     buffer = np.empty((m_terms - n + 2, odd.size))
     buffer[0], buffer[1] = (odd, rows[-1]) if n % 2 else (rows[-1], odd)  # hhat_{n-2}, hhat_{n-1}
     _continue_recurrence(gh_rule(n).nodes[: odd.size], buffer, n - 1)
-    return buffer[2:]
+    past = buffer[2:]
+    past.setflags(write=False)
+    return past
+
+
+def _eigenvalues(basis: MercerBasis, m_terms: int) -> np.ndarray:
+    """lambda_n = tau lambda^n for n < m_terms."""
+    return basis.tau * basis.eigenvalue_ratio ** np.arange(m_terms)
+
+
+def _mercer_residuals(basis: MercerBasis, rule: QuadratureRule, m_terms: int) -> np.ndarray:
+    """r_n = Q(phi_n) - mu(phi_n) for n < m_terms >= len(rule); non-finite ones do not warn.
+
+    Q(phi_n) = sum_i w_i sqrt(b) exp(-d^2 x_i^2) hhat_n(t_i).  At nodes == scaled_nodes(basis, N)
+    with weights symmetric to the bit, r_n is zero at odd n and the even n take hhat_n at the
+    Gauss-Hermite nodes t from the cached rows below N and _hermite_half_past above: each row is
+    numpy's pairwise sum over the half of the nodes, weights doubled and the centre node once.
+    Other rules take t = sqrt(2) a b x in eigenfunction_table, summed down the nodes in order.
+    """
+    n, x, w = len(rule), rule.nodes, rule.weights
+    means = eigenfunction_means(basis, m_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _at_scaled_nodes(basis, x) or w.tobytes() != w[::-1].tobytes():
+            table = eigenfunction_table(basis, x, m_terms)
+            return np.add.reduce(np.multiply(table, w[:, None], order="C"), axis=0) - means
+        h = (n + 1) // 2
+        half = w[:h] * (math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x[:h] * x[:h]))
+        half[: n // 2] *= 2.0
+        residuals = np.zeros(m_terms)
+        below = np.add.reduce(_hermite_half(n)[0] * half, axis=1)
+        above = np.add.reduce(_hermite_half_past(n, m_terms)[n % 2 :: 2] * half, axis=1)
+        residuals[0::2] = np.concatenate([below, above]) - means[0::2]
+    return residuals
 
 
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
@@ -172,10 +220,7 @@ def eigen_exactness_residual(approx: ApproxRule, n: int) -> float:
     n >= N, which is why the index is guarded.
     """
     n = as_index(n, "eigenfunction index", 0, len(approx) - 1, range_error=IndexError)
-    values = eigenfunction_table(approx.basis, approx.rule.nodes, n + 1)[:, n]
-    applied = math.fsum(approx.rule.weights * values)
-    target = eigenfunction_means(approx.basis, n + 1)[n]
-    return float(abs(applied - target))
+    return float(abs(_mercer_residuals(approx.basis, approx.rule, len(approx))[n]))
 
 
 def machine_truncation(basis: MercerBasis, n: int) -> int:
@@ -226,11 +271,15 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     D, w = D^(-1) g(G) for g the displayed formula.  The scaling commutes
     through the algebra exactly, and it removes the exp-scale dynamic
     range between central and extreme rows that would otherwise dominate
-    the factorization error.
+    the factorization error.  That path raises NumericalFailureError where
+    a row of Phi is zero or not finite, and where the 1-norm condition
+    estimate of R1 exceeds FACTOR_CONDITION_MAX = 1e8: nodes 1e-9 apart
+    at l = 1 read 1.3e9 there, and would give weights 1.7e-9 off in the
+    RKHS norm.  np.linspace nodes pass it up to N = 78 at every l.
     """
     x = np.asarray(nodes, dtype=float).ravel()
     # Scaled rule nodes are finite and distinct at every basis: equal bits need no check_nodes.
-    own = 1 <= x.size <= N_MAX and x.tobytes() == scaled_nodes(basis, x.size).tobytes()
+    own = _at_scaled_nodes(basis, x)
     nodes = x if own else check_nodes(x)
     m_terms = as_index(m_terms, "truncation length", nodes.size, DEGREE_MAX)
     if own:
@@ -267,10 +316,13 @@ def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int)
                                     "these nodes")
     q, r = np.linalg.qr(phi / row_scale[:, None], mode="reduced")
     r1, r2 = r[:, :n], r[:, n:]
-    diag = np.abs(np.diag(r1))
-    if diag.min() == 0.0 or not np.all(np.isfinite(diag)):
-        raise NumericalFailureError("eigenfunction matrix is numerically rank deficient at "
-                                    "these nodes")
+    try:
+        cond = np.linalg.cond(r1, 1)
+    except np.linalg.LinAlgError:  # r1 is singular
+        cond = math.inf
+    if not cond <= FACTOR_CONDITION_MAX:
+        raise NumericalFailureError(f"eigenfunction factor R1 has condition estimate {cond:.3e} "
+                                    f"at these nodes, past {FACTOR_CONDITION_MAX:.0e}")
     exponents = n + np.arange(m_terms - n)[None, :] - np.arange(n)[:, None]
     correction = np.linalg.solve(r1, r2) * basis.eigenvalue_ratio**exponents
     lhs = r1.T + correction @ r2.T

@@ -121,8 +121,9 @@ def _cmd_positivity_sweep(args):
 def _solved(nodes: np.ndarray, ell: float, measure) -> tuple[float, int]:
     """``measure`` of the exact kernel rule at the given nodes, with a flag.
 
-    A solve that ``exact_weights`` refuses gives (nan, 1); any other
-    gives (value, 0).
+    A solve that ``exact_weights`` refuses, or a measure that refuses its
+    rule, gives (nan, 1): both raise ``NumericalFailureError`` where
+    ``machine_truncation`` or ``qr_weights`` does.  Any other gives (value, 0).
     """
     try:
         weights, _ = exact_weights(nodes, ell)

@@ -16,7 +16,6 @@ __all__ = [
     "SizeError",
     "DegreeOverflowError",
     "NumericalFailureError",
-    "IllConditionedError",
     "EvaluationError",
     "as_index",
     "as_real",
@@ -41,20 +40,6 @@ class DegreeOverflowError(GkquadError, ValueError):
 
 class NumericalFailureError(GkquadError, RuntimeError):
     """A numerical procedure failed to produce a trustworthy result."""
-
-
-class IllConditionedError(NumericalFailureError):
-    """A linear solve was rejected as unreliable.
-
-    Carries the condition estimate of the offending matrix so callers can
-    report it, and ``check``, the name of the test that refused the solve
-    (``"condition"`` or ``"cholesky"``, see :func:`gkquad.exact.exact_weights`).
-    """
-
-    def __init__(self, message: str, condition_estimate: float, check: str):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-        self.check = check
 
 
 class EvaluationError(GkquadError, RuntimeError):

@@ -1,4 +1,4 @@
-"""The Gaussian kernel, its means, and exact weights from the kernel linear system.
+"""The Gaussian kernel, its means, and exact weights in the kernel's Mercer coordinates.
 
 The kernel is k(x, y) = exp(-(x - y)^2 / (2 l^2)).  Under the standard
 Gaussian measure its mean has the closed form
@@ -8,40 +8,32 @@ Gaussian measure its mean has the closed form
 and the mean of that is mu(k_mu) = l / sqrt(2 + l^2).  Both are taken as
 written: 2 (1 + l^2) is a float at every l that check_length_scale accepts.
 
-Given nodes x_1..x_N, the weights solve K w = k_mu with
-[K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  The system is
-solved by Cholesky factorization with no automatic regularization.  A
-solve is refused, with an ill-conditioning error that carries the
-condition estimate and names the check, exactly when
-
-  - the spectral condition estimate exceeds CONDITION_MAX = 1e15, or
-  - the Cholesky factorization breaks down.
-
-The threshold makes refusals independent of the LAPACK build: below it
-the estimate is stable, while past about 1e16 whether Cholesky completes
-depends on the build, so the Cholesky check is only a backstop.
+Given nodes x_1..x_N, the exact weights solve K w = k_mu with
+[K]_ij = k(x_i, x_j) and [k_mu]_i the kernel mean at x_i.  They are
+solved in the kernel's Mercer coordinates, by RBF-QR (Fasshauer and
+McCourt, SIAM J. Sci. Comput. 34(2), 2012): ``qr_weights`` at the
+truncation length ``machine_truncation``, whose neglected eigenvalues
+are below machine precision, so no N x N kernel matrix is formed or
+factored.  A solve is refused, with ``NumericalFailureError``, where
+``machine_truncation`` or ``qr_weights`` refuses, and where that many
+terms do not reach a node: their kernel sum at (x, x) falls short of 1.
 """
 
 import math
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .approx import _at_scaled_nodes, _eigenvalues, machine_truncation, qr_weights
+from .errors import NumericalFailureError
 from .gauss_hermite import check_nodes
-from .mercer import check_length_scale
+from .mercer import basis_from, check_length_scale, eigenfunction_table
 
 __all__ = [
-    "CONDITION_MAX",
     "kernel",
     "kernel_mean",
     "kernel_mean_mean",
     "exact_weights",
 ]
-
-# Largest condition estimate at which a solve is attempted.  On
-# Gauss-Hermite nodes the eigvalsh estimate rises monotonically in N up
-# to this crossing, and it turns noisy only past about 1e16.
-CONDITION_MAX = 1e15
 
 
 def kernel(ell: float, x, y):
@@ -56,7 +48,7 @@ def kernel(ell: float, x, y):
 def kernel_mean(ell: float, x):
     """Kernel mean k_mu(x) under the standard Gaussian measure.
 
-    Accepts scalar or array x; values lie in (0, l / sqrt(1 + l^2)].
+    Accepts scalar or array x; values lie in [0, l / sqrt(1 + l^2)].
     """
     ell = check_length_scale(ell)
     xs = np.asarray(x, dtype=float)
@@ -73,23 +65,19 @@ def kernel_mean_mean(ell: float) -> float:
     return ell / math.sqrt(2.0 + ell * ell)
 
 
-def kernel_system(nodes, ell: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked nodes, K and its estimate: a step of exact_weights the benchmark times alone."""
+def kernel_system(nodes, ell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked nodes and K at them: no solve reads it, the benchmark still names it as a span."""
     nodes = check_nodes(nodes)
-    matrix = kernel(ell, nodes[:, None], nodes[None, :])
-    eigs = np.abs(np.linalg.eigvalsh(matrix))
-    cond = eigs.max() / eigs.min() if 0.0 < eigs.min() < math.inf else math.inf
-    return nodes, matrix, float(cond)
+    return nodes, kernel(ell, nodes[:, None], nodes[None, :])
 
 
-def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
-    """Solve K w = k_mu for the exact kernel quadrature weights.
+def exact_weights(nodes, ell: float) -> tuple[np.ndarray, int]:
+    """Exact kernel quadrature weights: ``qr_weights`` at ``machine_truncation``.
 
     Returns
     -------
-    (weights, condition_estimate)
-        The estimate is max|eig| / min|eig| of K from ``eigvalsh``; it
-        is infinite when the smallest |eig| is zero or not finite.
+    (weights, m_terms)
+        The weights in node order and the truncation length M they were solved at.
 
     Raises
     ------
@@ -98,28 +86,26 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, float]:
     DomainError
         If nodes are non-finite or duplicated, or parameters are out of
         range.
-    IllConditionedError
-        If the condition estimate exceeds CONDITION_MAX (``check`` is
-        ``"condition"``), or else if the Cholesky factorization breaks
-        down (``check`` is ``"cholesky"``); the error carries the
-        condition estimate.  No jitter is applied implicitly.
+    NumericalFailureError
+        If ``machine_truncation`` refuses M (at l <= 0.04 from N = 20); if
+        ``qr_weights`` refuses (a zero or non-finite eigenfunction row, or
+        R1's condition estimate past ``FACTOR_CONDITION_MAX``); or if at a
+        node other than the scaled ones the M-term kernel sum_n lambda_n
+        phi_n(x)^2 misses k(x, x) = 1 by more than 16 M eps, where the
+        truncation does not reach that node.  No jitter is applied implicitly.
     """
-    nodes, matrix, cond = kernel_system(nodes, ell)
-    if cond > CONDITION_MAX:
-        raise IllConditionedError(
-            f"condition estimate {cond:.3e} exceeds CONDITION_MAX = {CONDITION_MAX:.0e}",
-            cond,
-            "condition",
-        )
-    try:
-        lower = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            f"kernel matrix is numerically not positive definite "
-            f"(condition estimate {cond:.3e}): {exc}",
-            cond,
-            "cholesky",
-        ) from exc
-    half = np.linalg.solve(lower, kernel_mean(ell, nodes))
-    weights = np.linalg.solve(lower.T, half)
-    return weights, cond
+    basis = basis_from(ell)
+    nodes = check_nodes(nodes)
+    m_terms = machine_truncation(basis, nodes.size)
+    weights = qr_weights(basis, nodes, m_terms)
+    if not _at_scaled_nodes(basis, nodes):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            terms = eigenfunction_table(basis, nodes, m_terms)
+            terms *= np.sqrt(_eigenvalues(basis, m_terms))  # sqrt(lambda_n) phi_n(x) <= 1
+            deficit = np.max(np.abs(1.0 - np.add.reduce(terms * terms, axis=1)))
+        # At the scaled nodes and np.linspace between their outer ones the sum's
+        # rounding reaches 2.3 M eps (l from 0.05 to 1e150, N <= 200).
+        if not deficit <= 16 * m_terms * math.ulp(1.0):
+            raise NumericalFailureError(f"the {m_terms}-term kernel misses k(x, x) = 1 by "
+                                        f"{deficit:.3e} at these nodes")
+    return weights, m_terms

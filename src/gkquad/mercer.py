@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, as_index, as_real
-from .hermite import DEGREE_MAX, normalized_table
+from .hermite import DEGREE_MAX, _continue_recurrence
 
 __all__ = [
     "ALPHA_DEFAULT",
@@ -117,14 +117,18 @@ def eigenvalue(basis: MercerBasis, n: int) -> float:
 def eigenfunction_table(basis: MercerBasis, x: np.ndarray, count: int) -> np.ndarray:
     """Values phi_n(x_i) for n < count, 1 <= count <= DEGREE_MAX + 1; shape (len(x), count).
 
-    Values past the float range turn inf or nan without a warning.
+    The normalized Hermite recurrence runs on phi_n itself, from phi_0 =
+    sqrt(beta) exp(-delta^2 x^2), so where that envelope underflows the
+    row reads 0, not 0 times an overflowed hhat_n.  Values past the float
+    range turn inf or nan without a warning.
     """
     count = as_index(count, "count", 1, DEGREE_MAX + 1)
     x = np.asarray(x, dtype=float)
+    buffer = np.zeros((count + 1, x.size))  # row 0 stands for phi_{-1}
     with np.errstate(over="ignore", invalid="ignore"):  # callers refuse non-finite values
-        scaled = math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x
-        envelope = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)
-        return np.multiply(envelope[:, None], normalized_table(scaled, count - 1), order="C")
+        buffer[1] = math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x * x)
+        _continue_recurrence(math.sqrt(2.0) * ALPHA_DEFAULT * basis.beta * x, buffer, 0)
+    return np.ascontiguousarray(buffer[1:].T)
 
 
 # r_m = r_{m-1} sqrt((2m - 1) / 2m), one rounding a step in order, so

@@ -76,6 +76,69 @@ def kernel_weights_mp(nodes, ell: float, dps: int) -> np.ndarray:
     return np.array(w + w[: n // 2][::-1] if folded else w)
 
 
+def wce_mp(nodes, weights, ell: float, dps: int = 60) -> float:
+    """The worst-case error of the float rule by the direct form, in dps digits.
+
+    e^2 = mu(k_mu) + sum_ij w_i w_j k(x_i, x_j) - 2 sum_i w_i k_mu(x_i).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in nodes]
+        w = [mpmath.mpf(float(v)) for v in weights]
+        ell, two_l2 = mpmath.mpf(ell), 2 * mpmath.mpf(ell) ** 2
+        s = 1 + ell**2
+        quadratic = mpmath.fsum(w[i] * w[j] * mpmath.exp(-((x[i] - x[j]) ** 2) / two_l2)
+                                for i in range(len(x)) for j in range(len(x)))
+        cross = ell / mpmath.sqrt(s) * mpmath.fsum(wi * mpmath.exp(-xi * xi / (2 * s))
+                                                   for xi, wi in zip(x, w))
+        squared = ell / mpmath.sqrt(2 + ell**2) + quadratic - 2 * cross
+        return float(mpmath.sqrt(squared)) if squared > 0 else 0.0
+
+
+def rkhs_weight_error_mp(nodes, ell: float, weights, dps: int) -> float:
+    """||w - w*||_H = sqrt((w - w*)^T K (w - w*)) at the float nodes, w* the full-kernel weights.
+
+    K w* = k_mu is solved by Cholesky in dps digits, and again in dps + 40
+    digits where a pivot is not positive or the two norms differ by more
+    than 1e-6 (relative), which repeats until they agree.
+    """
+    import mpmath
+
+    def norm(digits):
+        with mpmath.workdps(digits):
+            x = [mpmath.mpf(float(v)) for v in nodes]
+            two_l2, s = 2 * mpmath.mpf(ell) ** 2, 1 + mpmath.mpf(ell) ** 2
+            kmat = [[mpmath.exp(-((a - b) ** 2) / two_l2) for b in x] for a in x]
+            lower = []  # rows of the Cholesky factor
+            for i, row in enumerate(kmat):
+                factor = []
+                for j in range(i):
+                    factor.append((row[j] - mpmath.fdot(factor, lower[j][:j])) / lower[j][j])
+                pivot = row[i] - mpmath.fdot(factor, factor)
+                if pivot <= 0:  # K is singular in this many digits
+                    return None
+                lower.append(factor + [mpmath.sqrt(pivot)])
+            y = []
+            for i, a in enumerate(x):
+                mean = mpmath.mpf(ell) / mpmath.sqrt(s) * mpmath.exp(-a * a / (2 * s))
+                y.append((mean - mpmath.fdot(lower[i][:i], y)) / lower[i][i])
+            solved = [0] * len(x)
+            for i in reversed(range(len(x))):
+                tail = mpmath.fdot([lower[k][i] for k in range(i + 1, len(x))], solved[i + 1 :])
+                solved[i] = (y[i] - tail) / lower[i][i]
+            diff = [mpmath.mpf(float(v)) - w for v, w in zip(weights, solved)]
+            return mpmath.sqrt(max(mpmath.fdot(diff, [mpmath.fdot(r, diff) for r in kmat]), 0))
+
+    low = norm(dps)
+    while True:
+        dps += 40
+        high = norm(dps)
+        if low is not None and high is not None and abs(low - high) <= 1e-6 * high:
+            return float(high)
+        low = high
+
+
 def closed_form_weights_mp(ell: float, n: int) -> list:
     """approx_rule's closed form at its float nodes, in 60 digits.
 

@@ -353,11 +353,15 @@ def test_qr_weights_at_square_truncation_match_closed_form(ell, n):
 
 
 def test_qr_weights_at_machine_truncation_match_exact_solve():
+    # exact_weights is qr_weights at machine_truncation, so the exact solve
+    # here is the full-kernel system solved in 40 digits.
     for ell, n, tol in ((0.2, 20, 1e-12), (0.2, 40, 1e-12), (1.0, 20, 1e-8)):
         b = basis_from(ell)
         a = approx_rule(b, n)
         m = machine_truncation(b, n)
-        ew, _ = exact_weights(a.rule.nodes, ell)
+        ew = kernel_weights_mp(a.rule.nodes, ell, 40)
+        solved = exact_weights(a.rule.nodes, ell)[0]
+        assert solved.tobytes() == qr_weights(b, a.rule.nodes, m).tobytes()
         for solve in (qr_weights, approx._householder_qr_weights):
             qw = solve(b, a.rule.nodes, m)
             assert np.abs(qw - ew).max() / np.abs(ew).max() <= tol, (solve.__name__, ell, n)

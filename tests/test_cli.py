@@ -13,8 +13,8 @@ import gkquad
 import gkquad.cli as cli
 from gkquad import basis_from, approx_rule
 from gkquad.errors import NumericalFailureError
-from gkquad.exact import CONDITION_MAX
-from oracles import kernel_matrix, kernel_weights_mp
+from gkquad.exact import exact_weights
+from oracles import kernel_weights_mp
 
 
 def run(capsys, argv):
@@ -238,18 +238,23 @@ def test_integrate_defaults(capsys):
 
 
 def test_solve_flags_follow_the_refusal_rule(capsys):
-    # At ell = 4 the scaled-node solve crosses CONDITION_MAX between n = 13
-    # and 14: a flagged comparator is refused (nan), never measured, and
-    # the sweep goes on with the closed-form columns finite.
-    code, out, _ = run(capsys, ["integrate", "--ell", "4", "--ns", "11:16"])
+    # At ell = 0.04 machine_truncation, and so exact_weights, refuses from
+    # n = 20 (M = 922 is past the degree guard): a flagged comparator is
+    # refused (nan), never measured, and the sweep goes on with the
+    # closed-form columns finite.
+    code, out, _ = run(capsys, ["integrate", "--ell", "0.04", "--ns", "17:22"])
     assert code == 0
     _, rows = parse_csv(out)
-    basis = basis_from(4.0)
+    basis = basis_from(0.04)
     for row in rows:
         nodes = approx_rule(basis, int(row[0])).rule.nodes
-        eigs = np.abs(np.linalg.eigvalsh(kernel_matrix(nodes, 4.0)))
-        cond = eigs.max() / eigs.min()
-        assert row[5] == str(int(cond > CONDITION_MAX))
+        for flag, x in ((row[5], nodes), (row[6], np.linspace(nodes[0], nodes[-1], nodes.size))):
+            try:
+                exact_weights(x, 0.04)
+                refused = "0"
+            except NumericalFailureError:
+                refused = "1"
+            assert flag == refused
         for err, flag in ((row[2], row[5]), (row[3], row[6])):
             assert (err == "nan") == (flag == "1")
         assert math.isfinite(float(row[1])) and math.isfinite(float(row[4]))
@@ -422,6 +427,10 @@ def test_extreme_length_scales_fail_typed_or_not_at_all(capsys):
         (["weights-compare", "--ell", "1e200", "--ns", "3"], 2, too_large),
         (["integrate", "--ell", "1e200", "--ns", "3"], 2, too_large),
         (["wce-sweep", "--ell", "1e200", "--ns", "3"], 2, too_large),
+        (["wce-sweep", "--ell", "0.04", "--ns", "20"], 3,
+         "numerical failure: truncation to machine precision at length scale 0.04 and N = 20 "
+         "needs M = 922 terms, past the degree guard 921, where lambda_921 / lambda_20 is "
+         "2.23e-16\n"),
         (["constants", "--ell", "4.740375954054589e153"], 2,
          "error: length scale 4.740375954054589e+153 is too large: 1 / (2 l^2) is subnormal\n"),
         (["weights-compare", "--ell", "1e150", "--ns", "3"], 0, ""),

@@ -30,7 +30,6 @@ ROOT_NAMES = [
     "DomainError",
     "EvaluationError",
     "GkquadError",
-    "IllConditionedError",
     "MercerBasis",
     "N_MAX",
     "NumericalFailureError",
@@ -63,7 +62,7 @@ def test_root_public_names_are_pinned():
         name for name, value in vars(gkquad).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    assert len(ROOT_NAMES) == 31
+    assert len(ROOT_NAMES) == 30
     assert names == ROOT_NAMES
 
 
@@ -117,7 +116,7 @@ def test_every_approx_states_its_abs_tolerance():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1654
+SRC_LINES = 1620
 
 
 def test_source_line_count_is_pinned():
