@@ -165,21 +165,41 @@ def _eigenvalues(basis: MercerBasis, m_terms: int) -> np.ndarray:
     return basis.tau * basis.eigenvalue_ratio ** np.arange(m_terms)
 
 
-def _mercer_residuals(basis: MercerBasis, rule: QuadratureRule, m_terms: int) -> np.ndarray:
-    """r_n = Q(phi_n) - mu(phi_n) for n < m_terms >= len(rule); non-finite ones do not warn.
+def _unreached(basis: MercerBasis, table: np.ndarray) -> np.ndarray:
+    """Per node of the N x M table, d = |1 - sum_n lambda_n phi_n(x)^2| where d > 16 M eps, else 0.
 
-    Q(phi_n) = sum_i w_i sqrt(b) exp(-d^2 x_i^2) hhat_n(t_i).  At nodes == scaled_nodes(basis, N)
-    with weights symmetric to the bit, r_n is zero at odd n and the even n take hhat_n at the
-    Gauss-Hermite nodes t from the cached rows below N and _hermite_half_past above: each row is
-    numpy's pairwise sum over the half of the nodes, weights doubled and the centre node once.
-    Other rules take t = sqrt(2) a b x in eigenfunction_table, summed down the nodes in order.
+    1 = k(x, x), so past machine_truncation d is the tail the M terms drop at x.  Its rounding
+    reaches 2.3 M eps at the scaled nodes and np.linspace between their outer ones (l from 0.05
+    to 1e150, N <= 200); past 16 M eps the terms do not reach x.  Non-finite entries give nan.
+    """
+    m_terms = table.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = table * np.sqrt(_eigenvalues(basis, m_terms))  # sqrt(lambda_n) phi_n(x) <= 1
+        deficit = np.abs(1.0 - np.add.reduce(terms * terms, axis=1))
+    return np.where(deficit <= 16 * m_terms * math.ulp(1.0), 0.0, deficit)
+
+
+def _mercer_residuals(basis: MercerBasis, rule: QuadratureRule,
+                      m_terms: int) -> tuple[np.ndarray, float]:
+    """r_n = Q(phi_n) - mu(phi_n) for n < m_terms >= len(rule), and a bound on the dropped ones.
+
+    Q(phi_n) = sum_i w_i sqrt(b) exp(-d^2 x_i^2) hhat_n(t_i); non-finite r_n do not warn.
+    At nodes == scaled_nodes(basis, N) with weights symmetric to the bit, r_n is zero at odd n
+    and the even n take hhat_n at the Gauss-Hermite nodes t from the cached rows below N and
+    _hermite_half_past above: each row is numpy's pairwise sum over the half of the nodes,
+    weights doubled and the centre node once.  Other rules take t = sqrt(2) a b x in
+    eigenfunction_table, summed down the nodes in order.
+
+    B = sum_i |w_i| sqrt(d_i), d_i from _unreached (0.0 at the own nodes, which M reaches),
+    bounds (sum_{n >= M} lambda_n Q(phi_n)^2)^(1/2) past machine_truncation, by Minkowski.
     """
     n, x, w = len(rule), rule.nodes, rule.weights
     means = eigenfunction_means(basis, m_terms)
     with np.errstate(over="ignore", invalid="ignore"):
         if not _at_scaled_nodes(basis, x) or w.tobytes() != w[::-1].tobytes():
             table = eigenfunction_table(basis, x, m_terms)
-            return np.add.reduce(np.multiply(table, w[:, None], order="C"), axis=0) - means
+            q = np.add.reduce(np.multiply(table, w[:, None], order="C"), axis=0)
+            return q - means, float(np.add.reduce(np.abs(w) * np.sqrt(_unreached(basis, table))))
         h = (n + 1) // 2
         half = w[:h] * (math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x[:h] * x[:h]))
         half[: n // 2] *= 2.0
@@ -187,7 +207,7 @@ def _mercer_residuals(basis: MercerBasis, rule: QuadratureRule, m_terms: int) ->
         below = np.add.reduce(_hermite_half(n)[0] * half, axis=1)
         above = np.add.reduce(_hermite_half_past(n, m_terms)[n % 2 :: 2] * half, axis=1)
         residuals[0::2] = np.concatenate([below, above]) - means[0::2]
-    return residuals
+    return residuals, 0.0
 
 
 def approx_rule(basis: MercerBasis, n: int) -> ApproxRule:
@@ -220,7 +240,7 @@ def eigen_exactness_residual(approx: ApproxRule, n: int) -> float:
     n >= N, which is why the index is guarded.
     """
     n = as_index(n, "eigenfunction index", 0, len(approx) - 1, range_error=IndexError)
-    return float(abs(_mercer_residuals(approx.basis, approx.rule, len(approx))[n]))
+    return float(abs(_mercer_residuals(approx.basis, approx.rule, len(approx))[0][n]))
 
 
 def machine_truncation(basis: MercerBasis, n: int) -> int:
@@ -233,14 +253,19 @@ def machine_truncation(basis: MercerBasis, n: int) -> int:
     above), raises NumericalFailureError with the tail at the guard.
     """
     n = check_size(n)
-    ratio = basis.eigenvalue_ratio
-    m_terms = n + math.ceil(math.log(math.ulp(1.0)) / math.log(ratio)) if ratio < 1.0 else math.inf
+    m_terms = _truncation(basis, n)
     if m_terms > DEGREE_MAX:
         raise NumericalFailureError(
             f"truncation to machine precision at length scale {basis.length_scale} and N = {n} "
             f"needs M = {m_terms} terms, past the degree guard {DEGREE_MAX}, where "
-            f"lambda_{DEGREE_MAX} / lambda_{n} is {ratio ** (DEGREE_MAX - n):.3g}")
+            f"lambda_{DEGREE_MAX} / lambda_{n} is {basis.eigenvalue_ratio**(DEGREE_MAX - n):.3g}")
     return m_terms
+
+
+def _truncation(basis: MercerBasis, n: int) -> float:
+    """machine_truncation's M without its guard: inf once the ratio rounds to 1."""
+    ratio = basis.eigenvalue_ratio
+    return n + math.ceil(math.log(math.ulp(1.0)) / math.log(ratio)) if ratio < 1.0 else math.inf
 
 
 def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
@@ -272,10 +297,14 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     through the algebra exactly, and it removes the exp-scale dynamic
     range between central and extreme rows that would otherwise dominate
     the factorization error.  That path raises NumericalFailureError where
-    a row of Phi is zero or not finite, and where the 1-norm condition
+    a row of Phi is zero or not finite; where the 1-norm condition
     estimate of R1 exceeds FACTOR_CONDITION_MAX = 1e8: nodes 1e-9 apart
     at l = 1 read 1.3e9 there, and would give weights 1.7e-9 off in the
-    RKHS norm.  np.linspace nodes pass it up to N = 78 at every l.
+    RKHS norm, and np.linspace nodes pass it up to N = 78 at every l; and,
+    from M = machine_truncation(basis, N) on, where the M-term kernel
+    sum_n lambda_n phi_n(x)^2 misses k(x, x) = 1 at a node by more than
+    16 M eps, as the M terms do not reach it: one node at x = 19, l = 1.3,
+    where the 31-term kernel is 2e-30, reads a weight 2.9 off in the RKHS norm.
     """
     x = np.asarray(nodes, dtype=float).ravel()
     # Scaled rule nodes are finite and distinct at every basis: equal bits need no check_nodes.
@@ -323,6 +352,11 @@ def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int)
     if not cond <= FACTOR_CONDITION_MAX:
         raise NumericalFailureError(f"eigenfunction factor R1 has condition estimate {cond:.3e} "
                                     f"at these nodes, past {FACTOR_CONDITION_MAX:.0e}")
+    if m_terms >= _truncation(basis, n):
+        deficit = _unreached(basis, phi).max()
+        if deficit != 0.0:
+            raise NumericalFailureError(f"the {m_terms}-term kernel misses k(x, x) = 1 by "
+                                        f"{deficit:.3e} at these nodes")
     exponents = n + np.arange(m_terms - n)[None, :] - np.arange(n)[:, None]
     correction = np.linalg.solve(r1, r2) * basis.eigenvalue_ratio**exponents
     lhs = r1.T + correction @ r2.T

@@ -15,18 +15,18 @@ McCourt, SIAM J. Sci. Comput. 34(2), 2012): ``qr_weights`` at the
 truncation length ``machine_truncation``, whose neglected eigenvalues
 are below machine precision, so no N x N kernel matrix is formed or
 factored.  A solve is refused, with ``NumericalFailureError``, where
-``machine_truncation`` or ``qr_weights`` refuses, and where that many
-terms do not reach a node: their kernel sum at (x, x) falls short of 1.
+``machine_truncation`` or ``qr_weights`` refuses, the latter also where
+that many terms do not reach a node: their kernel sum at (x, x) falls
+short of 1.
 """
 
 import math
 
 import numpy as np
 
-from .approx import _at_scaled_nodes, _eigenvalues, machine_truncation, qr_weights
-from .errors import NumericalFailureError
+from .approx import machine_truncation, qr_weights
 from .gauss_hermite import check_nodes
-from .mercer import basis_from, check_length_scale, eigenfunction_table
+from .mercer import basis_from, check_length_scale
 
 __all__ = [
     "kernel",
@@ -87,25 +87,14 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, int]:
         If nodes are non-finite or duplicated, or parameters are out of
         range.
     NumericalFailureError
-        If ``machine_truncation`` refuses M (at l <= 0.04 from N = 20); if
-        ``qr_weights`` refuses (a zero or non-finite eigenfunction row, or
-        R1's condition estimate past ``FACTOR_CONDITION_MAX``); or if at a
-        node other than the scaled ones the M-term kernel sum_n lambda_n
-        phi_n(x)^2 misses k(x, x) = 1 by more than 16 M eps, where the
-        truncation does not reach that node.  No jitter is applied implicitly.
+        If ``machine_truncation`` refuses M (at l <= 0.04 from N = 20), or
+        ``qr_weights`` does: at a zero or non-finite eigenfunction row, where
+        R1's condition estimate is past ``FACTOR_CONDITION_MAX``, or at a
+        node other than the scaled ones where the M-term kernel
+        sum_n lambda_n phi_n(x)^2 misses k(x, x) = 1 by more than 16 M eps,
+        as the truncation does not reach it.  No jitter is applied implicitly.
     """
     basis = basis_from(ell)
     nodes = check_nodes(nodes)
     m_terms = machine_truncation(basis, nodes.size)
-    weights = qr_weights(basis, nodes, m_terms)
-    if not _at_scaled_nodes(basis, nodes):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            terms = eigenfunction_table(basis, nodes, m_terms)
-            terms *= np.sqrt(_eigenvalues(basis, m_terms))  # sqrt(lambda_n) phi_n(x) <= 1
-            deficit = np.max(np.abs(1.0 - np.add.reduce(terms * terms, axis=1)))
-        # At the scaled nodes and np.linspace between their outer ones the sum's
-        # rounding reaches 2.3 M eps (l from 0.05 to 1e150, N <= 200).
-        if not deficit <= 16 * m_terms * math.ulp(1.0):
-            raise NumericalFailureError(f"the {m_terms}-term kernel misses k(x, x) = 1 by "
-                                        f"{deficit:.3e} at these nodes")
-    return weights, m_terms
+    return qr_weights(basis, nodes, m_terms), m_terms

@@ -71,17 +71,22 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     numpy's pairwise add over non-negative terms, at M = ``machine_truncation``.  By Cramer's
     bound |phi_n(x)| <= 1.087 sqrt(beta) e^{x^2 / 4}, and |mu(phi_n)| <= 1, every
     |r_n| <= R = 1 + 1.087 sqrt(beta) sum_i |w_i| e^{x_i^2 / 4}, so the neglected terms sum to at
-    most R^2 lambda^M < R^2 eps lambda^N, as tau = 1 - lambda.
+    most R^2 lambda^M < R^2 eps lambda^N, as tau = 1 - lambda.  R grows as e^{x^2 / 4}: where
+    the M terms' kernel at (x, x) misses k = 1 past rounding, they drop at most about B^2 of
+    e^2, B the residual core's bound, and e is refused where B > 2^-26 e, as that could move
+    it by eps / 2.  Gauss-Hermite rules read B / e <= 1.1e-11 (70 l in [1e-4, 1e6], each N).
+    A miss within rounding, up to 16 M eps a node, can move e^2 by 16 M eps W^2, W = sum |w_i|:
+    nodes -3, 14, 18 at l = 95, exact weights, read e 2.4e-12 off: the direct form's eps W^2 / e.
 
     Raises
     ------
     NumericalFailureError
-        If ``machine_truncation`` refuses, if a term lambda_n r_n^2 is not finite, or if
-        their sum lies beyond the float range.
+        If ``machine_truncation`` refuses, if a term lambda_n r_n^2 is not finite, if
+        their sum lies beyond the float range, or if B > 2^-26 e.
     """
     basis = basis_from(ell)
     m_terms = machine_truncation(basis, len(rule))
-    residuals = _mercer_residuals(basis, rule, m_terms)
+    residuals, dropped = _mercer_residuals(basis, rule, m_terms)
     with np.errstate(over="ignore", invalid="ignore"):  # such terms are refused below
         terms = _eigenvalues(basis, m_terms) * residuals * residuals
         finite = np.isfinite(terms)
@@ -90,7 +95,11 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
         squared = float(np.add.reduce(terms))
     if squared == math.inf:
         raise NumericalFailureError("a worst-case error sum lies beyond the float range")
-    return WceReport(wce=math.sqrt(squared))
+    wce = math.sqrt(squared)
+    if not dropped <= 2.0**-26 * wce:
+        raise NumericalFailureError(f"the {m_terms} terms do not reach these nodes: the rest may "
+                                    f"move the worst-case error {wce:.3e} by {dropped:.3e}")
+    return WceReport(wce=wce)
 
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:

@@ -101,7 +101,8 @@ def rkhs_weight_error_mp(nodes, ell: float, weights, dps: int) -> float:
 
     K w* = k_mu is solved by Cholesky in dps digits, and again in dps + 40
     digits where a pivot is not positive or the two norms differ by more
-    than 1e-6 (relative), which repeats until they agree.
+    than 1e-6 (relative), which repeats until they agree; past 400 digits
+    it raises AssertionError with the last two norms.
     """
     import mpmath
 
@@ -130,13 +131,15 @@ def rkhs_weight_error_mp(nodes, ell: float, weights, dps: int) -> float:
             diff = [mpmath.mpf(float(v)) - w for v, w in zip(weights, solved)]
             return mpmath.sqrt(max(mpmath.fdot(diff, [mpmath.fdot(r, diff) for r in kmat]), 0))
 
-    low = norm(dps)
-    while True:
+    norms = [norm(dps)]
+    while dps + 40 <= 400:
         dps += 40
-        high = norm(dps)
+        norms.append(norm(dps))
+        low, high = norms[-2:]
         if low is not None and high is not None and abs(low - high) <= 1e-6 * high:
             return float(high)
-        low = high
+    raise AssertionError(f"the full-kernel norm did not settle by {dps} digits: the last two "
+                         f"read {norms[-2:]} (None where a pivot was not positive)")
 
 
 def closed_form_weights_mp(ell: float, n: int) -> list:

@@ -1,6 +1,7 @@
 """Exact kernel quadrature weights, the kernel means, and the solve's refusals."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -163,6 +164,22 @@ def test_every_solve_is_within_its_rkhs_norm_bound_or_refused(nodes, ell):
     assert cond <= FACTOR_CONDITION_MAX
     bound = EPS * (cond + 16 * m_terms) * (1.0 + np.abs(weights).sum())
     assert rkhs_weight_error_mp(nodes, ell, weights, 40) <= bound
+
+
+def test_reach_refusal_starts_at_machine_truncation():
+    # The k(x, x) check is qr_weights' own, from M = machine_truncation on,
+    # where the truncated kernel stands for k; below it the caller asked
+    # for a coarser kernel and gets its weights.  One node at x = 19,
+    # l = 1.3: the 31-term kernel there is 2e-30, the 100-term one 0.017.
+    basis = basis_from(1.3)
+    assert machine_truncation(basis, 1) == 31
+    assert np.isfinite(qr_weights(basis, [19.0], 30)).all()
+    for m_terms, miss in ((31, "1.000e+00"), (100, "9.834e-01")):
+        want = f"the {m_terms}-term kernel misses k(x, x) = 1 by {miss} at these nodes"
+        with pytest.raises(NumericalFailureError, match=f"^{re.escape(want)}$"):
+            qr_weights(basis, [19.0], m_terms)
+    with pytest.raises(NumericalFailureError, match="^the 31-term kernel misses"):
+        exact_weights([19.0], 1.3)
 
 
 def test_system_matrix_structure():

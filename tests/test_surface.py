@@ -116,7 +116,7 @@ def test_every_approx_states_its_abs_tolerance():
 
 
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1620
+SRC_LINES = 1652
 
 
 def test_source_line_count_is_pinned():

@@ -8,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gkquad import approx_rule, basis_from, cli, gh_rule, worst_case_error
+from gkquad import approx_rule, basis_from, cli, gh_rule, machine_truncation, worst_case_error
 from gkquad.errors import DomainError, NumericalFailureError
 from gkquad.exact import exact_weights, kernel_mean, kernel_mean_mean
 from gkquad.gauss_hermite import QuadratureRule
@@ -304,3 +306,60 @@ def test_mercer_wce_matches_the_oracle_on_both_branches():
             got = worst_case_error(rule, ell).wce
             want = wce_mp(rule.nodes, rule.weights, ell)
             assert abs(got - want) <= 2.84e-6 * want + 3.25e-16, (ell, n, got, want)
+
+
+def test_nodes_the_truncation_does_not_reach_are_refused():
+    # One node at x = 19, l = 1.3, where the 31-term kernel is 2e-30 in
+    # place of k(x, x) = 1, read e = 0.823 against the oracle's 1.295.
+    # The scaled rule's l = 0.2, N = 37 weights with alternating signs at
+    # gh_rule(37)'s nodes read 0.4279752917 against 0.4279774807.  The
+    # bound on the dropped terms reads 1.0 and 3.2e-3 there.
+    signs = (-1.0) ** np.arange(37)
+    cases = [(QuadratureRule(np.array([19.0]), np.array([1.0])), 1.3, 0.8226499669871502, 31),
+             (QuadratureRule(gh_rule(37).nodes, approx_rule(basis_from(0.2), 37).rule.weights
+                             * signs), 0.2, 0.4279752917333484, 218)]
+    for rule, ell, truncated, m_terms in cases:
+        want = wce_mp(rule.nodes, rule.weights, ell)
+        assert abs(want - truncated) > 1e-6 * want
+        with pytest.raises(NumericalFailureError, match=f"^the {m_terms} terms do not reach these "
+                                                        f"nodes: the rest may move the worst-case "
+                                                        f"error {truncated:.3e} by "):
+            worst_case_error(rule, ell)
+
+
+@st.composite
+def _rules(draw):
+    """Sorted distinct nodes in [-20, 20] with weights in [-1, 1]."""
+    nodes = sorted(draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40, unique=True)))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(nodes), max_size=len(nodes)))
+    return nodes, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rules(), st.floats(0.05, 1e10), st.booleans())
+@example(([19.0], [1.0]), 1.3, False)
+@example(([-3.0, 14.0, 18.0], [1.0, 1.0, 1.0]), 95.0, True)
+def test_every_wce_is_within_its_floor_of_the_oracle_or_refused(rule, ell, solved):
+    # Against the direct form in 60 digits, with the drawn weights or the
+    # exact ones at the drawn nodes.  An accepted e is within
+    # f + eps (1 + W) of it, W = sum |w_i|: eps (1 + W) for rounding, and
+    # f = sqrt(e^2 + 16 M eps W^2) - e for the terms dropped at nodes
+    # whose miss of k(x, x) = 1 is within rounding, 16 M eps each.
+    # Measured over 3,000 random inputs of this kind (1 to 40 nodes, l
+    # log-uniform in [0.05, 1e10], weights drawn, or exact), the error
+    # reads at most 1.0 of it, one ulp at e = 1; the bound is twice that.
+    nodes, weights = np.array(rule[0]), np.array(rule[1])
+    if solved:
+        try:
+            weights, _ = exact_weights(nodes, ell)
+        except NumericalFailureError:
+            return
+    try:
+        got = worst_case_error(QuadratureRule(nodes, weights), ell).wce
+    except NumericalFailureError:
+        return
+    want = wce_mp(nodes, weights, ell)
+    total = math.fsum(np.abs(weights))
+    masked = 16 * machine_truncation(basis_from(ell), nodes.size) * EPS * total**2
+    masked /= math.sqrt(want * want + masked) + want
+    assert abs(got - want) <= 2.0 * (masked + EPS * (1.0 + total)), (got, want)
