@@ -16,11 +16,11 @@ hhat the normalized Hermite values.  Every term in S_N is bounded on the node
 range, so the rule evaluates stably far past the sizes at which the
 kernel linear system becomes numerically singular.  The rule integrates
 the first N kernel eigenfunctions exactly.  The values hhat_{2m}(t_n)
-depend on N alone, so each size computes them once and caches them as
-rows, one per m, on the non-positive half of the nodes (at most 5.4 MB
-for all 200 sizes).  The series adds the rows in ascending m and is
-mirrored onto the rest, exact as the nodes are antisymmetric to the bit
-and each Hermite recurrence step flips sign exactly.
+depend on N alone, so each size keeps them in one store of rows, one per
+m, on the non-positive half of the nodes.  The series adds the rows in
+ascending m and is mirrored onto the rest, exact as the nodes are
+antisymmetric to the bit and each Hermite recurrence step flips sign
+exactly.
 
 The module also provides the QR-based weights for arbitrary nodes and
 truncation length M >= N: with Phi = Q [R1 R2] the N x M eigenfunction
@@ -41,15 +41,15 @@ even j from j0 = max(0, 2N - M + 1), rounded up to even, solved: at
 most (M - N) / 2 + 1 of them.  With none solved (M <= N + 1, or M = N + 2
 at even N) w is the closed form to the bit, as every prefix of the
 coefficients has the same bits at any length.  Every product in B is
-even in t, so B sums over the cached half of the nodes with doubled
-weights (the centre node once).  The rows hhat_N .. hhat_{M-1} continue
-the recurrence on that half from the cached top even row and the odd
-one beside it; no table is built per call.  The same rows give the
-Mercer residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
-``worst_case_error`` and ``eigen_exactness_residual`` read.
+even in t, so B sums over the stored half with doubled weights (the
+centre node once).  Rows up to hhat_{M-1} past a size's store continue
+the recurrence there from its top two rows, once per size and degree at
+any l; no table is built per call.  The same rows give the Mercer
+residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
+``worst_case_error`` and ``eigen_exactness_residual`` read.  The store
+holds at most 37.4 MB, where all 200 sizes reach DEGREE_MAX (l = 0.05).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -119,45 +119,44 @@ def _series_coeffs(ratio: float, m_top: int) -> np.ndarray:
 
 
 def _series(n: int, coeffs: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] hhat_{2m} at gh_rule(n)'s nodes: the cached half, mirrored.
+    """sum_m coeffs[m] hhat_{2m} at gh_rule(n)'s nodes: the stored half, mirrored.
 
     numpy reduces the C-ordered (m, node) terms row by row, in ascending m
     from 0.0; one node, which numpy would sum pairwise, comes with one row.
     """
-    rows = _hermite_half(n)[0]
+    rows = _even_rows(n, n)
     half = np.add.reduce(np.multiply(rows, coeffs[:, None], order="C"), axis=0)
     return np.concatenate([half, half[: n // 2][::-1]])
 
 
-@functools.cache
-def _hermite_half(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows from one table of degree n - 1 at the first ceil(n/2) nodes of gh_rule(n).
+# Per rule size n: the read-only C-ordered rows hhat_0, hhat_2, ... below degree D at the first
+# ceil(n/2) nodes of gh_rule(n), D, and the rows hhat_{D-2}, hhat_{D-1} that continue them.
+_HERMITE_ROWS: dict[int, tuple] = {}
 
-    The C-ordered even rows hhat_0, hhat_2, ... and the odd row beside the top one (zero at n = 1).
+
+def _even_rows(n: int, degrees: int) -> np.ndarray:
+    """The stored rows hhat_0, hhat_2, ... below degree `degrees` >= n for gh_rule(n): a view.
+
+    A size's first call reads one table of degree n - 1; a call past the rows continues the
+    recurrence from the top two into a new array that replaces the entry, so no view changes.
     """
-    half = gh_rule(n).nodes[: (n + 1) // 2]
-    table = normalized_table(half, n - 1)
-    rows = np.array(table[:, ::2].T, order="C")
-    odd = table[:, 2 * (n // 2) - 1].copy() if n > 1 else np.zeros(half.size)
-    rows.setflags(write=False)
-    odd.setflags(write=False)
-    return rows, odd
-
-
-@functools.lru_cache(maxsize=1)
-def _hermite_half_past(n: int, m_terms: int) -> np.ndarray:
-    """Read-only rows hhat_n .. hhat_{m_terms - 1} at the cached half, continuing the cached rows.
-
-    They depend on n and m_terms alone, so the last pair is kept: a rule's WCE and its solve
-    at the same M read one recurrence.
-    """
-    rows, odd = _hermite_half(n)
-    buffer = np.empty((m_terms - n + 2, odd.size))
-    buffer[0], buffer[1] = (odd, rows[-1]) if n % 2 else (rows[-1], odd)  # hhat_{n-2}, hhat_{n-1}
-    _continue_recurrence(gh_rule(n).nodes[: odd.size], buffer, n - 1)
-    past = buffer[2:]
-    past.setflags(write=False)
-    return past
+    stored = _HERMITE_ROWS.get(n)
+    if stored is None:
+        table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], n - 1)
+        low = table[:, n - 2].copy() if n > 1 else np.zeros(table.shape[0])  # hhat_{-1} = 0
+        stored = np.array(table[:, ::2].T, order="C"), n, (low, table[:, n - 1].copy())
+    if degrees > stored[1]:
+        rows, top, pair = stored
+        grown = np.empty(((degrees + 1) // 2, rows.shape[1]))
+        grown[: rows.shape[0]] = rows
+        odd = np.empty((2, rows.shape[1]))  # alternate: a step reads the odd row two degrees back
+        steps = [*pair, *(odd[d // 2 % 2] if d % 2 else grown[d // 2] for d in range(top, degrees))]
+        _continue_recurrence(gh_rule(n).nodes[: rows.shape[1]], steps, top - 1)
+        stored = grown, degrees, (steps[-2], steps[-1])
+    if _HERMITE_ROWS.get(n) is not stored:
+        stored[0].setflags(write=False)
+        _HERMITE_ROWS[n] = stored
+    return stored[0][: (degrees + 1) // 2]
 
 
 def _eigenvalues(basis: MercerBasis, m_terms: int) -> np.ndarray:
@@ -185,10 +184,9 @@ def _mercer_residuals(basis: MercerBasis, rule: QuadratureRule,
 
     Q(phi_n) = sum_i w_i sqrt(b) exp(-d^2 x_i^2) hhat_n(t_i); non-finite r_n do not warn.
     At nodes == scaled_nodes(basis, N) with weights symmetric to the bit, r_n is zero at odd n
-    and the even n take hhat_n at the Gauss-Hermite nodes t from the cached rows below N and
-    _hermite_half_past above: each row is numpy's pairwise sum over the half of the nodes,
-    weights doubled and the centre node once.  Other rules take t = sqrt(2) a b x in
-    eigenfunction_table, summed down the nodes in order.
+    and the even n take hhat_n at the Gauss-Hermite nodes t from the size's stored rows: each
+    row is numpy's pairwise sum over the half of the nodes, weights doubled and the centre
+    node once.  Other rules take t = sqrt(2) a b x in eigenfunction_table, summed in order.
 
     B = sum_i |w_i| sqrt(d_i), d_i from _unreached (0.0 at the own nodes, which M reaches),
     bounds (sum_{n >= M} lambda_n Q(phi_n)^2)^(1/2) past machine_truncation, by Minkowski.
@@ -204,9 +202,7 @@ def _mercer_residuals(basis: MercerBasis, rule: QuadratureRule,
         half = w[:h] * (math.sqrt(basis.beta) * np.exp(-basis.delta_sq * x[:h] * x[:h]))
         half[: n // 2] *= 2.0
         residuals = np.zeros(m_terms)
-        below = np.add.reduce(_hermite_half(n)[0] * half, axis=1)
-        above = np.add.reduce(_hermite_half_past(n, m_terms)[n % 2 :: 2] * half, axis=1)
-        residuals[0::2] = np.concatenate([below, above]) - means[0::2]
+        residuals[0::2] = np.add.reduce(_even_rows(n, m_terms) * half, axis=1) - means[0::2]
     return residuals, 0.0
 
 
@@ -290,7 +286,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     any other node check, take the module docstring's closed-form rule
     with at most (M - N) / 2 + 1 of its series coefficients g^m r_m
     solved: weights symmetric to the bit, and with none solved (M <= N + 1)
-    exactly those of :func:`approx_rule`; once the size's rows are cached,
+    exactly those of :func:`approx_rule`; once the size's rows are stored,
     no Hermite table is built.  Other nodes take a Householder QR of Phi,
     row-equilibrated first: with Phi = D G for the diagonal of row maxima
     D, w = D^(-1) g(G) for g the displayed formula.  The scaling commutes
@@ -305,33 +301,37 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     sum_n lambda_n phi_n(x)^2 misses k(x, x) = 1 at a node by more than
     16 M eps, as the M terms do not reach it: one node at x = 19, l = 1.3,
     where the 31-term kernel is 2e-30, reads a weight 2.9 off in the RKHS norm.
+    Below that M no node is refused: the weights are the M-term kernel's even
+    where its terms miss a node, so that node at M = 30 reads 16.93, where the
+    exact weight is 5.7e-30.
     """
+    nodes, solve = _qr_path(basis, nodes)
+    return solve(basis, nodes, as_index(m_terms, "truncation length", nodes.size, DEGREE_MAX))
+
+
+def _qr_path(basis: MercerBasis, nodes) -> tuple[np.ndarray, object]:
+    """Flat float nodes and their qr_weights solve; scaled rule nodes need no check_nodes."""
     x = np.asarray(nodes, dtype=float).ravel()
-    # Scaled rule nodes are finite and distinct at every basis: equal bits need no check_nodes.
-    own = _at_scaled_nodes(basis, x)
-    nodes = x if own else check_nodes(x)
-    m_terms = as_index(m_terms, "truncation length", nodes.size, DEGREE_MAX)
-    if own:
-        return _gauss_hermite_qr_weights(basis, nodes, m_terms)
-    return _householder_qr_weights(basis, nodes, m_terms)
+    if _at_scaled_nodes(basis, x):
+        return x, _gauss_hermite_qr_weights
+    return check_nodes(x), _householder_qr_weights
 
 
 def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:
     """qr_weights at nodes == scaled_nodes(basis, n): R1 = I, and only the even j >= j0 move."""
-    n = nodes.size
-    js = np.arange(max(0, 2 * (n - (m_terms - 1) // 2)), n, 2)
-    ks = np.arange(n + n % 2, m_terms, 2)
+    n, h = nodes.size, (nodes.size + 1) // 2
+    j0 = max(0, 2 * (n - (m_terms - 1) // 2))
+    js, ks = np.arange(j0, n, 2), np.arange(n + n % 2, m_terms, 2)
     coeffs = _series_coeffs(basis.eigenvalue_ratio, (m_terms - 1) // 2)
-    v, rows = gh_rule(n).weights, _hermite_half(n)[0]
-    h = rows.shape[1]
+    v, rows = gh_rule(n).weights, _even_rows(n, m_terms)
     doubled = 2.0 * v[:h]
     doubled[n // 2 :] = v[n // 2 : h]  # the centre node, at odd n, counts once
-    b = (rows[js // 2] * doubled) @ _hermite_half_past(n, m_terms)[ks - n].T
+    b = (rows[j0 // 2 : h] * doubled) @ rows[h:].T  # the even degrees js by ks
     b[js[:, None] + ks < 2 * n] = 0.0  # zero by the rule's exactness
-    b_tilde = b * basis.eigenvalue_ratio ** (ks - js[:, None])
+    b_tilde = b * (basis.eigenvalue_ratio ** np.arange(m_terms))[ks - js[:, None]]
     lhs, rhs = np.eye(js.size) + b_tilde @ b.T, coeffs[js // 2] + b_tilde @ coeffs[ks // 2]
     coeffs[js // 2] = np.linalg.solve(lhs, rhs)
-    return _rule_weights(basis, nodes, _series(n, coeffs[: rows.shape[0]]))
+    return _rule_weights(basis, nodes, _series(n, coeffs[:h]))
 
 
 def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:
@@ -358,7 +358,7 @@ def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int)
             raise NumericalFailureError(f"the {m_terms}-term kernel misses k(x, x) = 1 by "
                                         f"{deficit:.3e} at these nodes")
     exponents = n + np.arange(m_terms - n)[None, :] - np.arange(n)[:, None]
-    correction = np.linalg.solve(r1, r2) * basis.eigenvalue_ratio**exponents
+    correction = np.linalg.solve(r1, r2) * (basis.eigenvalue_ratio ** np.arange(m_terms))[exponents]
     lhs = r1.T + correction @ r2.T
     rhs = means[:n] + correction @ means[n:]
     return (q @ np.linalg.solve(lhs, rhs)) / row_scale

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .approx import machine_truncation, qr_weights
+from .approx import _qr_path, machine_truncation
 from .gauss_hermite import check_nodes
 from .mercer import basis_from, check_length_scale
 
@@ -95,6 +95,6 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, int]:
         as the truncation does not reach it.  No jitter is applied implicitly.
     """
     basis = basis_from(ell)
-    nodes = check_nodes(nodes)
+    nodes, solve = _qr_path(basis, nodes)  # the nodes are checked once, as in qr_weights
     m_terms = machine_truncation(basis, nodes.size)
-    return qr_weights(basis, nodes, m_terms), m_terms
+    return solve(basis, nodes, m_terms), m_terms

@@ -62,12 +62,12 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
     return buffer.T
 
 
-def _continue_recurrence(x: np.ndarray, buffer: np.ndarray, degree: int) -> None:
+def _continue_recurrence(x: np.ndarray, buffer, degree: int) -> None:
     """Fill buffer[2:] with hhat_{degree + 1}, hhat_{degree + 2}, ... at x.
 
-    buffer[0] and buffer[1] hold hhat_{degree - 1} and hhat_degree (a zero
-    row stands for hhat_{-1}); each row is one contiguous step of the same
-    four roundings per point as the formula in the module docstring.
+    buffer (rows, a list may reuse one no later step reads) starts with
+    hhat_{degree - 1}, hhat_degree (a zero row stands for hhat_{-1}); each
+    row is one contiguous step of the formula's four roundings per point.
     """
     rows = list(buffer)
     scratch = np.empty(x.size)

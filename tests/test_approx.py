@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gkquad import approx, approx_rule, basis_from, gh_rule, qr_weights
+from gkquad.cli import main
 from gkquad.approx import (
     eigen_exactness_residual,
     even_hermite_series,
@@ -128,8 +129,8 @@ def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
     # a Fortran-ordered table.  A matmul over the strided even columns
     # goes through BLAS on the Fortran layout, which would change the
     # weights at 190 of the 200 sizes at length-scale 1.  The per-size
-    # cache is cleared before each layout, so every size builds its one
-    # table, of degree n - 1, through the patched function once.
+    # row store is cleared before each layout, so every size builds its
+    # one table, of degree n - 1, through the patched function once.
     table = approx.normalized_table
     degrees = []
 
@@ -139,7 +140,7 @@ def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
             return order(table(x, d))
 
         monkeypatch.setattr(approx, "normalized_table", patched)
-        approx._hermite_half.cache_clear()
+        approx._HERMITE_ROWS.clear()
         degrees.clear()
         out = [approx_rule(basis_from(ell), n).rule.weights.tobytes()
                for ell in (0.05, 1.0, 10.0) for n in range(1, 201)]
@@ -233,32 +234,30 @@ def test_approx_rule_sums_through_even_hermite_series(monkeypatch):
 
 
 def test_even_hermite_cache_is_read_only_and_shared():
-    # One C-ordered row per even degree, one column per node of the half,
-    # and the odd row beside the top even one (zero at n = 1): each its
-    # own buffer, not a view of the table both come from.
+    # The size's store holds one C-ordered row per even degree below its
+    # top D, one column per node of the half, and the rows hhat_{D-2} and
+    # hhat_{D-1} that continue it (a zero row for hhat_{-1}).  Every call
+    # returns a read-only prefix view of that one array.
     for n in (1, 2, 9, 200):
-        cached = approx._hermite_half(n)
-        assert cached is approx._hermite_half(n)
-        half, odd = cached
-        assert not half.flags.writeable and half.flags.c_contiguous and half.flags.owndata
-        assert not odd.flags.writeable and odd.flags.owndata
-        assert half.shape == ((n - 1) // 2 + 1, (n + 1) // 2) and odd.shape == (half.shape[1],)
-        table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], n - 1)
-        assert half.tobytes() == np.ascontiguousarray(table[:, ::2].T).tobytes()
-        want = table[:, 2 * (n // 2) - 1] if n > 1 else np.zeros(half.shape[1])
-        assert odd.tobytes() == want.tobytes()
-    for row in (half, odd):
+        view = approx._even_rows(n, n)
+        rows, top, (low, high) = approx._HERMITE_ROWS[n]
+        assert view.base is rows and approx._even_rows(n, n).base is rows
+        assert not rows.flags.writeable and rows.flags.c_contiguous and rows.flags.owndata
+        assert not view.flags.writeable and view.flags.c_contiguous
+        assert view.shape == ((n - 1) // 2 + 1, (n + 1) // 2) and top >= n
+        assert rows.shape == ((top + 1) // 2, view.shape[1]) and low.shape == high.shape
+        table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], top - 1)
+        assert rows.tobytes() == np.ascontiguousarray(table[:, ::2].T).tobytes()
+        want = table[:, top - 2] if top > 1 else np.zeros(view.shape[1])
+        assert low.tobytes() == want.tobytes() and high.tobytes() == table[:, top - 1].tobytes()
         with pytest.raises(ValueError):
-            row[0] = 0.0
+            view[0, 0] = 0.0
 
 
 def test_a_cold_size_builds_one_hermite_table(monkeypatch):
     # A cold qr_weights at a rule's own nodes that continues the rows past
-    # degree n - 1 reads the even rows and the odd row beside the top one
-    # from one table per size.
-    caches = [f for f in vars(approx).values()
-              if hasattr(f, "cache_clear") and f.__module__ == approx.__name__]
-    assert caches
+    # degree n - 1 reads the even rows and the two top rows from one table
+    # per size.
     table = approx.normalized_table
     degrees = []
 
@@ -270,8 +269,7 @@ def test_a_cold_size_builds_one_hermite_table(monkeypatch):
     b = basis_from(1.0)
     for n in (1, 2, 3, 10, 51, 200):
         for m in (n + 3, n + 2, DEGREE_MAX):
-            for cache in caches:
-                cache.cache_clear()
+            approx._HERMITE_ROWS.clear()
             degrees.clear()
             qr_weights(b, scaled_nodes(b, n), m)
             assert degrees == [n - 1], (n, m)
@@ -424,16 +422,95 @@ def test_qr_weights_at_rule_nodes_with_at_most_one_extra_term_are_the_closed_for
             assert qr_weights(b, rule.nodes, m).tobytes() == rule.weights.tobytes(), (n, m)
 
 
+# Indices into (n + 1, n + 13, n + 181, DEGREE_MAX), the degrees each size's store is asked for.
+GROWTH_ORDERS = {"ascending": (0, 1, 2, 3), "descending": (3, 2, 1, 0), "interleaved": (1, 3, 0, 2)}
+
+
+def _check_store_growth(order):
+    """Every size's stored rows against the table's even columns, from a cleared store.
+
+    "interleaved" also takes the sizes in turn, one request each per round, so an entry
+    grows, is read as a prefix and grows again while the other sizes do the same.
+    """
+    approx._HERMITE_ROWS.clear()
+    degrees = {n: (n + 1, n + 13, n + 181, DEGREE_MAX) for n in range(1, 201)}
+    picks = GROWTH_ORDERS[order]
+    if order == "interleaved":
+        requests = [(n, degrees[n][i]) for i in picks for n in degrees]
+    else:
+        requests = [(n, degrees[n][i]) for n in degrees for i in picks]
+    for n, m in requests:
+        table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], m - 1)
+        want = np.ascontiguousarray(table[:, ::2].T).tobytes()
+        assert approx._even_rows(n, m).tobytes() == want, (order, n, m)
+
+
 def test_qr_weights_continues_the_cached_hermite_rows_to_the_bit():
     # At a rule's own nodes the rows past degree n - 1 are the recurrence
-    # continued from the cached even rows and one cached odd row (a zero
-    # row at n = 1), on half the nodes: the table's rows, bit for bit.
+    # continued from the stored rows (a zero row for hhat_{-1} at n = 1),
+    # on half the nodes: the table's even rows, bit for bit, as M grows.
+    _check_store_growth("ascending")
+
+
+@pytest.mark.parametrize("order", ["descending", "interleaved"])
+def test_hermite_store_rows_are_the_table_rows_in_any_growth_order(order):
+    _check_store_growth(order)
+
+
+def test_a_store_view_outlives_the_growth_of_its_entry():
+    # A growth writes a new array and replaces the entry, so a view handed
+    # out before it keeps its bits and stays read-only.
+    for n in (1, 2, 9, 200):
+        approx._HERMITE_ROWS.pop(n, None)
+        before = approx._even_rows(n, n + 2)
+        bits = before.tobytes()
+        after = approx._even_rows(n, DEGREE_MAX)
+        assert after.base is not before.base and before.tobytes() == bits
+        assert after[: before.shape[0]].tobytes() == bits
+        for view in (before, after):
+            with pytest.raises(ValueError):
+                view[0, 0] = 0.0
+
+
+def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, capsys):
+    # The rows past N depend on N and M only: l = 0.2 asks each size for
+    # the most, and l = 1 and 4 read prefixes of what it stored.  Each size
+    # builds one table and continues it once, from degree n - 1.
+    recurrence, table, calls = approx._continue_recurrence, approx.normalized_table, []
+
+    def continued(x, buffer, degree):
+        calls.append(("continue", degree))
+        return recurrence(x, buffer, degree)
+
+    def tabled(x, d):
+        calls.append(("table", d))
+        return table(x, d)
+
+    monkeypatch.setattr(approx, "_continue_recurrence", continued)
+    monkeypatch.setattr(approx, "normalized_table", tabled)
+    approx._HERMITE_ROWS.clear()
+    assert main(["weights-compare", "--ells", "0.2,1,4", "--ns", "1:60"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 60
+    assert calls == [(kind, n - 1) for n in range(1, 61) for kind in ("table", "continue")]
+
+
+@pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0])
+def test_power_table_lookup_is_the_direct_power_to_the_bit(ell):
+    # Both QR solves index ratio ** arange(M) where they took a power per
+    # matrix entry: the same pow per exponent value, at every N and its
+    # machine_truncation, for the rule-node solve's (j, k) block and the
+    # Householder solve's N x (M - N) exponents.
+    ratio = basis_from(ell).eigenvalue_ratio
     for n in range(1, 201):
-        half = gh_rule(n).nodes[: (n + 1) // 2]
-        for m in (n + 1, n + 13, min(DEGREE_MAX, n + 181), DEGREE_MAX):
-            table = normalized_table(half, m - 1)
-            rows = approx._hermite_half_past(n, m)
-            assert rows.tobytes() == np.ascontiguousarray(table[:, n:].T).tobytes(), (n, m)
+        m = approx._truncation(basis_from(ell), n)
+        if m > DEGREE_MAX:
+            continue
+        table = ratio ** np.arange(m)
+        js = np.arange(max(0, 2 * (n - (m - 1) // 2)), n, 2)
+        ks = np.arange(n + n % 2, m, 2)
+        householder = n + np.arange(m - n)[None, :] - np.arange(n)[:, None]
+        for exponents in (ks - js[:, None], householder):
+            assert table[exponents].tobytes() == (ratio ** exponents).tobytes(), (ell, n)
 
 
 def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gkquad import gh_rule
+from gkquad import approx, exact, gh_rule
 from gkquad.approx import FACTOR_CONDITION_MAX, machine_truncation, qr_weights, scaled_nodes
 from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.exact import exact_weights, kernel, kernel_mean, kernel_mean_mean
@@ -207,6 +207,38 @@ def test_guards():
         exact_weights([], 1.0)
     with pytest.raises(SizeError):
         exact_weights(np.linspace(-1, 1, 201), 1.0)
+
+
+@pytest.mark.parametrize("nodes, error, message", [
+    ([0.0, 1.0, 0.0], DomainError, "nodes must be distinct"),
+    (np.r_[np.arange(24.0), 5.0], DomainError, "nodes must be distinct"),
+    ([0.0, math.nan], DomainError, "nodes must be finite"),
+    ([math.nan, math.nan], DomainError, "nodes must be finite"),
+    ([], SizeError, "node count must be in [1, 200], got 0"),
+    (np.linspace(-1, 1, 201), SizeError, "node count must be in [1, 200], got 201"),
+])
+def test_exact_weights_checks_other_nodes_once_and_scaled_ones_not_at_all(
+        monkeypatch, nodes, error, message):
+    # The node errors come before machine_truncation's refusal, which l =
+    # 0.01 would raise from N = 20; scaled rule nodes skip check_nodes.
+    check, calls = approx.check_nodes, []
+
+    def counted(x):
+        calls.append(len(x))
+        return check(x)
+
+    for module in (approx, exact):
+        monkeypatch.setattr(module, "check_nodes", counted)
+    for ell in (1.0, 0.01):
+        calls.clear()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            exact_weights(nodes, ell)
+        assert calls == [len(nodes)], ell
+    b = basis_from(1.0)
+    calls.clear()
+    exact_weights(scaled_nodes(b, 12), 1.0)
+    exact_weights(np.linspace(-1.0, 1.0, 12), 1.0)
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
