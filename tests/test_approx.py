@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from gkquad import approx, approx_rule, basis_from, gh_rule, qr_weights
-from gkquad.cli import main
 from gkquad.approx import (
     eigen_exactness_residual,
     even_hermite_series,
     machine_truncation,
     scaled_nodes,
 )
+from gkquad.cli import main
 from gkquad.errors import DomainError, NumericalFailureError, SizeError
 from gkquad.exact import exact_weights
 from gkquad.hermite import DEGREE_MAX, normalized_table
