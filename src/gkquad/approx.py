@@ -40,14 +40,14 @@ coefficients c_m = g^m r_m, and w is the closed form with those of
 even j from j0 = max(0, 2N - M + 1), rounded up to even, solved: at
 most (M - N) / 2 + 1 of them.  With none solved (M <= N + 1, or M = N + 2
 at even N) w is the closed form to the bit, as every prefix of the
-coefficients has the same bits at any length.  Every product in B is
-even in t, so B sums over the stored half with doubled weights (the
-centre node once).  Rows up to hhat_{M-1} past a size's store continue
-the recurrence there from its top two rows, once per size and degree at
-any l; no table is built per call.  The same rows give the Mercer
+coefficients has the same bits at any length.  B depends on N and M
+alone, so each size stores it beside its rows: pairwise sums over the
+stored half (B is even in t), weights doubled, the centre node once, no
+BLAS call.  Rows past a size's store continue the recurrence from its
+top two, once per size and degree at any l, and give the Mercer
 residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
-``worst_case_error`` and ``eigen_exactness_residual`` read.  The store
-holds at most 37.4 MB, where all 200 sizes reach DEGREE_MAX (l = 0.05).
+``worst_case_error`` and ``eigen_exactness_residual`` read.  The rows
+hold at most 37.4 MB and B 31.8 MB (all 200 sizes at DEGREE_MAX).
 """
 
 import math
@@ -61,6 +61,7 @@ from .hermite import DEGREE_MAX, _continue_recurrence, normalized_table
 from .mercer import (
     ALPHA_DEFAULT,
     MercerBasis,
+    _ratio_powers,
     eigenfunction_means,
     eigenfunction_table,
     even_mean_ratios,
@@ -110,12 +111,12 @@ def even_hermite_series(ratio: float, n: int) -> np.ndarray:
     1.087 exp(t^2/4)), which keeps the closed-form weights finite where the naive form overflows.
     """
     n = check_size(n)
-    return _series(n, _series_coeffs(ratio, (n - 1) // 2))
+    return _series(n, _series_coeffs(float(ratio), (n - 1) // 2))
 
 
 def _series_coeffs(ratio: float, m_top: int) -> np.ndarray:
     """The closed-form series coefficients c_m = g^m r_m for m = 0..m_top, a fresh array."""
-    return ratio ** np.arange(m_top + 1) * even_mean_ratios(m_top)
+    return _ratio_powers(ratio)[: m_top + 1] * even_mean_ratios(m_top)
 
 
 def _series(n: int, coeffs: np.ndarray) -> np.ndarray:
@@ -159,9 +160,31 @@ def _even_rows(n: int, degrees: int) -> np.ndarray:
     return stored[0][: (degrees + 1) // 2]
 
 
+_GRAM_BLOCKS: dict[int, np.ndarray] = {}  # per rule size n, its B below the largest degree asked
+
+
+def _gram_block(n: int, degrees: int) -> np.ndarray:
+    """gh_rule(n)'s B_jk for the even j < n and k in [n, degrees), 0.0 where j + k < 2n, read-only:
+    numpy's pairwise sums over the half nodes (weights doubled, the centre once), whose bits no
+    BLAS kernel or block shape moves; more columns go, 2^14 products at a time, to a new array."""
+    h = (n + 1) // 2
+    stored, width = _GRAM_BLOCKS.get(n, np.empty((h, 0))), (degrees + 1) // 2 - h
+    if width > stored.shape[1]:
+        rows, done, step = _even_rows(n, degrees), stored.shape[1], max(1, 2**14 // (h * h))
+        doubled = np.where(np.arange(h) < n // 2, 2.0, 1.0) * gh_rule(n).weights[:h]  # centre once
+        weighted, past = rows[:h, None] * doubled, rows[h:]
+        stored = np.concatenate([stored, np.empty((h, width - done))], axis=1)
+        for k in range(done, width, step):
+            np.add.reduce(weighted * past[k : k + step], axis=2, out=stored[:, k : k + step])
+        stored[np.add.outer(np.arange(h), np.arange(width)) < n // 2] = 0.0
+        stored.setflags(write=False)
+        _GRAM_BLOCKS[n] = stored
+    return stored[:, :width]
+
+
 def _eigenvalues(basis: MercerBasis, m_terms: int) -> np.ndarray:
     """lambda_n = tau lambda^n for n < m_terms."""
-    return basis.tau * basis.eigenvalue_ratio ** np.arange(m_terms)
+    return basis.tau * _ratio_powers(basis.eigenvalue_ratio)[:m_terms]
 
 
 def _unreached(basis: MercerBasis, table: np.ndarray) -> np.ndarray:
@@ -318,17 +341,13 @@ def _qr_path(basis: MercerBasis, nodes) -> tuple[np.ndarray, object]:
 
 
 def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:
-    """qr_weights at nodes == scaled_nodes(basis, n): R1 = I, and only the even j >= j0 move."""
+    """qr_weights at scaled_nodes(basis, n): R1 = I, B stored, and only the even j >= j0 move."""
     n, h = nodes.size, (nodes.size + 1) // 2
     j0 = max(0, 2 * (n - (m_terms - 1) // 2))
     js, ks = np.arange(j0, n, 2), np.arange(n + n % 2, m_terms, 2)
     coeffs = _series_coeffs(basis.eigenvalue_ratio, (m_terms - 1) // 2)
-    v, rows = gh_rule(n).weights, _even_rows(n, m_terms)
-    doubled = 2.0 * v[:h]
-    doubled[n // 2 :] = v[n // 2 : h]  # the centre node, at odd n, counts once
-    b = (rows[j0 // 2 : h] * doubled) @ rows[h:].T  # the even degrees js by ks
-    b[js[:, None] + ks < 2 * n] = 0.0  # zero by the rule's exactness
-    b_tilde = b * (basis.eigenvalue_ratio ** np.arange(m_terms))[ks - js[:, None]]
+    b = _gram_block(n, m_terms)[j0 // 2 :]  # the even degrees js by ks
+    b_tilde = b * _ratio_powers(basis.eigenvalue_ratio)[ks - js[:, None]]
     lhs, rhs = np.eye(js.size) + b_tilde @ b.T, coeffs[js // 2] + b_tilde @ coeffs[ks // 2]
     coeffs[js // 2] = np.linalg.solve(lhs, rhs)
     return _rule_weights(basis, nodes, _series(n, coeffs[:h]))
@@ -358,7 +377,7 @@ def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int)
             raise NumericalFailureError(f"the {m_terms}-term kernel misses k(x, x) = 1 by "
                                         f"{deficit:.3e} at these nodes")
     exponents = n + np.arange(m_terms - n)[None, :] - np.arange(n)[:, None]
-    correction = np.linalg.solve(r1, r2) * (basis.eigenvalue_ratio ** np.arange(m_terms))[exponents]
+    correction = np.linalg.solve(r1, r2) * _ratio_powers(basis.eigenvalue_ratio)[exponents]
     lhs = r1.T + correction @ r2.T
     rhs = means[:n] + correction @ means[n:]
     return (q @ np.linalg.solve(lhs, rhs)) / row_scale

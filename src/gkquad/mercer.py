@@ -31,6 +31,7 @@ with the square-root central binomial ratio r_m = sqrt(C(2m, m) / 4^m),
 computed by the recurrence r_m = r_{m-1} sqrt((2m - 1) / (2m)).
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -146,11 +147,16 @@ def even_mean_ratios(m_max: int) -> np.ndarray:
 def eigenfunction_means(basis: MercerBasis, count: int) -> np.ndarray:
     """Vector of mu(phi_n) for n < count, 1 <= count <= DEGREE_MAX + 1 (the table's limit)."""
     count = as_index(count, "count", 1, DEGREE_MAX + 1)
-    out = np.zeros(count)
-    m_top = (count - 1) // 2
-    ratios = even_mean_ratios(m_top)
-    lead = math.sqrt(basis.beta * basis.tau)
-    powers = basis.eigenvalue_ratio ** np.arange(m_top + 1)
-    out[0 : 2 * m_top + 1 : 2] = lead * ratios * powers
+    out, m_top, lead = np.zeros(count), (count - 1) // 2, math.sqrt(basis.beta * basis.tau)
+    out[::2] = lead * even_mean_ratios(m_top) * _ratio_powers(basis.eigenvalue_ratio)[: m_top + 1]
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _ratio_powers(ratio: float) -> np.ndarray:
+    """ratio^0..ratio^DEGREE_MAX, read-only: each prefix has the bits of ratio ** np.arange(k)."""
+    with np.errstate(over="ignore"):  # past the prefix a caller reads
+        powers = ratio ** np.arange(DEGREE_MAX + 1)
+    powers.setflags(write=False)
+    return powers
 

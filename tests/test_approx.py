@@ -1,5 +1,6 @@
 """Closed-form approximate weights and the QR weight family."""
 
+import hashlib
 import math
 import re
 import sys
@@ -10,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gkquad import approx, approx_rule, basis_from, gh_rule, qr_weights
+from gkquad import approx, approx_rule, basis_from, gh_rule, mercer, qr_weights
 from gkquad.approx import (
     eigen_exactness_residual,
     even_hermite_series,
@@ -473,10 +474,16 @@ def test_a_store_view_outlives_the_growth_of_its_entry():
 
 
 def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, capsys):
-    # The rows past N depend on N and M only: l = 0.2 asks each size for
-    # the most, and l = 1 and 4 read prefixes of what it stored.  Each size
-    # builds one table and continues it once, from degree n - 1.
+    # The rows past N and the Gram block B depend on N and M only: l = 0.2
+    # asks each size for the most, and l = 1 and 4 read prefixes of what it
+    # stored.  Each size builds one table and continues it once, from
+    # degree n - 1, and builds its B once.
     recurrence, table, calls = approx._continue_recurrence, approx.normalized_table, []
+
+    class CountedBlocks(dict):
+        def __setitem__(self, n, block):
+            calls.append(("gram", n))
+            super().__setitem__(n, block)
 
     def continued(x, buffer, degree):
         calls.append(("continue", degree))
@@ -488,10 +495,93 @@ def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, 
 
     monkeypatch.setattr(approx, "_continue_recurrence", continued)
     monkeypatch.setattr(approx, "normalized_table", tabled)
+    monkeypatch.setattr(approx, "_GRAM_BLOCKS", CountedBlocks())
     approx._HERMITE_ROWS.clear()
     assert main(["weights-compare", "--ells", "0.2,1,4", "--ns", "1:60"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 60
-    assert calls == [(kind, n - 1) for n in range(1, 61) for kind in ("table", "continue")]
+    assert calls == [call for n in range(1, 61)
+                     for call in (("table", n - 1), ("continue", n - 1), ("gram", n))]
+
+
+def _gram_reference(n):
+    """B of gh_rule(n) to DEGREE_MAX from a fresh table: one unchunked reduce, zeros set."""
+    h = (n + 1) // 2
+    even = np.ascontiguousarray(normalized_table(gh_rule(n).nodes[:h], DEGREE_MAX - 1)[:, ::2].T)
+    doubled = 2.0 * gh_rule(n).weights[:h]
+    doubled[n // 2 :] = gh_rule(n).weights[n // 2 : h]
+    block = np.add.reduce((even[:h] * doubled)[:, None, :] * even[None, h:, :], axis=2)
+    block[np.arange(h)[:, None] + np.arange(block.shape[1]) < n // 2] = 0.0
+    return block
+
+
+# sha256 of B at DEGREE_MAX for n = 1..200 in turn: the same bytes on numpy
+# 2.4.6 by default, with its AVX-512 loops off, and under the OpenBLAS
+# Haswell and Prescott kernels, as no BLAS call forms B.
+GRAM_SHA256 = "13ca4ba5087b64e0d061444477662566887f46b4243b90926aec7baa3b6f6433"
+
+
+def test_gram_store_is_one_fresh_reduce_in_any_growth_order():
+    # Each B entry is numpy's pairwise sum over the half nodes, whatever
+    # columns a growth adds and however it chunks them: every view the store
+    # returns, for the degrees and orders of the row-store growth tests, is
+    # a prefix of one unchunked reduce over a fresh table, bit for bit.
+    want = {n: _gram_reference(n) for n in range(1, 201)}
+    digest = hashlib.sha256()
+    for n in want:
+        digest.update(want[n].tobytes())
+    assert digest.hexdigest() == GRAM_SHA256
+    degrees = {n: (n + 1, n + 13, n + 181, DEGREE_MAX) for n in want}
+    for order, picks in GROWTH_ORDERS.items():
+        approx._GRAM_BLOCKS.clear()
+        if order == "interleaved":
+            requests = [(n, degrees[n][i]) for i in picks for n in degrees]
+        else:
+            requests = [(n, degrees[n][i]) for n in degrees for i in picks]
+        for n, m in requests:
+            width = (m + 1) // 2 - (n + 1) // 2
+            got = approx._gram_block(n, m)
+            assert got.tobytes() == want[n][:, :width].tobytes(), (order, n, m)
+
+
+def test_gram_store_zeros_are_exact_and_its_views_read_only():
+    # B_jk is 0.0 by the rule's exactness where j + k < 2n, not a rounded
+    # sum, and a view keeps its bits and stays read-only when the entry grows.
+    for n in (1, 2, 9, 60, 199, 200):
+        approx._GRAM_BLOCKS.pop(n, None)
+        before = approx._gram_block(n, n + 2)
+        bits = before.tobytes()
+        after = approx._gram_block(n, DEGREE_MAX)
+        assert after.base is not before.base and before.tobytes() == bits
+        assert approx._gram_block(n, n + 2).base is after.base
+        h = (n + 1) // 2
+        zero = np.arange(h)[:, None] + np.arange(after.shape[1]) < n // 2
+        assert after[zero].tobytes() == np.zeros(int(zero.sum())).tobytes()
+        for view in (before, after):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[-1, -1] = 1.0
+
+
+# 25 length scales log-spaced over [0.05, 1e6] and 25 uniform in [0.05, 20].
+POWER_TABLE_ELLS = [*np.geomspace(0.05, 1e6, 25), *np.linspace(0.05, 20.0, 25)]
+
+
+def test_ratio_power_prefixes_are_the_direct_power_to_the_bit():
+    # The one power table per ratio stands for the separate ratio ** arange(k)
+    # passes it replaced: every prefix, k = 1..DEGREE_MAX + 1, byte for byte.
+    for ell in POWER_TABLE_ELLS:
+        ratio = basis_from(ell).eigenvalue_ratio
+        table = mercer._ratio_powers(ratio)
+        assert not table.flags.writeable and table.size == DEGREE_MAX + 1
+        for k in range(1, DEGREE_MAX + 2):
+            assert table[:k].tobytes() == (ratio ** np.arange(k)).tobytes(), (ell, k)
+
+
+def test_ratio_power_cache_stays_bounded():
+    size = mercer._ratio_powers.cache_info().maxsize
+    for ell in np.linspace(0.3, 3.0, 3 * size):
+        mercer._ratio_powers(basis_from(ell).eigenvalue_ratio)
+    assert mercer._ratio_powers.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0])
