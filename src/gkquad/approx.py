@@ -47,9 +47,11 @@ BLAS call.  Rows past a size's store continue the recurrence from its
 top two, once per size and degree at any l, and give the Mercer
 residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
 ``worst_case_error`` and ``eigen_exactness_residual`` read.  The rows
-hold at most 37.4 MB and B 31.8 MB (all 200 sizes at DEGREE_MAX).
+hold at most 37.4 MB and B 31.8 MB (all 200 sizes at DEGREE_MAX).  The
+rule-node weights of the last 16 (basis, N, M) are kept: see qr_weights.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -310,7 +312,9 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     with at most (M - N) / 2 + 1 of its series coefficients g^m r_m
     solved: weights symmetric to the bit, and with none solved (M <= N + 1)
     exactly those of :func:`approx_rule`; once the size's rows are stored,
-    no Hermite table is built.  Other nodes take a Householder QR of Phi,
+    no Hermite table is built.  The last 16 such solves, keyed on
+    (basis, N, M) and at most 16 N_MAX floats, are kept, and each call
+    gets a fresh copy.  Other nodes take a Householder QR of Phi,
     row-equilibrated first: with Phi = D G for the diagonal of row maxima
     D, w = D^(-1) g(G) for g the displayed formula.  The scaling commutes
     through the algebra exactly, and it removes the exp-scale dynamic
@@ -341,8 +345,14 @@ def _qr_path(basis: MercerBasis, nodes) -> tuple[np.ndarray, object]:
 
 
 def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:
-    """qr_weights at scaled_nodes(basis, n): R1 = I, B stored, and only the even j >= j0 move."""
-    n, h = nodes.size, (nodes.size + 1) // 2
+    """qr_weights at nodes == scaled_nodes(basis, n): a fresh copy of the memo's weights."""
+    return _rule_node_weights(basis, nodes.size, m_terms).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _rule_node_weights(basis: MercerBasis, n: int, m_terms: int) -> np.ndarray:
+    """qr_weights at scaled_nodes(basis, n), read-only: R1 = I, B stored, even j >= j0 move."""
+    nodes, h = scaled_nodes(basis, n), (n + 1) // 2
     j0 = max(0, 2 * (n - (m_terms - 1) // 2))
     js, ks = np.arange(j0, n, 2), np.arange(n + n % 2, m_terms, 2)
     coeffs = _series_coeffs(basis.eigenvalue_ratio, (m_terms - 1) // 2)
@@ -350,7 +360,9 @@ def _gauss_hermite_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: in
     b_tilde = b * _ratio_powers(basis.eigenvalue_ratio)[ks - js[:, None]]
     lhs, rhs = np.eye(js.size) + b_tilde @ b.T, coeffs[js // 2] + b_tilde @ coeffs[ks // 2]
     coeffs[js // 2] = np.linalg.solve(lhs, rhs)
-    return _rule_weights(basis, nodes, _series(n, coeffs[:h]))
+    weights = _rule_weights(basis, nodes, _series(n, coeffs[:h]))
+    weights.setflags(write=False)
+    return weights
 
 
 def _householder_qr_weights(basis: MercerBasis, nodes: np.ndarray, m_terms: int) -> np.ndarray:

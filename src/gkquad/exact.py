@@ -77,7 +77,8 @@ def exact_weights(nodes, ell: float) -> tuple[np.ndarray, int]:
     Returns
     -------
     (weights, m_terms)
-        The weights in node order and the truncation length M they were solved at.
+        The weights in node order, a fresh array, and the truncation length M they were solved
+        at.  At a rule's own nodes they copy qr_weights' memo of the last 16 (basis, N, M) solves.
 
     Raises
     ------

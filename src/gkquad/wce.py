@@ -48,9 +48,11 @@ HERMITE_SUP_CONSTANT = 1.087
 
 @dataclass(frozen=True)
 class WceReport:
-    """Worst-case error of a rule."""
+    """Worst-case error e of a rule, its truncation length M and bound B on the terms past M."""
 
     wce: float
+    m_terms: int
+    dropped_bound: float
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
     if not dropped <= 2.0**-26 * wce:
         raise NumericalFailureError(f"the {m_terms} terms do not reach these nodes: the rest may "
                                     f"move the worst-case error {wce:.3e} by {dropped:.3e}")
-    return WceReport(wce=wce)
+    return WceReport(wce=wce, m_terms=m_terms, dropped_bound=dropped)
 
 
 def theoretical_constants(basis: MercerBasis) -> ConvergenceConstants:

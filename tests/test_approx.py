@@ -271,6 +271,7 @@ def test_a_cold_size_builds_one_hermite_table(monkeypatch):
     for n in (1, 2, 3, 10, 51, 200):
         for m in (n + 3, n + 2, DEGREE_MAX):
             approx._HERMITE_ROWS.clear()
+            approx._rule_node_weights.cache_clear()
             degrees.clear()
             qr_weights(b, scaled_nodes(b, n), m)
             assert degrees == [n - 1], (n, m)
@@ -477,7 +478,8 @@ def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, 
     # The rows past N and the Gram block B depend on N and M only: l = 0.2
     # asks each size for the most, and l = 1 and 4 read prefixes of what it
     # stored.  Each size builds one table and continues it once, from
-    # degree n - 1, and builds its B once.
+    # degree n - 1, and builds its B once.  The memo of solves is cleared,
+    # so every solve runs.
     recurrence, table, calls = approx._continue_recurrence, approx.normalized_table, []
 
     class CountedBlocks(dict):
@@ -497,6 +499,7 @@ def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, 
     monkeypatch.setattr(approx, "normalized_table", tabled)
     monkeypatch.setattr(approx, "_GRAM_BLOCKS", CountedBlocks())
     approx._HERMITE_ROWS.clear()
+    approx._rule_node_weights.cache_clear()
     assert main(["weights-compare", "--ells", "0.2,1,4", "--ns", "1:60"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 60
     assert calls == [call for n in range(1, 61)
@@ -606,7 +609,8 @@ def test_power_table_lookup_is_the_direct_power_to_the_bit(ell):
 def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
     # Once a size's rows are cached, a solve needs neither a table nor
     # approx_rule, whether it moves an unknown (M >= N + 2 at odd N,
-    # M >= N + 3 at even N) or none.
+    # M >= N + 3 at even N) or none.  The memo of solves is cleared, so
+    # each one runs again.
     cases = []
     for ell in (0.2, 1.0, 4.0):
         b = basis_from(ell)
@@ -621,8 +625,90 @@ def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
 
     monkeypatch.setattr(approx, "normalized_table", refuse)
     monkeypatch.setattr(approx, "approx_rule", refuse)
+    approx._rule_node_weights.cache_clear()
     for b, nodes, m, want in cases:
         assert qr_weights(b, nodes, m).tobytes() == want.tobytes(), (b.length_scale, nodes.size, m)
+
+
+@pytest.mark.parametrize("ell", [0.05, 0.2, 1.0, 4.0])
+def test_qr_weights_from_the_memo_are_a_cleared_solve_to_the_bit(ell):
+    # A memo hit returns the bytes of a solve run with the memo cleared, at
+    # every size, for M = N + 1 (no unknown moves), N + 13 and
+    # machine_truncation's M (921 = DEGREE_MAX at l = 0.05, N = 200).
+    b = basis_from(ell)
+    for n in range(1, 201):
+        nodes = scaled_nodes(b, n)
+        for m in (n + 1, n + 13, machine_truncation(b, n)):
+            qr_weights(b, nodes, m)
+            hits = approx._rule_node_weights.cache_info().hits
+            memo = qr_weights(b, nodes, m)
+            assert approx._rule_node_weights.cache_info().hits == hits + 1
+            approx._rule_node_weights.cache_clear()
+            assert memo.tobytes() == qr_weights(b, nodes, m).tobytes(), (ell, n, m)
+
+
+def test_qr_weights_and_exact_weights_hand_out_fresh_arrays():
+    # The memo keeps read-only weights and each call copies them, so a
+    # write into one result reaches no later one.
+    b = basis_from(1.0)
+    nodes, m = scaled_nodes(b, 20), machine_truncation(b, 20)
+    first, m_exact = exact_weights(nodes, 1.0)
+    want = first.tobytes()
+    first[:] = np.nan
+    second = qr_weights(b, nodes, m)
+    assert m_exact == m and second.tobytes() == want
+    second[0] = 0.0
+    assert qr_weights(b, nodes, m).tobytes() == want
+    assert exact_weights(nodes, 1.0)[0].tobytes() == want
+    assert not approx._rule_node_weights(b, 20, m).flags.writeable
+
+
+def test_exact_then_qr_weights_at_one_rule_run_one_qr_weights_solve(monkeypatch):
+    # An error-diagnostics operation: the rule, its exact weights, then
+    # qr_weights at machine_truncation's M.  Each solve body reads the
+    # size's B once, and neither approx_rule nor a memo hit reads it.
+    gram, solves = approx._gram_block, []
+
+    def counted(n, degrees):
+        solves.append((n, degrees))
+        return gram(n, degrees)
+
+    monkeypatch.setattr(approx, "_gram_block", counted)
+    approx._rule_node_weights.cache_clear()
+    points = ((0.2, 60), (1.0, 30), (4.0, 200))
+    for ell, n in points:
+        b = basis_from(ell)
+        nodes = approx_rule(b, n).rule.nodes
+        w, m = exact_weights(nodes, ell)
+        assert qr_weights(b, nodes, machine_truncation(b, n)).tobytes() == w.tobytes()
+    assert solves == [(n, machine_truncation(basis_from(ell), n)) for ell, n in points]
+    info = approx._rule_node_weights.cache_info()
+    assert (info.hits, info.misses) == (3, 3)
+
+
+def test_qr_weights_memo_stays_bounded():
+    size = approx._rule_node_weights.cache_info().maxsize
+    b = basis_from(1.0)
+    for n in range(1, 3 * size + 1):
+        qr_weights(b, scaled_nodes(b, n), n + 1)
+    assert approx._rule_node_weights.cache_info().currsize == size == 16
+
+
+def test_qr_weights_memo_hits_once_per_repeated_pair():
+    # error-diagnostics cycles through more keys than the memo holds: each
+    # operation's exact_weights misses and its qr_weights hits, and no key
+    # is still held when the next pass comes back to it.
+    keys = [(ell, n) for ell in (0.5, 1.0, 2.0) for n in (5, 12, 20, 33, 41, 57, 64)]
+    approx._rule_node_weights.cache_clear()
+    for _ in range(2):
+        for ell, n in keys:
+            b = basis_from(ell)
+            nodes = scaled_nodes(b, n)
+            exact_weights(nodes, ell)
+            qr_weights(b, nodes, machine_truncation(b, n))
+    info = approx._rule_node_weights.cache_info()
+    assert len(keys) > info.maxsize
+    assert (info.hits, info.misses) == (2 * len(keys), 2 * len(keys))
 
 
 def test_qr_weights_at_other_nodes_take_the_householder_solve():

@@ -327,6 +327,23 @@ def test_nodes_the_truncation_does_not_reach_are_refused():
             worst_case_error(rule, ell)
 
 
+def test_report_carries_the_truncation_length_and_the_dropped_bound():
+    # M is machine_truncation's, and B is 0.0 at a rule's own nodes, which
+    # the M terms reach.  On the table branch B is finite, non-negative and
+    # within 2^-26 e where a report is returned: gh_rule(30) at l = 0.2
+    # reads B = 6.1e-15 against e = 0.16.
+    for ell in (0.2, 1.0, 4.0):
+        basis = basis_from(ell)
+        for n in (1, 10, 30, 60, 200):
+            m_terms = machine_truncation(basis, n)
+            own = worst_case_error(approx_rule(basis, n).rule, ell)
+            assert (own.m_terms, own.dropped_bound) == (m_terms, 0.0)
+            table = worst_case_error(gh_rule(n), ell)
+            assert table.m_terms == m_terms
+            assert 0.0 <= table.dropped_bound <= 2.0**-26 * table.wce
+    assert worst_case_error(gh_rule(30), 0.2).dropped_bound > 0.0
+
+
 @st.composite
 def _rules(draw):
     """Sorted distinct nodes in [-20, 20] with weights in [-1, 1]."""
