@@ -43,9 +43,9 @@ at even N) w is the closed form to the bit, as every prefix of the
 coefficients has the same bits at any length.  B depends on N and M
 alone, so each size stores it beside its rows: pairwise sums over the
 stored half (B is even in t), weights doubled, the centre node once, no
-BLAS call.  Rows past a size's store continue the recurrence from its
-top two, once per size and degree at any l, and give the Mercer
-residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
+BLAS call.  Rows start from (hhat_{-1}, hhat_0) = (0, 1) and run on from
+a store's kept top pair, once per size and degree at any l, and give the
+Mercer residuals Q(phi_n) - mu(phi_n) of a rule at its own nodes, which
 ``worst_case_error`` and ``eigen_exactness_residual`` read.  The rows
 hold at most 37.4 MB and B 31.8 MB (all 200 sizes at DEGREE_MAX).  The
 rule-node weights of the last 16 (basis, N, M) are kept: see qr_weights.
@@ -57,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, as_index
+from .errors import DomainError, NumericalFailureError, as_index
 from .gauss_hermite import N_MAX, QuadratureRule, check_nodes, check_size, gh_rule
-from .hermite import DEGREE_MAX, _continue_recurrence, normalized_table
+from .hermite import DEGREE_MAX, _continue_recurrence
 from .mercer import (
     ALPHA_DEFAULT,
     MercerBasis,
@@ -133,29 +133,23 @@ def _series(n: int, coeffs: np.ndarray) -> np.ndarray:
 
 
 # Per rule size n: the read-only C-ordered rows hhat_0, hhat_2, ... below degree D at the first
-# ceil(n/2) nodes of gh_rule(n), D, and the rows hhat_{D-2}, hhat_{D-1} that continue them.
+# ceil(n/2) nodes of gh_rule(n), D, and hhat_{D-2}, hhat_{D-1}, copied out of the growth block.
 _HERMITE_ROWS: dict[int, tuple] = {}
 
 
 def _even_rows(n: int, degrees: int) -> np.ndarray:
     """The stored rows hhat_0, hhat_2, ... below degree `degrees` >= n for gh_rule(n): a view.
 
-    A size's first call reads one table of degree n - 1; a call past the rows continues the
-    recurrence from the top two into a new array that replaces the entry, so no view changes.
+    Each size starts from (hhat_{-1}, hhat_0) = (0, 1); a call past the rows runs the recurrence
+    from the kept top pair into one block, whose even rows extend a new array, so no view changes.
     """
-    stored = _HERMITE_ROWS.get(n)
-    if stored is None:
-        table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], n - 1)
-        low = table[:, n - 2].copy() if n > 1 else np.zeros(table.shape[0])  # hhat_{-1} = 0
-        stored = np.array(table[:, ::2].T, order="C"), n, (low, table[:, n - 1].copy())
+    h = (n + 1) // 2
+    stored = _HERMITE_ROWS.get(n) or (np.ones((1, h)), 1, np.array([np.zeros(h), np.ones(h)]))
     if degrees > stored[1]:
         rows, top, pair = stored
-        grown = np.empty(((degrees + 1) // 2, rows.shape[1]))
-        grown[: rows.shape[0]] = rows
-        odd = np.empty((2, rows.shape[1]))  # alternate: a step reads the odd row two degrees back
-        steps = [*pair, *(odd[d // 2 % 2] if d % 2 else grown[d // 2] for d in range(top, degrees))]
-        _continue_recurrence(gh_rule(n).nodes[: rows.shape[1]], steps, top - 1)
-        stored = grown, degrees, (steps[-2], steps[-1])
+        block = np.concatenate([pair, np.empty((degrees - top, h))])  # up to hhat_{degrees - 1}
+        _continue_recurrence(gh_rule(n).nodes[:h], block, top - 1)
+        stored = np.concatenate([rows, block[2 + top % 2 :: 2]]), degrees, block[-2:].copy()
     if _HERMITE_ROWS.get(n) is not stored:
         stored[0].setflags(write=False)
         _HERMITE_ROWS[n] = stored
@@ -255,11 +249,17 @@ def _rule_weights(basis: MercerBasis, nodes: np.ndarray, series: np.ndarray) -> 
 
 
 def eigen_exactness_residual(approx: ApproxRule, n: int) -> float:
-    """|Q(phi_n) - mu(phi_n)| for eigenfunction index n < N.
+    """|Q(phi_n) - mu(phi_n)| for eigenfunction index n < N, zero up to roundoff by construction.
 
-    Zero up to roundoff by construction for n < N; generally nonzero for
-    n >= N, which is why the index is guarded.
+    Raises
+    ------
+    DomainError
+        If approx is not an ApproxRule.
+    IndexError
+        If n lies outside [0, N), as the residual is generally nonzero from n = N on.
     """
+    if not isinstance(approx, ApproxRule):
+        raise DomainError(f"approx must be an ApproxRule, got {type(approx).__name__}")
     n = as_index(n, "eigenfunction index", 0, len(approx) - 1, range_error=IndexError)
     return float(abs(_mercer_residuals(approx.basis, approx.rule, len(approx))[0][n]))
 
@@ -312,7 +312,7 @@ def qr_weights(basis: MercerBasis, nodes, m_terms: int) -> np.ndarray:
     with at most (M - N) / 2 + 1 of its series coefficients g^m r_m
     solved: weights symmetric to the bit, and with none solved (M <= N + 1)
     exactly those of :func:`approx_rule`; once the size's rows are stored,
-    no Hermite table is built.  The last 16 such solves, keyed on
+    no recurrence step runs.  The last 16 such solves, keyed on
     (basis, N, M) and at most 16 N_MAX floats, are kept, and each call
     gets a fresh copy.  Other nodes take a Householder QR of Phi,
     row-equilibrated first: with Phi = D G for the diagonal of row maxima

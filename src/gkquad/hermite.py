@@ -56,18 +56,16 @@ def normalized_table(x: np.ndarray, degree_max: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     buffer = np.empty((degree_max + 1, x.size))
     buffer[0] = 1.0
-    if degree_max >= 1:
-        buffer[1] = x
-        _continue_recurrence(x, buffer, 1)
+    _continue_recurrence(x, [np.zeros(x.size), *buffer], 0)  # from hhat_{-1} = 0, hhat_0 = 1
     return buffer.T
 
 
 def _continue_recurrence(x: np.ndarray, buffer, degree: int) -> None:
     """Fill buffer[2:] with hhat_{degree + 1}, hhat_{degree + 2}, ... at x.
 
-    buffer (rows, a list may reuse one no later step reads) starts with
-    hhat_{degree - 1}, hhat_degree (a zero row stands for hhat_{-1}); each
-    row is one contiguous step of the formula's four roundings per point.
+    buffer (an array or a list of rows) starts with hhat_{degree - 1}, hhat_degree; a run from
+    the start reads (0, 1), or (0, phi_0), at degree 0, and its first step from (0, 1) is x to
+    the bit.  Each row is one contiguous step of the formula's four roundings per point.
     """
     rows = list(buffer)
     scratch = np.empty(x.size)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import _eigenvalues, _mercer_residuals, machine_truncation
-from .errors import NumericalFailureError, as_index
+from .errors import DomainError, NumericalFailureError, as_index
 from .gauss_hermite import QuadratureRule
 from .mercer import MercerBasis, basis_from
 
@@ -82,10 +82,14 @@ def worst_case_error(rule: QuadratureRule, ell: float) -> WceReport:
 
     Raises
     ------
+    DomainError
+        If rule is not a QuadratureRule (an ApproxRule's is its ``.rule``).
     NumericalFailureError
         If ``machine_truncation`` refuses, if a term lambda_n r_n^2 is not finite, if
         their sum lies beyond the float range, or if B > 2^-26 e.
     """
+    if not isinstance(rule, QuadratureRule):
+        raise DomainError(f"rule must be a QuadratureRule, got {type(rule).__name__}")
     basis = basis_from(ell)
     m_terms = machine_truncation(basis, len(rule))
     residuals, dropped = _mercer_residuals(basis, rule, m_terms)

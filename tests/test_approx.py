@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gkquad import approx, approx_rule, basis_from, gh_rule, mercer, qr_weights
+from gkquad import approx, approx_rule, basis_from, gh_rule, mercer, qr_weights, worst_case_error
 from gkquad.approx import (
     eigen_exactness_residual,
     even_hermite_series,
@@ -124,33 +124,6 @@ def test_flat_limit_recovers_gauss_hermite_weights():
     assert np.abs(a.rule.nodes - gh.nodes).max() <= 1e-6
 
 
-def test_weights_do_not_depend_on_the_table_layout(monkeypatch):
-    # normalized_table promises no memory layout, so the weight series
-    # states its own summation order: the same bits from a C-ordered and
-    # a Fortran-ordered table.  A matmul over the strided even columns
-    # goes through BLAS on the Fortran layout, which would change the
-    # weights at 190 of the 200 sizes at length-scale 1.  The per-size
-    # row store is cleared before each layout, so every size builds its
-    # one table, of degree n - 1, through the patched function once.
-    table = approx.normalized_table
-    degrees = []
-
-    def weights(order):
-        def patched(x, d):
-            degrees.append(d)
-            return order(table(x, d))
-
-        monkeypatch.setattr(approx, "normalized_table", patched)
-        approx._HERMITE_ROWS.clear()
-        degrees.clear()
-        out = [approx_rule(basis_from(ell), n).rule.weights.tobytes()
-               for ell in (0.05, 1.0, 10.0) for n in range(1, 201)]
-        assert degrees == [n - 1 for n in range(1, 201)]
-        return out
-
-    assert weights(np.ascontiguousarray) == weights(np.asfortranarray)
-
-
 def _ascending_series(gamma, n, t):
     """The even series at the points t, its terms added one m at a time in ascending order."""
     even = normalized_table(t, 2 * ((n - 1) // 2))[:, ::2]
@@ -238,8 +211,17 @@ def test_even_hermite_cache_is_read_only_and_shared():
     # The size's store holds one C-ordered row per even degree below its
     # top D, one column per node of the half, and the rows hhat_{D-2} and
     # hhat_{D-1} that continue it (a zero row for hhat_{-1}).  Every call
-    # returns a read-only prefix view of that one array.
-    for n in (1, 2, 9, 200):
+    # returns a read-only prefix view of that one array.  The kept pair
+    # owns its data after growth in any order: a view into the growth
+    # block would keep the whole block alive beside the stored rows.
+    sizes = (1, 2, 9, 200)
+    for order in GROWTH_ORDERS:
+        approx._HERMITE_ROWS.clear()
+        for n, m in _growth_requests(order):
+            if n in sizes:
+                approx._even_rows(n, m)
+                assert approx._HERMITE_ROWS[n][2].base is None, (order, n, m)
+    for n in sizes:
         view = approx._even_rows(n, n)
         rows, top, (low, high) = approx._HERMITE_ROWS[n]
         assert view.base is rows and approx._even_rows(n, n).base is rows
@@ -257,24 +239,27 @@ def test_even_hermite_cache_is_read_only_and_shared():
 
 def test_a_cold_size_builds_one_hermite_table(monkeypatch):
     # A cold qr_weights at a rule's own nodes that continues the rows past
-    # degree n - 1 reads the even rows and the two top rows from one table
-    # per size.
-    table = approx.normalized_table
+    # degree n - 1 runs the recurrence once per size, from (hhat_{-1},
+    # hhat_0) = (0, 1) at degree 0 up to the degree its B needs; the rule's
+    # own rows are a prefix of those.  The size's rows, B and solve are
+    # cleared first.
+    recurrence = approx._continue_recurrence
     degrees = []
 
-    def counted(x, d):
-        degrees.append(d)
-        return table(x, d)
+    def counted(x, buffer, degree):
+        degrees.append(degree)
+        return recurrence(x, buffer, degree)
 
-    monkeypatch.setattr(approx, "normalized_table", counted)
+    monkeypatch.setattr(approx, "_continue_recurrence", counted)
     b = basis_from(1.0)
     for n in (1, 2, 3, 10, 51, 200):
         for m in (n + 3, n + 2, DEGREE_MAX):
             approx._HERMITE_ROWS.clear()
+            approx._GRAM_BLOCKS.pop(n, None)
             approx._rule_node_weights.cache_clear()
             degrees.clear()
             qr_weights(b, scaled_nodes(b, n), m)
-            assert degrees == [n - 1], (n, m)
+            assert degrees == [0], (n, m)
 
 
 def test_series_is_summed_in_ascending_m_to_the_bit():
@@ -428,20 +413,23 @@ def test_qr_weights_at_rule_nodes_with_at_most_one_extra_term_are_the_closed_for
 GROWTH_ORDERS = {"ascending": (0, 1, 2, 3), "descending": (3, 2, 1, 0), "interleaved": (1, 3, 0, 2)}
 
 
-def _check_store_growth(order):
-    """Every size's stored rows against the table's even columns, from a cleared store.
+def _growth_requests(order):
+    """The (n, degrees) requests of a growth order, for every size n = 1..200.
 
     "interleaved" also takes the sizes in turn, one request each per round, so an entry
     grows, is read as a prefix and grows again while the other sizes do the same.
     """
-    approx._HERMITE_ROWS.clear()
     degrees = {n: (n + 1, n + 13, n + 181, DEGREE_MAX) for n in range(1, 201)}
     picks = GROWTH_ORDERS[order]
     if order == "interleaved":
-        requests = [(n, degrees[n][i]) for i in picks for n in degrees]
-    else:
-        requests = [(n, degrees[n][i]) for n in degrees for i in picks]
-    for n, m in requests:
+        return [(n, degrees[n][i]) for i in picks for n in degrees]
+    return [(n, degrees[n][i]) for n in degrees for i in picks]
+
+
+def _check_store_growth(order):
+    """Every size's stored rows against the table's even columns, from a cleared store."""
+    approx._HERMITE_ROWS.clear()
+    for n, m in _growth_requests(order):
         table = normalized_table(gh_rule(n).nodes[: (n + 1) // 2], m - 1)
         want = np.ascontiguousarray(table[:, ::2].T).tobytes()
         assert approx._even_rows(n, m).tobytes() == want, (order, n, m)
@@ -477,10 +465,11 @@ def test_a_store_view_outlives_the_growth_of_its_entry():
 def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, capsys):
     # The rows past N and the Gram block B depend on N and M only: l = 0.2
     # asks each size for the most, and l = 1 and 4 read prefixes of what it
-    # stored.  Each size builds one table and continues it once, from
-    # degree n - 1, and builds its B once.  The memo of solves is cleared,
-    # so every solve runs.
-    recurrence, table, calls = approx._continue_recurrence, approx.normalized_table, []
+    # stored.  Each size runs the recurrence from degree 0 to its rule's
+    # rows, continues it once, from degree n - 1, and builds its B once;
+    # size 1's rule needs hhat_0 alone, so it runs from degree 0 just once.
+    # The memo of solves is cleared, so every solve runs.
+    recurrence, calls = approx._continue_recurrence, []
 
     class CountedBlocks(dict):
         def __setitem__(self, n, block):
@@ -491,19 +480,16 @@ def test_a_weights_compare_sweep_runs_the_recurrence_once_per_size(monkeypatch, 
         calls.append(("continue", degree))
         return recurrence(x, buffer, degree)
 
-    def tabled(x, d):
-        calls.append(("table", d))
-        return table(x, d)
-
     monkeypatch.setattr(approx, "_continue_recurrence", continued)
-    monkeypatch.setattr(approx, "normalized_table", tabled)
     monkeypatch.setattr(approx, "_GRAM_BLOCKS", CountedBlocks())
     approx._HERMITE_ROWS.clear()
     approx._rule_node_weights.cache_clear()
     assert main(["weights-compare", "--ells", "0.2,1,4", "--ns", "1:60"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 60
-    assert calls == [call for n in range(1, 61)
-                     for call in (("table", n - 1), ("continue", n - 1), ("gram", n))]
+    want = []
+    for n in range(1, 61):
+        want += [("continue", 0)] + [("continue", n - 1)] * (n > 1) + [("gram", n)]
+    assert calls == want
 
 
 def _gram_reference(n):
@@ -533,14 +519,9 @@ def test_gram_store_is_one_fresh_reduce_in_any_growth_order():
     for n in want:
         digest.update(want[n].tobytes())
     assert digest.hexdigest() == GRAM_SHA256
-    degrees = {n: (n + 1, n + 13, n + 181, DEGREE_MAX) for n in want}
-    for order, picks in GROWTH_ORDERS.items():
+    for order in GROWTH_ORDERS:
         approx._GRAM_BLOCKS.clear()
-        if order == "interleaved":
-            requests = [(n, degrees[n][i]) for i in picks for n in degrees]
-        else:
-            requests = [(n, degrees[n][i]) for n in degrees for i in picks]
-        for n, m in requests:
+        for n, m in _growth_requests(order):
             width = (m + 1) // 2 - (n + 1) // 2
             got = approx._gram_block(n, m)
             assert got.tobytes() == want[n][:, :width].tobytes(), (order, n, m)
@@ -607,8 +588,8 @@ def test_power_table_lookup_is_the_direct_power_to_the_bit(ell):
 
 
 def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
-    # Once a size's rows are cached, a solve needs neither a table nor
-    # approx_rule, whether it moves an unknown (M >= N + 2 at odd N,
+    # Once a size's rows are cached, a solve runs no recurrence step and
+    # needs no approx_rule, whether it moves an unknown (M >= N + 2 at odd N,
     # M >= N + 3 at even N) or none.  The memo of solves is cleared, so
     # each one runs again.
     cases = []
@@ -623,7 +604,7 @@ def test_qr_weights_at_rule_nodes_build_no_hermite_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("called on the rule-node path")
 
-    monkeypatch.setattr(approx, "normalized_table", refuse)
+    monkeypatch.setattr(approx, "_continue_recurrence", refuse)
     monkeypatch.setattr(approx, "approx_rule", refuse)
     approx._rule_node_weights.cache_clear()
     for b, nodes, m, want in cases:
@@ -845,6 +826,11 @@ def test_guards():
         qr_weights(b, [1.0, 1.0], 5)
     with pytest.raises(SizeError):
         qr_weights(b, [], 5)
+    # A rule of the other kind is refused by type, not by a missing attribute.
+    with pytest.raises(DomainError, match="^rule must be a QuadratureRule, got ApproxRule$"):
+        worst_case_error(approx_rule(b, 5), 1.0)
+    with pytest.raises(DomainError, match="^approx must be an ApproxRule, got QuadratureRule$"):
+        eigen_exactness_residual(gh_rule(5), 1)
     # Sizes are read through operator.index, as check_size reads them.
     for bad in (10.5, np.float64(12.0)):
         with pytest.raises(DomainError, match="must be an integer"):

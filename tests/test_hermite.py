@@ -107,7 +107,17 @@ def test_non_finite_input_propagates():
 
 
 def test_table_past_the_float_range_comes_without_a_warning():
+    # The recurrence starts from (hhat_{-1}, hhat_0) = (0, 1), so column 0
+    # is 1.0 and its first step gives column 1 = x byte for byte, at signed
+    # zeros, infinities, nan, the smallest subnormal and points whose high
+    # degrees overflow.
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 40.0, -40.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = normalized_table([np.inf], 3)
+        tables = {d: normalized_table(x, d) for d in (0, 1, DEGREE_MAX)}
     assert table[0, :3].tolist() == [1.0, np.inf, np.inf] and np.isnan(table[0, 3])
+    for d, got in tables.items():
+        assert got.shape == (x.size, d + 1)
+        assert got[:, 0].tobytes() == np.ones(x.size).tobytes(), d
+        assert d == 0 or got[:, 1].tobytes() == x.tobytes(), d

@@ -115,8 +115,23 @@ def test_every_approx_states_its_abs_tolerance():
     assert not loose, "pytest.approx without abs=: " + ", ".join(loose)
 
 
+def test_workflow_test_ids_name_test_functions():
+    # The CI workflow reruns single tests by id under other CPU and BLAS
+    # kernels; a renamed test would only show there, as "not found".
+    root = Path(__file__).parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    ids = set(re.findall(r"\b(tests/\w+\.py)::(\w+)", workflow))
+    assert ids
+    defined = {}
+    for path in {path for path, _ in ids}:
+        tree = ast.parse((root / path).read_text(encoding="utf-8"))
+        defined[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    missing = sorted(f"{path}::{name}" for path, name in ids if name not in defined[path])
+    assert not missing, "workflow ids with no test function: " + ", ".join(missing)
+
+
 # Lines of the package's modules; a change that moves it edits this pin.
-SRC_LINES = 1692
+SRC_LINES = 1694
 
 
 def test_source_line_count_is_pinned():
